@@ -1,15 +1,12 @@
-// Device-array scaling: serial vs parallel MNA assembly on N-element
-// transverse-transducer arrays (the thousand-transducer MEMS workload the
-// sparse path was built for), plus batch sweep throughput via SweepRunner.
+// Device-array scaling: MNA assembly on N-element transverse-transducer
+// arrays (the thousand-transducer MEMS workload the sparse path was built
+// for), plus batch sweep throughput via SweepRunner.
 //
 // The arrays are built through the netlist front end's one-line constructs
 // (`X... TRANSARRAY n=N ...`), so this bench also covers the ARRAY parse
 // path at scale. Assembly benches time ONE MnaAssembler::assemble pass —
-// the per-Newton-iteration device-evaluation cost the parallel gather
-// targets; the summary table at exit reports the serial/parallel speedup at
-// 2 and 4 threads (the acceptance metric: >= 2x at 4 threads on a >= 1000
-// element array, hardware permitting — on fewer physical cores the
-// speedup degrades toward 1x while results stay bit-identical).
+// the per-Newton-iteration device-evaluation cost; the summary table at
+// exit reports the time per pass and per element.
 //
 // CI smoke mode: --benchmark_min_time=0.02s --benchmark_format=json
 //                --benchmark_out=BENCH_array_scaling.json
@@ -19,7 +16,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "core/netlist_ext.hpp"
 #include "spice/engine.hpp"
@@ -51,10 +47,10 @@ struct AssembleHarness {
   DVector x, f, q;
   spice::EvalCtx ctx;
 
-  AssembleHarness(int elements, int threads) : ckt(build_array(elements)) {
+  explicit AssembleHarness(int elements) : ckt(build_array(elements)) {
     ckt->bind_all();
     const spice::MnaPattern& pattern = ckt->mna_pattern();
-    assembler = std::make_unique<spice::MnaAssembler>(*ckt, pattern, threads);
+    assembler = std::make_unique<spice::MnaAssembler>(*ckt, pattern);
     x.assign(static_cast<std::size_t>(ckt->unknown_count()), 1e-3);
     ctx.mode = spice::AnalysisMode::transient;
     ctx.time = 1e-6;
@@ -68,17 +64,12 @@ struct AssembleHarness {
 };
 
 void BM_Assemble(benchmark::State& state) {
-  AssembleHarness harness(static_cast<int>(state.range(0)),
-                          static_cast<int>(state.range(1)));
+  AssembleHarness harness(static_cast<int>(state.range(0)));
   for (auto _ : state) harness.run_one();
   state.counters["unknowns"] = static_cast<double>(harness.ckt->unknown_count());
-  state.counters["threads"] =
-      static_cast<double>(harness.assembler->assembly_threads());
 }
 
-BENCHMARK(BM_Assemble)
-    ->ArgsProduct({{256, 1024, 4096}, {1, 2, 4}})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Assemble)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 /// Batch sweep: a 16-point gap x drive grid of operating points on a
 /// 64-element array per point, fanned across the pool.
@@ -110,30 +101,20 @@ BENCHMARK(BM_SweepOpGrid)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 /// policy) — this is the table the acceptance criterion reads.
 void print_summary() {
   using clock = std::chrono::steady_clock;
-  std::printf("\n=== serial vs parallel assembly: time per stamp pass ===\n");
-  std::printf("(hardware concurrency: %u)\n", std::thread::hardware_concurrency());
-  std::printf("%8s %10s %14s %14s %14s %10s %10s\n", "elements", "unknowns",
-              "serial [ms]", "2 thr [ms]", "4 thr [ms]", "speedup2", "speedup4");
+  std::printf("\n=== assembly: time per stamp pass ===\n");
+  std::printf("%8s %10s %14s %16s\n", "elements", "unknowns", "pass [ms]",
+              "per element [us]");
   for (int elements : {256, 1024, 4096}) {
-    double times[3] = {0.0, 0.0, 0.0};
-    int unknowns = 0;
-    const int variants[3] = {1, 2, 4};
-    for (int v = 0; v < 3; ++v) {
-      AssembleHarness harness(elements, variants[v]);
-      unknowns = harness.ckt->unknown_count();
-      harness.run_one();  // warm-up
-      const int reps = elements >= 4096 ? 10 : 40;
-      const auto t0 = clock::now();
-      for (int r = 0; r < reps; ++r) harness.run_one();
-      times[v] =
-          std::chrono::duration<double, std::milli>(clock::now() - t0).count() / reps;
-    }
-    std::printf("%8d %10d %14.3f %14.3f %14.3f %9.2fx %9.2fx\n", elements, unknowns,
-                times[0], times[1], times[2], times[0] / times[1], times[0] / times[2]);
+    AssembleHarness harness(elements);
+    harness.run_one();  // warm-up
+    const int reps = elements >= 4096 ? 10 : 40;
+    const auto t0 = clock::now();
+    for (int r = 0; r < reps; ++r) harness.run_one();
+    const double ms =
+        std::chrono::duration<double, std::milli>(clock::now() - t0).count() / reps;
+    std::printf("%8d %10d %14.3f %16.3f\n", elements, harness.ckt->unknown_count(), ms,
+                1e3 * ms / elements);
   }
-  std::printf("\nphase 1 (device evaluation) parallelizes across chunks; phase 2\n"
-              "gathers each CSR slot in device order, so any thread count is\n"
-              "bit-identical to serial. Speedups need physical cores to show.\n");
 }
 
 }  // namespace

@@ -9,15 +9,12 @@
 // reuses one symbolic factorization, so the gap widens cubically. A
 // summary table with the measured speedups prints at exit.
 //
-// Also tracked here (PR 4):
-//   * ordering quality — BM_Ordering* times SparseLu::analyze per ordering
-//     (AMD vs the simple min-degree baseline) and records the factor/fill
-//     nonzero counters; the acceptance bar is AMD fill <= min-degree fill
-//     on the n >= 500 topologies;
-//   * threaded triangular solves — BM_TriangularSolve* times solve() per
-//     thread count on a chain (rc_ladder: level count ~ n, the worst case)
-//     and on a star-coupled transducer array (wide levels, the workload the
-//     level scheduling targets), with the level counters recorded.
+// Also tracked here:
+//   * ordering quality — BM_Ordering* times SparseLu::analyze (AMD) and
+//     records the factor/fill nonzero counters;
+//   * triangular solves and numeric refactorization — BM_TriangularSolve*
+//     and BM_Refactor* on a chain (rc_ladder) and on a star-coupled
+//     transducer array.
 //
 // CI smoke mode: --benchmark_min_time=0.02s --benchmark_format=json
 //                --benchmark_out=BENCH_solver_scaling.json
@@ -38,7 +35,6 @@
 
 #include "common/sparse_lu.hpp"
 #include "spice/lint.hpp"
-#include "common/thread_pool.hpp"
 #include "core/transducers.hpp"
 #include "spice/analysis.hpp"
 #include "spice/devices_passive.hpp"
@@ -89,18 +85,11 @@ struct IterationHarness {
   spice::EvalCtx ctx;
   double a0 = 0.0;
 
-  IterationHarness(std::unique_ptr<spice::Circuit> circuit, spice::MatrixBackend backend,
-                   spice::PartitionMode partition = spice::PartitionMode::off,
-                   int threads = 1)
+  IterationHarness(std::unique_ptr<spice::Circuit> circuit, spice::MatrixBackend backend)
       : ckt(std::move(circuit)) {
     spice::NewtonOptions opts;
     opts.max_iters = 1;
     opts.backend = backend;
-    opts.partition = partition;
-    if (threads > 1) {
-      opts.solve_threads = threads;
-      opts.refactor_threads = threads;
-    }
     ckt->bind_all();
     solver = std::make_unique<spice::NewtonSolver>(*ckt, opts);
     const auto n = static_cast<std::size_t>(ckt->unknown_count());
@@ -120,9 +109,7 @@ struct IterationHarness {
 };
 
 /// Star-coupled electrostatic transducer array: every element hangs off one
-/// drive bus, so the triangular-solve dependency levels are wide — the
-/// topology the level-scheduled parallel solve targets (a chain like
-/// rc_ladder is its worst case: level count ~ n).
+/// drive bus (the paper's array workload).
 std::unique_ptr<spice::Circuit> transducer_star(int elements) {
   auto ckt = std::make_unique<spice::Circuit>();
   const int drive = ckt->add_node("drive", Nature::electrical);
@@ -223,13 +210,13 @@ BENCHMARK(BM_ResonatorArraySparse)->Arg(8)->Arg(12)->Arg(20)->Arg(50)->Arg(100)-
 
 // --- ordering quality: analyze time + fill counters --------------------------
 
-void run_ordering(benchmark::State& state, const std::string& family, LuOrdering ord) {
+void run_ordering(benchmark::State& state, const std::string& family) {
   SparseSystem sys(build(family, static_cast<int>(state.range(0))));
   DSparseLu lu;
   // The timed region is analyze() — ordering construction dominates it; the
   // resulting fill is reported through the counters below.
   for (auto _ : state) {
-    lu.analyze(sys.pattern->size(), sys.pattern->row_ptr(), sys.pattern->col_idx(), ord);
+    lu.analyze(sys.pattern->size(), sys.pattern->row_ptr(), sys.pattern->col_idx());
     benchmark::DoNotOptimize(lu.ordering().data());
   }
   lu.factor(sys.jac);
@@ -245,39 +232,22 @@ void run_ordering(benchmark::State& state, const std::string& family, LuOrdering
 }
 
 void BM_OrderingRcLadderAmd(benchmark::State& state) {
-  run_ordering(state, "rc_ladder", LuOrdering::amd);
-}
-void BM_OrderingRcLadderMinDeg(benchmark::State& state) {
-  run_ordering(state, "rc_ladder", LuOrdering::min_degree);
+  run_ordering(state, "rc_ladder");
 }
 void BM_OrderingResonatorAmd(benchmark::State& state) {
-  run_ordering(state, "resonator_array", LuOrdering::amd);
-}
-void BM_OrderingResonatorMinDeg(benchmark::State& state) {
-  run_ordering(state, "resonator_array", LuOrdering::min_degree);
+  run_ordering(state, "resonator_array");
 }
 BENCHMARK(BM_OrderingRcLadderAmd)->Arg(100)->Arg(500)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_OrderingRcLadderMinDeg)->Arg(100)->Arg(500)->Arg(1000)->Arg(2000)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_OrderingResonatorAmd)->Arg(100)->Arg(500)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_OrderingResonatorMinDeg)->Arg(100)->Arg(500)->Arg(1000)->Arg(2000)
-    ->Unit(benchmark::kMicrosecond);
 
-// --- threaded triangular solves ----------------------------------------------
+// --- triangular solves -------------------------------------------------------
 
 void run_tri_solve(benchmark::State& state, const std::string& family) {
-  const int n_target = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  SparseSystem sys(build(family, n_target));
+  SparseSystem sys(build(family, static_cast<int>(state.range(0))));
   DSparseLu lu;
   lu.analyze(sys.pattern->size(), sys.pattern->row_ptr(), sys.pattern->col_idx());
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    lu.set_parallel(pool.get(), threads);
-  }
   lu.factor(sys.jac);
   const auto n = static_cast<std::size_t>(sys.pattern->size());
   DVector b(n);
@@ -291,8 +261,6 @@ void run_tri_solve(benchmark::State& state, const std::string& family) {
   }
   state.counters["unknowns"] = static_cast<double>(sys.ckt->unknown_count());
   state.counters["factor_nnz"] = static_cast<double>(lu.factor_nonzeros());
-  state.counters["fwd_levels"] = static_cast<double>(lu.forward_levels());
-  state.counters["bwd_levels"] = static_cast<double>(lu.backward_levels());
 }
 
 void BM_TriangularSolveRcLadder(benchmark::State& state) {
@@ -301,40 +269,27 @@ void BM_TriangularSolveRcLadder(benchmark::State& state) {
 void BM_TriangularSolveTransducerStar(benchmark::State& state) {
   run_tri_solve(state, "transducer_star");
 }
-BENCHMARK(BM_TriangularSolveRcLadder)
-    ->Args({1000, 1})->Args({1000, 2})->Args({1000, 4})
-    ->Args({2000, 1})->Args({2000, 2})->Args({2000, 4})
+BENCHMARK(BM_TriangularSolveRcLadder)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_TriangularSolveTransducerStar)
-    ->Args({1000, 1})->Args({1000, 2})->Args({1000, 4})
-    ->Args({2000, 1})->Args({2000, 2})->Args({2000, 4})
+BENCHMARK(BM_TriangularSolveTransducerStar)->Arg(1000)->Arg(2000)
     ->Unit(benchmark::kMicrosecond);
 
-// --- level-scheduled parallel numeric refactorization ------------------------
+// --- numeric refactorization -------------------------------------------------
 
-/// Pure refactorization cost per thread count: the first factor() records
-/// the pivot order, every timed factor() replays it through the column
-/// level schedule. This is the per-Newton-iteration factor cost once the
-/// pivot order has settled — the dominant solver term on big systems.
+/// Pure refactorization cost: the first factor() records the pivot order,
+/// every timed factor() replays it. This is the per-Newton-iteration factor
+/// cost once the pivot order has settled — the dominant solver term on big
+/// systems.
 void run_refactor(benchmark::State& state, const std::string& family) {
-  const int n_target = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  SparseSystem sys(build(family, n_target));
+  SparseSystem sys(build(family, static_cast<int>(state.range(0))));
   DSparseLu lu;
   lu.analyze(sys.pattern->size(), sys.pattern->row_ptr(), sys.pattern->col_idx());
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    lu.set_parallel(pool.get(), 1);  // lends the pool; solves stay serial
-    lu.set_refactor_parallel(threads);
-  }
   lu.factor(sys.jac);  // records the pivot order
   for (auto _ : state) {
     lu.factor(sys.jac);  // pure replay
     benchmark::DoNotOptimize(lu.factor_nonzeros());
   }
   state.counters["unknowns"] = static_cast<double>(sys.ckt->unknown_count());
-  state.counters["refactor_levels"] = static_cast<double>(lu.refactor_levels());
   state.counters["symbolic"] = static_cast<double>(lu.symbolic_factorizations());
 }
 
@@ -344,53 +299,8 @@ void BM_RefactorRcLadder(benchmark::State& state) {
 void BM_RefactorTransducerStar(benchmark::State& state) {
   run_refactor(state, "transducer_star");
 }
-BENCHMARK(BM_RefactorRcLadder)
-    ->Args({1000, 1})->Args({1000, 2})->Args({1000, 4})
-    ->Args({2000, 1})->Args({2000, 2})->Args({2000, 4})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_RefactorTransducerStar)
-    ->Args({1000, 1})->Args({1000, 2})->Args({1000, 4})
-    ->Args({2000, 1})->Args({2000, 2})->Args({2000, 4})
-    ->Unit(benchmark::kMicrosecond);
-
-// --- partitioned (island/Schur) Newton iterations ----------------------------
-
-/// Full Newton iterations (stamp + combine + factor + solve) through the
-/// partitioned solver on the star array — the paper's array workload, and
-/// the topology the partitioner targets. The monolithic sparse baseline is
-/// the same harness with partition off.
-void run_partitioned(benchmark::State& state, spice::PartitionMode mode) {
-  const int threads = static_cast<int>(state.range(1));
-  IterationHarness harness(build("transducer_star", static_cast<int>(state.range(0))),
-                           spice::MatrixBackend::sparse, mode, threads);
-  const bool want = mode == spice::PartitionMode::auto_mode;
-  if (harness.solver->partition_active() != want) {
-    state.SkipWithError("partition engagement mismatch");
-    return;
-  }
-  for (auto _ : state) harness.run_one();
-  state.counters["unknowns"] = static_cast<double>(harness.ckt->unknown_count());
-  if (want) {
-    state.counters["blocks"] =
-        static_cast<double>(harness.solver->partition_plan().n_blocks);
-    state.counters["interface"] =
-        static_cast<double>(harness.solver->partition_plan().interface.size());
-  }
-}
-
-void BM_MonolithicTransducerStar(benchmark::State& state) {
-  run_partitioned(state, spice::PartitionMode::off);
-}
-void BM_PartitionedTransducerStar(benchmark::State& state) {
-  run_partitioned(state, spice::PartitionMode::auto_mode);
-}
-BENCHMARK(BM_MonolithicTransducerStar)
-    ->Args({1000, 1})->Args({2000, 1})
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_PartitionedTransducerStar)
-    ->Args({1000, 1})->Args({1000, 4})
-    ->Args({2000, 1})->Args({2000, 4})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RefactorRcLadder)->Arg(1000)->Arg(2000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RefactorTransducerStar)->Arg(1000)->Arg(2000)->Unit(benchmark::kMicrosecond);
 
 // --- static lint pass cost ---------------------------------------------------
 
@@ -446,100 +356,22 @@ void print_summary() {
             "path pays the n^2 zero-fill + n^3 LU every iteration.");
 
   using clock2 = std::chrono::steady_clock;
-  std::puts("\n=== ordering quality: AMD vs simple min-degree ===");
-  std::printf("%-16s %8s %12s %12s %14s %14s\n", "family", "n", "amd fnnz",
-              "mindeg fnnz", "amd anl [ms]", "mindeg anl [ms]");
+  std::puts("\n=== ordering quality: AMD fill and analyze time ===");
+  std::printf("%-16s %8s %10s %12s %12s\n", "family", "n", "nnz", "factor nnz",
+              "analyze [ms]");
   for (const std::string family : {"rc_ladder", "resonator_array", "transducer_star"}) {
     for (int n : {500, 1000, 2000}) {
       SparseSystem sys(build(family, n));
-      double t_ms[2];
-      std::size_t fnnz[2];
-      const LuOrdering ords[2] = {LuOrdering::amd, LuOrdering::min_degree};
-      for (int k = 0; k < 2; ++k) {
-        DSparseLu lu;
-        const auto t0 = clock2::now();
-        lu.analyze(sys.pattern->size(), sys.pattern->row_ptr(), sys.pattern->col_idx(),
-                   ords[k]);
-        t_ms[k] = std::chrono::duration<double, std::milli>(clock2::now() - t0).count();
-        lu.factor(sys.jac);
-        fnnz[k] = lu.factor_nonzeros();
-      }
-      std::printf("%-16s %8d %12zu %12zu %14.3f %14.3f%s\n", family.c_str(),
-                  sys.ckt->unknown_count(), fnnz[0], fnnz[1], t_ms[0], t_ms[1],
-                  fnnz[0] <= fnnz[1] ? "" : "  << AMD WORSE");
-    }
-  }
-  std::puts("\nacceptance: AMD fill <= min-degree fill on every n >= 500 row above.");
-
-  std::puts("\n=== level-scheduled triangular solve (AMD ordering) ===");
-  std::printf("%-16s %8s %8s %8s %14s %10s\n", "family", "n", "fwd lvl", "bwd lvl",
-              "serial [us]", "4T [us]");
-  for (const std::string family : {"rc_ladder", "transducer_star"}) {
-    for (int n : {1000, 2000}) {
-      SparseSystem sys(build(family, n));
-      DSparseLu ser, par;
-      ser.analyze(sys.pattern->size(), sys.pattern->row_ptr(), sys.pattern->col_idx());
-      par.analyze(sys.pattern->size(), sys.pattern->row_ptr(), sys.pattern->col_idx());
-      ThreadPool pool(4);
-      par.set_parallel(&pool, 4);
-      ser.factor(sys.jac);
-      par.factor(sys.jac);
-      const auto sn = static_cast<std::size_t>(sys.pattern->size());
-      DVector b(sn, 1.0), x(sn);
-      const auto time_us = [&](const DSparseLu& lu) {
-        constexpr int reps = 200;
-        x = b;
-        lu.solve(x);  // warm-up
-        const auto t0 = clock2::now();
-        for (int r = 0; r < reps; ++r) {
-          x = b;
-          lu.solve(x);
-        }
-        return std::chrono::duration<double, std::micro>(clock2::now() - t0).count() /
-               reps;
-      };
-      std::printf("%-16s %8d %8d %8d %14.2f %10.2f\n", family.c_str(),
-                  sys.ckt->unknown_count(), ser.forward_levels(), ser.backward_levels(),
-                  time_us(ser), time_us(par));
-    }
-  }
-  std::puts("\nthe chain (rc_ladder) has ~n levels and gains nothing; the star array's\n"
-            "wide levels are where the threaded solve pays (needs physical cores).");
-
-  std::puts("\n=== partitioned + parallel-refactor Newton iteration (transducer star) ===");
-  std::printf("%-8s %14s %14s %14s %14s %10s\n", "n", "mono [ms]", "refac-4T [ms]",
-              "part [ms]", "part-4T [ms]", "best");
-  for (int n : {1000, 2000}) {
-    // Four configurations of the same Newton iteration: monolithic serial,
-    // monolithic with 4-thread refactorization+solves, partitioned serial,
-    // partitioned with 4-thread blocks.
-    IterationHarness mono(build("transducer_star", n), spice::MatrixBackend::sparse);
-    IterationHarness refac(build("transducer_star", n), spice::MatrixBackend::sparse,
-                           spice::PartitionMode::off, 4);
-    IterationHarness part(build("transducer_star", n), spice::MatrixBackend::sparse,
-                          spice::PartitionMode::auto_mode);
-    IterationHarness part4(build("transducer_star", n), spice::MatrixBackend::sparse,
-                           spice::PartitionMode::auto_mode, 4);
-    const auto time_ms = [&](IterationHarness& h) {
-      constexpr int reps = 20;
-      h.run_one();  // warm-up: symbolic analysis + first full factorization
+      DSparseLu lu;
       const auto t0 = clock2::now();
-      for (int r = 0; r < reps; ++r) h.run_one();
-      return std::chrono::duration<double, std::milli>(clock2::now() - t0).count() /
-             reps;
-    };
-    const double tm = time_ms(mono);
-    const double tr = time_ms(refac);
-    const double tp = time_ms(part);
-    const double tp4 = time_ms(part4);
-    const double best = std::min({tm, tr, tp, tp4});
-    std::printf("%-8d %14.3f %14.3f %14.3f %14.3f %9.1fx\n",
-                mono.ckt->unknown_count(), tm, tr, tp, tp4, tm / best);
+      lu.analyze(sys.pattern->size(), sys.pattern->row_ptr(), sys.pattern->col_idx());
+      const double t_ms =
+          std::chrono::duration<double, std::milli>(clock2::now() - t0).count();
+      lu.factor(sys.jac);
+      std::printf("%-16s %8d %10zu %12zu %12.3f\n", family.c_str(),
+                  sys.ckt->unknown_count(), lu.nonzeros(), lu.factor_nonzeros(), t_ms);
+    }
   }
-  std::puts("\nacceptance: the partitioned/threaded configurations beat the serial\n"
-            "monolithic iteration on the array topology (needs physical cores for\n"
-            "the threaded columns; the serial partitioned column should win even\n"
-            "single-threaded by skipping the global fill).");
 
   std::puts("\n=== lint pass vs one-time sparse setup (pattern compile + analyze) ===");
   std::printf("%-16s %8s %14s %12s %12s %10s %10s\n", "family", "n",

@@ -173,7 +173,6 @@ spice::AnalysisEngine& Session::engine() noexcept { return *impl_->engine; }
 const std::vector<spice::AnalysisCard>& Session::cards() const noexcept {
   return impl_->net.analyses;
 }
-void Session::cool() { impl_->engine->cool(); }
 bool Session::warm() const noexcept { return impl_->engine->warm(); }
 long Session::jobs_run() const noexcept { return impl_->jobs; }
 
@@ -242,10 +241,6 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
   // --- run the analysis cards through the one dispatch path ---------------
   const JobOptions& jo = request.options;
   const auto apply_newton = [&jo](spice::NewtonOptions& newton) {
-    newton.assembly_threads = jo.assembly_threads;
-    newton.solve_threads = jo.solve_threads;
-    newton.refactor_threads = jo.refactor_threads;
-    newton.partition = jo.partition;
     newton.timeout_ms = jo.timeout_ms;
     newton.cancel = jo.cancel;
     if (jo.max_iters_scale > 1) newton.max_iters *= jo.max_iters_scale;
@@ -269,8 +264,8 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
         break;
       }
       case spice::AnalysisCard::Kind::tran: {
-        // The tran budget covers the initial OP too (analysis.hpp), so the
-        // dc options only carry thread/partition knobs.
+        // The tran budget covers the initial OP too (analysis.hpp); the dc
+        // copy carries the iteration-limit scale.
         apply_newton(card.tran.newton);
         apply_newton(card.tran.dc.newton);
         outcome.tran = impl_->engine->run_tran(card.tran);
@@ -396,7 +391,7 @@ spice::SweepOutcome run_sweep_point(const std::string& text,
 }
 
 // ---------------------------------------------------------------------------
-// Free-function facade (migration targets for the deprecated spice:: ones)
+// One-shot free functions (a fresh engine per call)
 // ---------------------------------------------------------------------------
 
 spice::OpResult operating_point(spice::Circuit& circuit, const spice::DcOptions& opts) {

@@ -11,15 +11,10 @@
 //               more jobs on it pays only the analyses.
 //   JobRequest — what varies per submission: parameter overrides
 //               ("R1.r=50" against the bound circuit, no re-parse),
-//               analysis-card substitution, thread/partition/deadline
-//               options.
+//               analysis-card substitution, deadline/cancel options.
 //   JobResult — per-analysis outcomes plus the provenance counters
 //               (parsed/bound/rebound, symbolic factorization count) the
 //               server's /stats and the warm-cache tests key on.
-//
-// The legacy free functions spice::operating_point / transient / ac_sweep /
-// solve_dc are [[deprecated]] wrappers over the api:: equivalents below
-// (docs/architecture.md has the migration table).
 #pragma once
 
 #include <cstddef>
@@ -55,10 +50,6 @@ bool parse_override(const std::string& spec, ParamOverride& out);
 /// Per-job execution knobs — the CLI flags and the server's request fields
 /// funnel into the same struct.
 struct JobOptions {
-  int assembly_threads = 1;   ///< NewtonOptions::assembly_threads
-  int solve_threads = 1;      ///< NewtonOptions::solve_threads
-  int refactor_threads = 1;   ///< NewtonOptions::refactor_threads
-  spice::PartitionMode partition = spice::PartitionMode::off;
   double timeout_ms = 0.0;    ///< wall-clock budget PER ANALYSIS CARD; 0 = off
   /// Cooperative cancel (non-owning; must outlive the run). The server
   /// points this at the per-job token its disconnect/deadline monitor fires.
@@ -163,8 +154,6 @@ class Session {
   /// analysis regime — zero extra symbolic factorizations.
   JobResult run(const JobRequest& request = {}, const AnalysisCallback& on_analysis = {});
 
-  /// Cache-eviction hook: sheds warm solver state (AnalysisEngine::cool).
-  void cool();
   /// Whether the engine currently holds warm solver state.
   bool warm() const noexcept;
   /// Jobs run() has completed on this session (server stats).
@@ -195,9 +184,9 @@ spice::SweepOutcome run_sweep_point(const std::string& text,
                                     const std::string& hdl_mode,
                                     const JobOptions& options, int attempt);
 
-// Facade equivalents of the deprecated spice:: free functions — each runs
-// on a fresh engine, exactly like the originals, so results are identical.
-// Prefer a held Session (or spice::AnalysisEngine) for repeated runs.
+// One-shot analyses: each runs on a fresh engine (fresh solver, fresh pivot
+// order, per-analysis statistics). Prefer a held Session (or
+// spice::AnalysisEngine) for repeated runs.
 spice::OpResult operating_point(spice::Circuit& circuit, const spice::DcOptions& opts = {});
 spice::DcResult solve_dc(spice::Circuit& circuit, const spice::DcOptions& opts = {});
 spice::TranResult transient(spice::Circuit& circuit, const spice::TranOptions& opts);

@@ -1,7 +1,6 @@
 #include "common/sparse_lu.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 
 #include "common/deadline.hpp"
 #include "common/fault_inject.hpp"
-#include "common/thread_pool.hpp"
 
 namespace usys {
 namespace {
@@ -29,7 +27,7 @@ constexpr double kPivotGrowthLimit = 1e3;
 
 template <typename T>
 void SparseLu<T>::analyze(int n, const std::vector<int>& row_ptr,
-                          const std::vector<int>& col_idx, LuOrdering ordering) {
+                          const std::vector<int>& col_idx) {
   if (n < 0 || row_ptr.size() != static_cast<std::size_t>(n) + 1)
     throw std::invalid_argument("SparseLu::analyze: bad pattern dimensions");
   n_ = n;
@@ -54,20 +52,10 @@ void SparseLu<T>::analyze(int n, const std::vector<int>& row_ptr,
   }
   csc_vals_.assign(nnz, T{});
 
-  if (ordering == LuOrdering::amd) {
-    amd_order();
-  } else {
-    min_degree_order();
-  }
+  amd_order();
 
   factored_ = false;
   symbolic_count_ = 0;
-  flev_ptr_.clear();
-  flev_rows_.clear();
-  blev_ptr_.clear();
-  blev_rows_.clear();
-  rlev_ptr_.clear();
-  rlev_cols_.clear();
 
   x_.assign(static_cast<std::size_t>(n), T{});
   xi_.assign(static_cast<std::size_t>(n), 0);
@@ -118,52 +106,6 @@ std::vector<std::vector<int>> SparseLu<T>::symmetrized_adjacency() const {
     a.erase(std::unique(a.begin(), a.end()), a.end());
   }
   return adj;
-}
-
-/// Greedy minimum-degree elimination order on the symmetrized pattern
-/// (explicit clique merging). Partial pivoting later permutes rows freely,
-/// so only the column order is fixed here. Exact degrees but O(n) pivot
-/// scans and O(deg^2) clique merges — kept as the quality baseline the AMD
-/// ordering is benchmarked against. Ties break on the smallest index (the
-/// strict `<` scan), so the order is deterministic.
-template <typename T>
-void SparseLu<T>::min_degree_order() {
-  const int n = n_;
-  q_.resize(static_cast<std::size_t>(n));
-  std::vector<std::vector<int>> adj = symmetrized_adjacency();
-
-  std::vector<char> eliminated(static_cast<std::size_t>(n), 0);
-  std::vector<int> nbrs;
-  for (int step = 0; step < n; ++step) {
-    int best = -1;
-    std::size_t best_deg = static_cast<std::size_t>(-1);
-    for (int v = 0; v < n; ++v) {
-      if (!eliminated[static_cast<std::size_t>(v)] &&
-          adj[static_cast<std::size_t>(v)].size() < best_deg) {
-        best_deg = adj[static_cast<std::size_t>(v)].size();
-        best = v;
-      }
-    }
-    q_[static_cast<std::size_t>(step)] = best;
-    eliminated[static_cast<std::size_t>(best)] = 1;
-    // Connect the eliminated node's surviving neighbors into a clique.
-    nbrs.clear();
-    for (int u : adj[static_cast<std::size_t>(best)])
-      if (!eliminated[static_cast<std::size_t>(u)]) nbrs.push_back(u);
-    for (int u : nbrs) {
-      auto& a = adj[static_cast<std::size_t>(u)];
-      a.insert(a.end(), nbrs.begin(), nbrs.end());
-      std::sort(a.begin(), a.end());
-      a.erase(std::unique(a.begin(), a.end()), a.end());
-      a.erase(std::remove_if(a.begin(), a.end(),
-                             [&](int w) {
-                               return w == u || eliminated[static_cast<std::size_t>(w)];
-                             }),
-              a.end());
-    }
-    adj[static_cast<std::size_t>(best)].clear();
-    adj[static_cast<std::size_t>(best)].shrink_to_fit();
-  }
 }
 
 /// Approximate minimum degree on the quotient graph (Amestoy/Davis/Duff):
@@ -526,7 +468,7 @@ void SparseLu<T>::factor_full() {
   // whole factorization lives in pivotal coordinates.
   for (auto& i : li_) i = pinv_[static_cast<std::size_t>(i)];
 
-  build_solve_schedule();
+  build_row_views();
 
   factored_ = true;
   ++symbolic_count_;
@@ -577,7 +519,6 @@ bool SparseLu<T>::refactor_column(int jj, T* x) {
 
 template <typename T>
 bool SparseLu<T>::refactor() {
-  if (refactor_threads_ > 1 && pool_ != nullptr) return refactor_parallel();
   const int n = n_;
   T* const x = x_.data();
   for (int jj = 0; jj < n; ++jj) {
@@ -589,75 +530,16 @@ bool SparseLu<T>::refactor() {
   return true;
 }
 
-/// Level-scheduled column replay. Column jj's replay reads L(:,k) only for
-/// the above-diagonal U entries k of column jj, so the rlev_* levels built
-/// at symbolic time group columns whose inputs are all finished. Within a
-/// level every column writes only its own lx_/ux_ slots and scatters into a
-/// per-chunk scratch vector, and its arithmetic order is the serial one —
-/// so the produced factors, and the degraded-pivot verdict, are
-/// bit-identical to the serial replay for any thread count or chunking.
-template <typename T>
-bool SparseLu<T>::refactor_parallel() {
-  const int n = n_;
-  const auto sn = static_cast<std::size_t>(n);
-  const int nlev = static_cast<int>(rlev_ptr_.size()) - 1;
-  if (rx_.size() < static_cast<std::size_t>(refactor_threads_))
-    rx_.resize(static_cast<std::size_t>(refactor_threads_));
-  std::atomic<bool> ok{true};
-  for (int l = 0; l < nlev && ok.load(std::memory_order_relaxed); ++l) {
-    const int begin = rlev_ptr_[static_cast<std::size_t>(l)];
-    const int end = rlev_ptr_[static_cast<std::size_t>(l) + 1];
-    const int count = end - begin;
-    if (count < min_level_cols_) {
-      T* const x = x_.data();
-      for (int k = begin; k < end; ++k) {
-        if (!refactor_column(rlev_cols_[static_cast<std::size_t>(k)], x)) {
-          ok.store(false, std::memory_order_relaxed);
-          break;
-        }
-      }
-      continue;
-    }
-    const int chunks = std::min(refactor_threads_, count);
-    pool_->run(chunks, [&](int c) {
-      auto& xs = rx_[static_cast<std::size_t>(c)];
-      if (xs.size() != sn) xs.assign(sn, T{});
-      T* const x = xs.data();
-      const int lo = begin + static_cast<int>((static_cast<long long>(count) * c) / chunks);
-      const int hi =
-          begin + static_cast<int>((static_cast<long long>(count) * (c + 1)) / chunks);
-      for (int k = lo; k < hi; ++k) {
-        if (!ok.load(std::memory_order_relaxed)) return;
-        if (!refactor_column(rlev_cols_[static_cast<std::size_t>(k)], x)) {
-          ok.store(false, std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
-  }
-  if (!ok.load(std::memory_order_relaxed)) {
-    // A failing (or abandoned mid-chunk) column leaves its scratch dirty;
-    // re-zero everything before the full factorization redoes the work.
-    x_.assign(sn, T{});
-    for (auto& xs : rx_) xs.assign(xs.size(), T{});
-    return false;
-  }
-  return true;
-}
-
 /// Transposes the recorded L/U patterns into row-major views (index maps
-/// into lx_/ux_, so refactorizations keep them valid) and groups rows into
-/// dependency levels: forward row j needs every column k < j with L(j,k)
-/// != 0 finished first, backward row j every k > j with U(j,k) != 0. Rows
-/// of one level are independent — the parallel solve's unit of work.
+/// into lx_/ux_, so refactorizations keep them valid).
 template <typename T>
-void SparseLu<T>::build_solve_schedule() {
+void SparseLu<T>::build_row_views() {
   const int n = n_;
   const auto sn = static_cast<std::size_t>(n);
 
   // L^T rows, skipping each column's leading unit diagonal. Columns are
   // visited in ascending order, so every row's entries come out sorted by
-  // column — the fixed per-row gather order bit-identity relies on.
+  // column — the fixed per-row gather order the solve accumulates in.
   lt_ptr_.assign(sn + 1, 0);
   for (int j = 0; j < n; ++j)
     for (int p = lp_[static_cast<std::size_t>(j)] + 1;
@@ -700,91 +582,6 @@ void SparseLu<T>::build_solve_schedule() {
       }
     }
   }
-
-  // Level assignment + counting sort into (level, ascending row) groups.
-  const auto levelize = [&](const std::vector<int>& tptr, const std::vector<int>& tidx,
-                            bool backward, std::vector<int>& lev_ptr,
-                            std::vector<int>& lev_rows) {
-    std::vector<int> level(sn, 0);
-    int nlev = 0;
-    const auto row_level = [&](int j) {
-      int lv = 0;
-      for (int p = tptr[static_cast<std::size_t>(j)];
-           p < tptr[static_cast<std::size_t>(j) + 1]; ++p)
-        lv = std::max(lv, level[static_cast<std::size_t>(tidx[static_cast<std::size_t>(p)])] + 1);
-      level[static_cast<std::size_t>(j)] = lv;
-      nlev = std::max(nlev, lv + 1);
-    };
-    if (backward) {
-      for (int j = n; j-- > 0;) row_level(j);
-    } else {
-      for (int j = 0; j < n; ++j) row_level(j);
-    }
-    lev_ptr.assign(static_cast<std::size_t>(nlev) + 1, 0);
-    for (std::size_t j = 0; j < sn; ++j) ++lev_ptr[static_cast<std::size_t>(level[j]) + 1];
-    for (int l = 0; l < nlev; ++l) lev_ptr[static_cast<std::size_t>(l) + 1] += lev_ptr[static_cast<std::size_t>(l)];
-    lev_rows.assign(sn, 0);
-    std::vector<int> cur(lev_ptr.begin(), lev_ptr.end() - 1);
-    for (int j = 0; j < n; ++j)
-      lev_rows[static_cast<std::size_t>(cur[static_cast<std::size_t>(level[static_cast<std::size_t>(j)])]++)] = j;
-  };
-  levelize(lt_ptr_, lt_idx_, /*backward=*/false, flev_ptr_, flev_rows_);
-  levelize(ut_ptr_, ut_idx_, /*backward=*/true, blev_ptr_, blev_rows_);
-
-  // Refactor column levels: replaying column jj reads L(:,k) for every
-  // above-diagonal U entry k of column jj (those are exactly the pivotal
-  // columns its sparse triangular solve eliminates against), so
-  // level(jj) = 1 + max over those k. Same counting-sort grouping as the
-  // solve levels, keyed on columns instead of rows.
-  {
-    std::vector<int> level(sn, 0);
-    int nlev = 0;
-    for (int j = 0; j < n; ++j) {
-      int lv = 0;
-      for (int p = up_[static_cast<std::size_t>(j)];
-           p < up_[static_cast<std::size_t>(j) + 1] - 1; ++p)
-        lv = std::max(lv, level[static_cast<std::size_t>(ui_[static_cast<std::size_t>(p)])] + 1);
-      level[static_cast<std::size_t>(j)] = lv;
-      nlev = std::max(nlev, lv + 1);
-    }
-    rlev_ptr_.assign(static_cast<std::size_t>(nlev) + 1, 0);
-    for (std::size_t j = 0; j < sn; ++j) ++rlev_ptr_[static_cast<std::size_t>(level[j]) + 1];
-    for (int l = 0; l < nlev; ++l)
-      rlev_ptr_[static_cast<std::size_t>(l) + 1] += rlev_ptr_[static_cast<std::size_t>(l)];
-    rlev_cols_.assign(sn, 0);
-    std::vector<int> cur(rlev_ptr_.begin(), rlev_ptr_.end() - 1);
-    for (int j = 0; j < n; ++j)
-      rlev_cols_[static_cast<std::size_t>(
-          cur[static_cast<std::size_t>(level[static_cast<std::size_t>(j)])]++)] = j;
-  }
-}
-
-/// Runs row_fn over every row, level by level. Levels big enough to beat
-/// the dispatch overhead fan out across the shared pool in solve_threads_
-/// contiguous chunks; small levels run inline. Rows of one level write
-/// disjoint entries and read only earlier levels, and each row's gather
-/// order is fixed, so any chunking is bit-identical to serial.
-template <typename T>
-template <typename RowFn>
-void SparseLu<T>::run_levels(const std::vector<int>& lev_ptr,
-                             const std::vector<int>& lev_rows,
-                             const RowFn& row_fn) const {
-  const int nlev = static_cast<int>(lev_ptr.size()) - 1;
-  for (int l = 0; l < nlev; ++l) {
-    const int begin = lev_ptr[static_cast<std::size_t>(l)];
-    const int end = lev_ptr[static_cast<std::size_t>(l) + 1];
-    const int count = end - begin;
-    if (count < min_level_rows_ || solve_threads_ <= 1 || pool_ == nullptr) {
-      for (int k = begin; k < end; ++k) row_fn(lev_rows[static_cast<std::size_t>(k)]);
-      continue;
-    }
-    const int chunks = std::min(solve_threads_, count);
-    pool_->run(chunks, [&](int c) {
-      const int lo = begin + static_cast<int>((static_cast<long long>(count) * c) / chunks);
-      const int hi = begin + static_cast<int>((static_cast<long long>(count) * (c + 1)) / chunks);
-      for (int k = lo; k < hi; ++k) row_fn(lev_rows[static_cast<std::size_t>(k)]);
-    });
-  }
 }
 
 template <typename T>
@@ -802,35 +599,24 @@ void SparseLu<T>::solve(std::vector<T>& b) const {
   // Forward: L y = P b. Row-gather over L^T (unit diagonal implicit):
   // y_j = b_j - sum_{k<j} L(j,k) y_k, accumulated in ascending k.
   T* const t = tmp_.data();
-  const auto fwd_row = [&](int j) {
+  for (int j = 0; j < n; ++j) {
     T acc = t[j];
     for (int p = lt_ptr_[static_cast<std::size_t>(j)];
          p < lt_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
       acc -= lx_[static_cast<std::size_t>(lt_map_[static_cast<std::size_t>(p)])] *
              t[lt_idx_[static_cast<std::size_t>(p)]];
     t[j] = acc;
-  };
-  const bool parallel = pool_ != nullptr && solve_threads_ > 1;
-  if (parallel) {
-    run_levels(flev_ptr_, flev_rows_, fwd_row);
-  } else {
-    for (int j = 0; j < n; ++j) fwd_row(j);
   }
 
   // Backward: U x = y. Row-gather over U^T, then divide by the pivot:
   // x_j = (y_j - sum_{k>j} U(j,k) x_k) / U(j,j).
-  const auto bwd_row = [&](int j) {
+  for (int j = n; j-- > 0;) {
     T acc = t[j];
     for (int p = ut_ptr_[static_cast<std::size_t>(j)];
          p < ut_ptr_[static_cast<std::size_t>(j) + 1]; ++p)
       acc -= ux_[static_cast<std::size_t>(ut_map_[static_cast<std::size_t>(p)])] *
              t[ut_idx_[static_cast<std::size_t>(p)]];
     t[j] = acc / ux_[static_cast<std::size_t>(up_[static_cast<std::size_t>(j) + 1]) - 1];
-  };
-  if (parallel) {
-    run_levels(blev_ptr_, blev_rows_, bwd_row);
-  } else {
-    for (int j = n; j-- > 0;) bwd_row(j);
   }
 
   // Undo the fill-reducing column permutation: position j solved unknown q_[j].

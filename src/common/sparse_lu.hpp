@@ -1,27 +1,21 @@
 // General (non-SPD) sparse LU: Gilbert–Peierls left-looking factorization
 // with partial pivoting, plus pattern-reusing numeric refactorization and
-// level-scheduled (optionally threaded) triangular solves.
+// row-gather triangular solves.
 //
 // Built for Newton / transient loops where the matrix PATTERN is fixed while
 // the VALUES change every iteration:
 //   * analyze()  — once per pattern: records the CSR layout, the CSR-to-CSC
 //     slot mapping, and a fill-reducing column order (approximate minimum
-//     degree by default; the simple min-degree variant remains selectable
-//     for comparison). Both orderings are fully deterministic: every
-//     degree tie breaks on the smallest index.
+//     degree). The ordering is fully deterministic: every degree tie breaks
+//     on the smallest index.
 //   * factor()   — the first call runs the full pivoting factorization and
 //     records the pivot order and the L/U patterns (the "symbolic"
 //     factorization); later calls replay those patterns as pure numeric
 //     refactorizations (no search, no allocation) and fall back to a fresh
 //     pivoting factorization only if a reused pivot degrades.
 //   * solve()    — forward/back substitution. Each unknown is a per-row
-//     GATHER over the transposed factors, so the rows of one dependency
-//     level are independent: with set_parallel() the levels computed at
-//     symbolic time run across a shared ThreadPool, and because every row
-//     accumulates its dot product in the same fixed order, the result is
-//     bit-identical to the serial solve for any thread count. Levels
-//     smaller than the configured threshold run serially, so small
-//     circuits pay nothing.
+//     GATHER over the transposed factors, accumulated in a fixed
+//     (ascending column) order.
 //
 // The FEM module's CsrMatrix + CG (fem/sparse.hpp) covers the SPD case;
 // this solver covers the unsymmetric MNA systems of the circuit solver.
@@ -37,15 +31,6 @@
 namespace usys {
 
 class Deadline;
-class ThreadPool;
-
-/// Fill-reducing column-ordering algorithm used by SparseLu::analyze.
-enum class LuOrdering {
-  amd,         ///< approximate minimum degree (quotient graph, supervariable
-               ///< detection, mass elimination) — the default
-  min_degree,  ///< simple exact-degree clique merging (the PR 1 ordering),
-               ///< kept as the quality/regression baseline
-};
 
 template <typename T>
 class SparseLu {
@@ -57,8 +42,7 @@ class SparseLu {
   /// natural layout. Resets any previous factorization and the symbolic
   /// counter. The ordering is deterministic: the same pattern always
   /// produces the same permutation, on any platform.
-  void analyze(int n, const std::vector<int>& row_ptr, const std::vector<int>& col_idx,
-               LuOrdering ordering = LuOrdering::amd);
+  void analyze(int n, const std::vector<int>& row_ptr, const std::vector<int>& col_idx);
 
   bool analyzed() const noexcept { return n_ >= 0; }
   int size() const noexcept { return n_ < 0 ? 0 : n_; }
@@ -95,59 +79,12 @@ class SparseLu {
   /// Solves A x = b in place (b holds x on return). Requires factor().
   void solve(std::vector<T>& b) const;
 
-  /// Enables the level-scheduled parallel triangular solves: levels with at
-  /// least `min_level_rows` rows are split into `threads` chunks over
-  /// `pool` (non-owning; must outlive this object or be reset to null).
-  /// threads <= 1 or pool == nullptr keeps the serial path. Results are
-  /// bit-identical to serial for any setting.
-  void set_parallel(ThreadPool* pool, int threads, int min_level_rows = 48) noexcept {
-    pool_ = pool;
-    solve_threads_ = (pool && threads > 1) ? threads : 1;
-    min_level_rows_ = min_level_rows < 1 ? 1 : min_level_rows;
-  }
-
-  /// Chunks a parallel solve fans each big level into (1 = serial).
-  int solve_threads() const noexcept { return solve_threads_; }
-
-  /// Enables the level-scheduled parallel numeric refactorization. The
-  /// recorded pivot order fixes which L columns each column's U replay
-  /// reads, so columns of one dependency level replay independently across
-  /// the pool registered via set_parallel() (call it even with 1 solve
-  /// thread to lend the pool). Levels with fewer than `min_level_cols`
-  /// columns run inline. Each column keeps its serial arithmetic order,
-  /// writes only its own L/U slots, and scatters into a per-chunk scratch,
-  /// so the factorization — including the degraded-pivot fallback decision
-  /// — is bit-identical to serial at any thread count.
-  void set_refactor_parallel(int threads, int min_level_cols = 16) noexcept {
-    refactor_threads_ = threads > 1 ? threads : 1;
-    min_level_cols_ = min_level_cols < 1 ? 1 : min_level_cols;
-  }
-
-  /// Chunks a parallel refactorization fans each big level into (1 = serial).
-  int refactor_threads() const noexcept { return refactor_threads_; }
-
-  /// Dependency-level count of the recorded column replay; 0 before
-  /// factor(). Star-like patterns collapse to a handful of levels.
-  int refactor_levels() const noexcept {
-    return rlev_ptr_.empty() ? 0 : static_cast<int>(rlev_ptr_.size()) - 1;
-  }
-
   /// Borrows a deadline (non-owning; null = none): factor() and solve()
   /// check it at dispatch and throw DeadlineError once it expires, so a
   /// budgeted Newton loop can never sit inside an unbounded factorization
   /// chain. The per-call check is one clock read — negligible against the
   /// factorization itself. The caller must clear (or outlive) the pointer.
   void set_deadline(const Deadline* deadline) noexcept { deadline_ = deadline; }
-
-  /// Dependency-level counts of the recorded factorization's forward (L)
-  /// and backward (U) substitutions; 0 before factor(). n_levels << n is
-  /// what makes the threaded solve pay.
-  int forward_levels() const noexcept {
-    return flev_ptr_.empty() ? 0 : static_cast<int>(flev_ptr_.size()) - 1;
-  }
-  int backward_levels() const noexcept {
-    return blev_ptr_.empty() ? 0 : static_cast<int>(blev_ptr_.size()) - 1;
-  }
 
   /// Number of full (pivot-searching) factorizations since analyze().
   /// Steady-state Newton/transient/AC loops should hold this at 1.
@@ -161,18 +98,13 @@ class SparseLu {
   /// false return means the reused pivot degraded; `x` is left dirty and
   /// the caller clears it wholesale.
   bool refactor_column(int jj, T* x);
-  bool refactor_parallel();  ///< level-scheduled refactor(); same contract
   int dfs_reach(int start, int top);
-  void min_degree_order();
   void amd_order();
   /// Symmetrized (pattern + pattern^T) adjacency, sorted, diagonal-free.
   std::vector<std::vector<int>> symmetrized_adjacency() const;
-  /// Builds the transposed-factor (row-gather) views and the forward /
-  /// backward dependency levels; runs once per symbolic factorization.
-  void build_solve_schedule();
-  template <typename RowFn>
-  void run_levels(const std::vector<int>& lev_ptr, const std::vector<int>& lev_rows,
-                  const RowFn& row_fn) const;
+  /// Builds the transposed-factor (row-gather) views; runs once per
+  /// symbolic factorization.
+  void build_row_views();
 
   int n_ = -1;
 
@@ -199,15 +131,7 @@ class SparseLu {
   // refactorizations keep them valid for free.
   std::vector<int> lt_ptr_, lt_idx_, lt_map_;  ///< L^T rows (diagonal dropped)
   std::vector<int> ut_ptr_, ut_idx_, ut_map_;  ///< U^T rows (diagonal dropped)
-  std::vector<int> flev_ptr_, flev_rows_;      ///< forward levels (rows grouped)
-  std::vector<int> blev_ptr_, blev_rows_;      ///< backward levels
-  std::vector<int> rlev_ptr_, rlev_cols_;      ///< refactor column levels
 
-  ThreadPool* pool_ = nullptr;  ///< non-owning; shared with the MNA assembly
-  int solve_threads_ = 1;
-  int min_level_rows_ = 48;
-  int refactor_threads_ = 1;
-  int min_level_cols_ = 16;
   const Deadline* deadline_ = nullptr;  ///< non-owning; checked at dispatch
 
   // Scratch reused across factorizations/solves (no per-iteration allocs).
@@ -215,7 +139,6 @@ class SparseLu {
   std::vector<int> xi_, stack_, pstack_;
   std::vector<char> visited_;
   mutable std::vector<T> tmp_;
-  std::vector<std::vector<T>> rx_;  ///< per-chunk parallel-refactor scratch
 };
 
 using DSparseLu = SparseLu<double>;

@@ -15,7 +15,7 @@ constexpr int kSpinRounds = 2048;
 
 }  // namespace
 
-int ThreadPool::resolve_threads(int requested) noexcept {
+int ThreadPool::threads_for(int requested) noexcept {
   if (requested > 0) return requested;
   if (requested < 0) return 1;  // the documented floor, not auto
   const unsigned hw = std::thread::hardware_concurrency();

@@ -1,11 +1,11 @@
-// Small persistent thread pool shared by the parallel MNA assembly
-// (spice/mna.hpp) and the batch sweep runner (spice/sweep.hpp).
+// Small persistent thread pool behind the batch sweep runner
+// (spice/sweep.hpp).
 //
 // Design constraints, in order:
-//   * cheap steady-state dispatch — the assembler calls run() once per
-//     Newton iteration, so a fan-out must not spawn threads or allocate,
-//     and the start/finish barriers spin briefly (workers stay hot across
-//     back-to-back assembles) before falling back to condvar sleeps;
+//   * cheap steady-state dispatch — a fan-out must not spawn threads or
+//     allocate, and the start/finish barriers spin briefly (workers stay
+//     hot across back-to-back batches) before falling back to condvar
+//     sleeps;
 //   * caller participation — the constructing thread works too, so a
 //     "1-thread pool" degrades to a plain loop with zero synchronization;
 //   * exception transport — the first exception thrown by any task is
@@ -14,7 +14,7 @@
 // Tasks are claimed from a shared atomic counter (work stealing by index),
 // so which worker runs which task is nondeterministic; callers that need
 // deterministic RESULTS must make task outputs independent (write to
-// disjoint, index-addressed storage), which is exactly what both users do.
+// disjoint, index-addressed storage), which is exactly what the sweep runner does.
 #pragma once
 
 #include <atomic>
@@ -48,7 +48,7 @@ class ThreadPool {
 
   /// Resolves a user-facing thread request: 0 = auto (hardware concurrency),
   /// otherwise the value itself, floored at 1.
-  static int resolve_threads(int requested) noexcept;
+  static int threads_for(int requested) noexcept;
 
  private:
   void worker_loop();

@@ -1,10 +1,9 @@
-// Plain union-find (disjoint-set forest) with path halving. Shared by the
+// Plain union-find (disjoint-set forest) with path halving, used by the
 // lint pass's connectivity rules (spice/lint.cpp: ground reachability, DC
-// paths, V-source loop detection) and the island partitioner
-// (common/partition.cpp: component discovery after separator removal).
+// paths, V-source loop detection).
 //
 // Deliberately minimal: no union-by-rank. unite(a, b) roots a under b, so
-// component roots depend on the call order — both users iterate edges in a
+// component roots depend on the call order — lint iterates edges in a
 // fixed order, which keeps every derived result deterministic.
 #pragma once
 

@@ -103,7 +103,7 @@ void HdlDevice::bind(spice::Binder& binder) {
 
   // Codegen mode acquires its native object eagerly at bind, so the compile
   // (or the one-time fallback warning) never lands inside a hot evaluation
-  // loop or a parallel assembly pass. acquire() is a no-op beyond a map
+  // loop. acquire() is a no-op beyond a map
   // lookup for every instance after the first of a given shape.
   cg_ = nullptr;
   cg_attempted_ = false;

@@ -38,8 +38,6 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
   }
   out.hdl_mode = doc->get_string("hdl");
   out.timeout_ms = doc->get_number("timeout_ms", 0.0);
-  out.threads = static_cast<int>(doc->get_number("threads", 1.0));
-  out.partition = doc->get_bool("partition", false);
   out.no_cache = doc->get_bool("no_cache", false);
   out.set_specs.clear();
   if (const JsonValue* set = doc->find("set"); set != nullptr && set->is_array()) {
@@ -51,8 +49,8 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
       out.set_specs.push_back(item.as_string());
     }
   }
-  if (out.timeout_ms < 0.0 || out.threads < 0) {
-    error = "timeout_ms and threads must be >= 0";
+  if (out.timeout_ms < 0.0) {
+    error = "timeout_ms must be >= 0";
     return false;
   }
   if (out.op == Request::Op::sweep) {
@@ -94,8 +92,6 @@ std::string build_request(const Request& req) {
         doc.set("set", std::move(set));
       }
       if (req.timeout_ms > 0.0) doc.set("timeout_ms", JsonValue::make_number(req.timeout_ms));
-      if (req.threads != 1) doc.set("threads", JsonValue::make_number(req.threads));
-      if (req.partition) doc.set("partition", JsonValue::make_bool(true));
       if (req.no_cache) doc.set("no_cache", JsonValue::make_bool(true));
       if (req.op == Request::Op::sweep) {
         if (req.mc != 1) doc.set("mc", JsonValue::make_number(req.mc));

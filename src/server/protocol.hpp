@@ -34,8 +34,6 @@ struct Request {
   std::string hdl_mode;                ///< "" = netlist decides
   std::vector<std::string> set_specs;  ///< "DEV.PARAM=value" overrides
   double timeout_ms = 0.0;             ///< per-job wall budget; 0 = none
-  int threads = 1;                     ///< assembly/solve/refactor budget
-  bool partition = false;              ///< PartitionMode::auto_mode
   bool no_cache = false;               ///< bypass the result cache (benching)
 
   // op == sweep: a Monte Carlo / corner batch (docs/sweeps.md). The

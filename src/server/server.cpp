@@ -49,18 +49,12 @@ struct Job {
 };
 
 /// Result-cache key: everything that can change the rendered frames.
-/// Deliberately EXCLUDES the thread knobs — parallel assembly / solve /
-/// refactorization are bit-identical to serial by repo invariant (see
-/// NewtonOptions), so requests differing only in threads share an entry.
-/// The partition mode is included: partitioned results match monolithic
-/// only to solver tolerance, not bit-for-bit.
 std::string result_key(const Request& req, const std::string& hash) {
   std::string key = hash;
   for (const auto& spec : req.set_specs) {
     key += '|';
     key += spec;
   }
-  if (req.partition) key += "|partition";
   return key;
 }
 
@@ -134,7 +128,8 @@ struct SimServer::Impl {
   long next_job_id = 1;
 
   // Engine cache: hash -> entry, plus MRU-first recency list. Entries past
-  // the warm capacity are cool()ed; past 2x they are evicted outright.
+  // the warm capacity are cooled (engine rebind(): solver state shed); past
+  // 2x they are evicted outright.
   std::unordered_map<std::string, std::shared_ptr<EngineEntry>> engines;
   std::list<std::string> engine_lru;  ///< front = most recently used
 
@@ -286,7 +281,7 @@ struct SimServer::Impl {
       }
       if (rank <= total_cap) {
         if (entry->session->warm()) {
-          entry->session->cool();
+          entry->session->engine().rebind();
           ++counters.cooled;
         }
         entry->run_mu.unlock();
@@ -434,7 +429,8 @@ struct SimServer::Impl {
 
     api::JobOptions popts;
     popts.cancel = &job.cancel;
-    spice::SweepRunner runner(std::max(1, req.threads));
+    // One sweep worker per job: the server's job workers are its parallelism.
+    spice::SweepRunner runner(1);
     const auto results = runner.run(
         grid,
         [&](const spice::SweepPoint& p, int attempt) {
@@ -588,11 +584,6 @@ struct SimServer::Impl {
       }
       jr.overrides.push_back(std::move(ov));
     }
-    jr.options.assembly_threads = req.threads;
-    jr.options.solve_threads = req.threads;
-    jr.options.refactor_threads = req.threads;
-    jr.options.partition =
-        req.partition ? spice::PartitionMode::auto_mode : spice::PartitionMode::off;
     // The per-job wall deadline is enforced by the monitor through the
     // cancel token (it also covers queue wait); the solver polls the token
     // at its usual deadline sites.

@@ -8,8 +8,9 @@
 //     hit reuses the bound api::Session (skipping parse / bind / pattern
 //     compile / symbolic factorization); a hit with parameter overrides
 //     takes the rebind() delta path instead of a fresh bind. Eviction is
-//     two-tier: entries pushed past the warm capacity are cool()ed first
-//     (solver state shed, parse/bind kept), then fully evicted at 2x.
+//     two-tier: entries pushed past the warm capacity are cooled first
+//     (engine rebind(): solver state shed, parse/bind kept), then fully
+//     evicted at 2x.
 //   * result LRU cache of rendered frames: a byte-identical request replays
 //     the stream without touching the engine at all — trivially
 //     bit-identical, and where the big warm-vs-cold ratio comes from on

@@ -5,34 +5,9 @@
 #include <limits>
 #include <stdexcept>
 
-#include "api/api.hpp"
 #include "common/constants.hpp"
-#include "spice/engine.hpp"
 
 namespace usys::spice {
-
-// Deprecated compatibility wrappers over the usys::api facade (api/api.hpp),
-// which itself runs a fresh engine per call — the historical behavior
-// exactly (fresh solver, fresh pivot order, per-analysis statistics). The
-// pinned parity suite in tests/spice/test_engine.cpp keeps exercising these;
-// everything else calls api:: directly. solve_dc lives here too (its
-// declaration stays in solver.hpp for source compatibility).
-
-OpResult operating_point(Circuit& circuit, const DcOptions& opts) {
-  return api::operating_point(circuit, opts);
-}
-
-TranResult transient(Circuit& circuit, const TranOptions& opts) {
-  return api::transient(circuit, opts);
-}
-
-AcResult ac_sweep(Circuit& circuit, const AcOptions& opts) {
-  return api::ac_sweep(circuit, opts);
-}
-
-DcResult solve_dc(Circuit& circuit, const DcOptions& opts) {
-  return api::solve_dc(circuit, opts);
-}
 
 // ---------------------------------------------------------------------------
 // Result accessors

@@ -4,12 +4,11 @@
 // simulators present analogies concerning the analysis types they can
 // perform: static-dc, harmonic-ac, transient-transient").
 //
-// The free functions below are DEPRECATED compatibility wrappers over the
-// usys::api facade (api/api.hpp); new code calls api::operating_point /
-// api::transient / api::ac_sweep, or holds a spice::AnalysisEngine /
+// This header holds the option/result vocabulary only. Callers run analyses
+// through the usys::api facade (api/api.hpp: api::operating_point /
+// api::transient / api::ac_sweep), or hold a spice::AnalysisEngine /
 // api::Session for repeated runs on one circuit (sweeps, batches, the
-// simulation server). The option/result structs here are NOT deprecated —
-// they are the facade's vocabulary too.
+// simulation server).
 #pragma once
 
 #include <complex>
@@ -38,13 +37,6 @@ struct OpResult {
   /// Effort at a node id (ground reads 0).
   double at(int node) const { return node < 0 ? 0.0 : x.at(static_cast<std::size_t>(node)); }
 };
-
-/// Deprecated: call usys::api::operating_point (api/api.hpp), or hold a
-/// spice::AnalysisEngine / api::Session for repeated runs. This wrapper
-/// forwards to the facade and will be removed once out-of-tree callers
-/// migrate (docs/architecture.md has the mapping).
-[[deprecated("use usys::api::operating_point (api/api.hpp)")]]
-OpResult operating_point(Circuit& circuit, const DcOptions& opts = {});
 
 // ---------------------------------------------------------------------------
 // Transient
@@ -115,10 +107,6 @@ struct TranResult {
   double sample(double t, int unknown) const;
 };
 
-/// Deprecated: call usys::api::transient (api/api.hpp); see operating_point.
-[[deprecated("use usys::api::transient (api/api.hpp)")]]
-TranResult transient(Circuit& circuit, const TranOptions& opts);
-
 // ---------------------------------------------------------------------------
 // AC (small-signal) sweep
 // ---------------------------------------------------------------------------
@@ -155,9 +143,5 @@ struct AcResult {
   /// Phase in degrees.
   double phase_deg(std::size_t k, int unknown) const;
 };
-
-/// Deprecated: call usys::api::ac_sweep (api/api.hpp); see operating_point.
-[[deprecated("use usys::api::ac_sweep (api/api.hpp)")]]
-AcResult ac_sweep(Circuit& circuit, const AcOptions& opts);
 
 }  // namespace usys::spice

@@ -11,7 +11,6 @@
 #include "common/fault_inject.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 
 namespace usys::spice {
 
@@ -582,37 +581,13 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts) {
   if (solver.sparse_active()) {
     // Sparse sweep: (Jf + jw Jq) shares the real pattern, so the complex LU
     // runs its symbolic factorization once and numerically refactors per
-    // frequency point. solve_threads applies here too (same bit-identity
-    // guarantee as the real path).
+    // frequency point.
     const MnaPattern& pattern = *solver.pattern();
     const std::vector<double>& jfv = solver.sparse_jf();
     const std::vector<double>& jqv = solver.sparse_jq();
     ZSparseLu zlu;
-    zlu.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx(),
-                opts.dc.newton.ordering);
-    const int solve_threads = ThreadPool::resolve_threads(opts.dc.newton.solve_threads);
-    const int refactor_threads =
-        ThreadPool::resolve_threads(opts.dc.newton.refactor_threads);
-    // Borrow the solver's pool (sized >= every thread request that exceeds
-    // 1) instead of spawning a second one per run_ac call.
-    if ((solve_threads > 1 || refactor_threads > 1) && solver.shared_pool() != nullptr)
-      zlu.set_parallel(solver.shared_pool(), solve_threads);
-    if (refactor_threads > 1) zlu.set_refactor_parallel(refactor_threads);
+    zlu.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx());
     if (dl.active()) zlu.set_deadline(&dl);
-    // When the solver's island/Schur plan is live, (Jf + jw Jq) inherits the
-    // real pattern's structure, so the complex sweep partitions the same
-    // way; a singular block at any frequency drops the whole sweep back to
-    // the monolithic zlu (same policy as NewtonSolver).
-    std::unique_ptr<ZPartitionedLu> zplu;
-    if (solver.partition_active()) {
-      zplu = std::make_unique<ZPartitionedLu>();
-      zplu->analyze(solver.partition_plan(), pattern.size(), pattern.row_ptr(),
-                    pattern.col_idx(), opts.dc.newton.ordering);
-      if (solver.shared_pool() != nullptr)
-        zplu->set_parallel(solver.shared_pool(),
-                           std::max(solve_threads, refactor_threads));
-      if (dl.active()) zplu->set_deadline(&dl);
-    }
     std::vector<std::complex<double>> avals(pattern.nonzeros());
     for (double fr : freqs) {
       if (dl.active() && dl.expired()) {
@@ -624,22 +599,8 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts) {
         avals[k] = std::complex<double>(jfv[k], 0.0) + jw * jqv[k];
       ZVector b = rhs;
       try {
-        if (zplu) {
-          try {
-            zplu->factor(avals);
-            zplu->solve(b);
-          } catch (const SingularMatrixError&) {
-            log_info("partition: singular block in AC sweep, falling back to the "
-                     "monolithic path");
-            zplu.reset();
-            b = rhs;
-            zlu.factor(avals);
-            zlu.solve(b);
-          }
-        } else {
-          zlu.factor(avals);
-          zlu.solve(b);
-        }
+        zlu.factor(avals);
+        zlu.solve(b);
       } catch (const SingularMatrixError&) {
         fail(FailureKind::singular_matrix,
              str_format("singular system at f=%.6e Hz", fr), fr);
@@ -652,8 +613,7 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts) {
       out.x.push_back(std::move(b));
     }
     out.used_sparse = true;
-    out.symbolic_factorizations =
-        zplu ? zplu->symbolic_factorizations() : zlu.symbolic_factorizations();
+    out.symbolic_factorizations = zlu.symbolic_factorizations();
   } else {
     for (double fr : freqs) {
       if (dl.active() && dl.expired()) {

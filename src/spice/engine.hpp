@@ -9,20 +9,19 @@
 //   * the bound unknown layout and compiled CSR stamp pattern
 //     (Circuit::mna_pattern — built lazily, cached for the circuit's life);
 //   * one NewtonSolver — sparse/dense backend selection, the flat Jf/Jq
-//     value arrays, the sparse LU with its symbolic factorization, and the
-//     (optional) parallel-assembly thread pool — reused across run_op /
-//     run_tran / run_ac calls instead of being rebuilt per analysis;
+//     value arrays and the sparse LU with its symbolic factorization —
+//     reused across run_op / run_tran / run_ac calls instead of being
+//     rebuilt per analysis;
 //   * the integrator machinery of the transient loop.
 //
-// The legacy free functions (operating_point / transient / ac_sweep /
-// solve_dc) remain as thin compatibility wrappers that construct a fresh
-// engine per call, so their results are unchanged; batch workloads
-// (spice/sweep.hpp, usim --sweep) construct one engine per worker and run
-// many analyses against it.
+// The one-shot api::operating_point / transient / ac_sweep / solve_dc
+// (api/api.hpp) construct a fresh engine per call; batch workloads
+// (spice/sweep.hpp, usim --sweep) and the simulation server hold one
+// engine per circuit and run many analyses against it.
 //
 // Reuse semantics: the solver backend is (re)built only when an analysis
 // asks for a different backend configuration (MatrixBackend /
-// sparse_threshold / assembly_threads); convergence controls are re-tuned
+// sparse_threshold); convergence controls are re-tuned
 // in place. Per-run statistics (symbolic_factorizations) are reported as
 // deltas, so a reused engine reports 0 extra symbolic factorizations once
 // its pivot order is warm. After changing device PARAMETERS (values, not
@@ -61,21 +60,14 @@ class AnalysisEngine {
   /// Re-arms the engine after external device-parameter changes: drops the
   /// warm solver (pivot order, value arrays) so the next run restamps and
   /// refactors from scratch, while the circuit's compiled MNA pattern —
-  /// which depends only on structure — is reused as-is.
+  /// which depends only on structure — is reused as-is. The server's engine
+  /// cache calls it to shed that memory-heavy state on eviction.
   void rebind();
 
   /// True while the engine holds warm solver state (LU factors, recorded
   /// pivot order, value arrays) from a previous run. The server's engine
   /// cache reports this in /stats and uses it to pick eviction victims.
   bool warm() const noexcept { return solver_ != nullptr; }
-
-  /// Cache-eviction hook: sheds the warm solver state — the memory-heavy
-  /// part of a cached engine — while keeping the bound circuit, compiled
-  /// pattern, and preflight report, so a cooled engine still skips
-  /// parse/bind on its next use and only pays one fresh symbolic
-  /// factorization. Equivalent to rebind() today; kept as its own verb so
-  /// cache policy and parameter-change semantics can diverge.
-  void cool() { rebind(); }
 
   /// The construction-time static diagnostics pass (errors-only options:
   /// the expensive matching probe and the HDL re-surface are left to

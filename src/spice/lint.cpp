@@ -177,7 +177,7 @@ void Device::lint(LintSink& sink) const { sink.footprint_clique(*this); }
 
 namespace {
 
-using usys::UnionFind;  // common/union_find.hpp, shared with the partitioner
+using usys::UnionFind;  // common/union_find.hpp
 
 /// Deterministic probe iterate: pseudo-random, bounded away from the special
 /// values 0 and 1 so products/differences don't cancel structurally present
@@ -443,7 +443,7 @@ class LintDriver {
 
   /// Structural-singularity prediction: maximum bipartite row/column matching
   /// on the PROBED stamp pattern. Each device is evaluated twice at
-  /// deterministic pseudo-random iterates in block-capture mode, so the
+  /// deterministic pseudo-random iterates into a private k*k block, so the
   /// matched pattern is the true Jf (and Jf+Jq) structure — the compiled CSR
   /// pattern is a conservative superset (full footprint blocks) that would
   /// make every matching trivially perfect. The always-on gmin diagonal is
@@ -474,8 +474,10 @@ class LintDriver {
     std::vector<int> slots;
     std::vector<double> jf;
     std::vector<double> jq;
-    std::vector<double> fl;
-    std::vector<double> ql;
+    // Residual scratch: devices stamp f/q by global row, and the probe reads
+    // only the Jacobian blocks, so these are never reset or inspected.
+    DVector f(static_cast<std::size_t>(n), 0.0);
+    DVector q(static_cast<std::size_t>(n), 0.0);
     std::vector<char> mf;
     std::vector<char> mq;
     for (std::size_t di = 0; di < devs.size(); ++di) {
@@ -502,19 +504,17 @@ class LintDriver {
       for (const DVector* x : {&x1, &x2}) {
         jf.assign(static_cast<std::size_t>(k) * static_cast<std::size_t>(k), 0.0);
         jq.assign(static_cast<std::size_t>(k) * static_cast<std::size_t>(k), 0.0);
-        fl.assign(static_cast<std::size_t>(k), 0.0);
-        ql.assign(static_cast<std::size_t>(k), 0.0);
         SparseStampSink sink;
         sink.local_of = local_of.data();
         sink.slots = slots.data();
         sink.k = k;
         sink.jf_vals = jf.data();
         sink.jq_vals = jq.data();
-        sink.f_local = fl.data();
-        sink.q_local = ql.data();
         EvalCtx ctx;
         ctx.mode = AnalysisMode::dc;
         ctx.x = x;
+        ctx.f = &f;
+        ctx.q = &q;
         ctx.sparse = &sink;
         devs[di]->evaluate(ctx);
         for (int s = 0; s < k * k; ++s) {

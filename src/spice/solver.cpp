@@ -2,50 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
-#include <utility>
 
 #include "common/fault_inject.hpp"
 #include "common/log.hpp"
-#include "common/strings.hpp"
-#include "spice/engine.hpp"
 
 namespace usys::spice {
-namespace {
-
-/// Interface seeds for the partitioner, from netlist structure: an unknown
-/// stamped by two different .array/TRANSARRAY cells is a shared net — the
-/// bus/hub the partitioner must cut anyway, so hand it over up front and
-/// let the degree heuristic handle whatever provenance can't see.
-/// Non-array circuits produce no seeds.
-std::vector<int> partition_seeds(Circuit& circuit) {
-  const int n = circuit.unknown_count();
-  std::vector<int> first(static_cast<std::size_t>(n), -1);
-  std::vector<char> shared(static_cast<std::size_t>(n), 0);
-  std::map<std::pair<std::string, int>, int> cells;
-  std::vector<int> fp;
-  for (const auto& dev : circuit.devices()) {
-    if (dev->array_name().empty()) continue;
-    const auto key = std::make_pair(dev->array_name(), dev->array_cell());
-    const int g = cells.emplace(key, static_cast<int>(cells.size())).first->second;
-    fp.clear();
-    if (!dev->stamp_footprint(fp)) continue;
-    for (int u : fp) {
-      if (u < 0 || u >= n) continue;
-      if (first[static_cast<std::size_t>(u)] < 0)
-        first[static_cast<std::size_t>(u)] = g;
-      else if (first[static_cast<std::size_t>(u)] != g)
-        shared[static_cast<std::size_t>(u)] = 1;
-    }
-  }
-  std::vector<int> seeds;
-  for (int u = 0; u < n; ++u)
-    if (shared[static_cast<std::size_t>(u)]) seeds.push_back(u);
-  return seeds;
-}
-
-}  // namespace
 
 NewtonSolver::NewtonSolver(Circuit& circuit, NewtonOptions opts)
     : circuit_(circuit), opts_(opts) {
@@ -62,41 +24,9 @@ NewtonSolver::NewtonSolver(Circuit& circuit, NewtonOptions opts)
   if (want_sparse) {
     const MnaPattern& pattern = circuit_.mna_pattern();
     if (pattern.complete()) {
-      // Assembly and the triangular solves share one pool, sized for the
-      // larger of the two requests (each side caps its own fan-out, so a
-      // bigger pool never changes results — both passes are bit-identical
-      // to serial for any thread count).
-      const int asm_threads = ThreadPool::resolve_threads(opts_.assembly_threads);
-      const int solve_threads = ThreadPool::resolve_threads(opts_.solve_threads);
-      const int refactor_threads = ThreadPool::resolve_threads(opts_.refactor_threads);
-      const int pool_threads = std::max({asm_threads, solve_threads, refactor_threads});
-      if (pool_threads > 1) pool_ = std::make_unique<ThreadPool>(pool_threads);
-      assembler_ = std::make_unique<MnaAssembler>(circuit_, pattern,
-                                                  opts_.assembly_threads, pool_.get());
-      lu_.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx(), opts_.ordering);
-      if (solve_threads > 1 || refactor_threads > 1)
-        lu_.set_parallel(pool_.get(), solve_threads);
-      if (refactor_threads > 1) lu_.set_refactor_parallel(refactor_threads);
+      assembler_ = std::make_unique<MnaAssembler>(circuit_, pattern);
+      lu_.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx());
       jac_vals_.resize(pattern.nonzeros());
-      if (opts_.partition == PartitionMode::auto_mode) {
-        // The monolithic lu_ above stays analyzed regardless: it is the
-        // fallback when the partitioner declines here or a block turns
-        // singular mid-analysis.
-        plan_ = partition_pattern(pattern.size(), pattern.row_ptr(), pattern.col_idx(),
-                                  PartitionOptions{}, partition_seeds(circuit_));
-        if (plan_.ok) {
-          plu_ = std::make_unique<DPartitionedLu>();
-          plu_->analyze(plan_, pattern.size(), pattern.row_ptr(), pattern.col_idx(),
-                        opts_.ordering);
-          if (pool_) plu_->set_parallel(pool_.get(), pool_threads);
-          log_debug(str_format("partition: %d islands + %d interface unknowns (n=%d)",
-                               plan_.n_blocks, static_cast<int>(plan_.interface.size()),
-                               pattern.size()));
-        } else {
-          log_debug(std::string("partition: declined (") + plan_.decline_reason +
-                    "), using the monolithic factorization");
-        }
-      }
     }
   }
   if (!assembler_) {
@@ -212,35 +142,10 @@ NewtonResult NewtonSolver::solve(EvalCtx ctx_proto, double a0, const DVector& hi
         dx_[i] = -resid_[i];
       }
       try {
-        if (plu_) {
-          plu_->factor(jac_vals_);
-          plu_->solve(dx_);
-        } else {
-          lu_.factor(jac_vals_);  // symbolic reused; numeric refactorization
-          lu_.solve(dx_);
-        }
+        lu_.factor(jac_vals_);  // symbolic reused; numeric refactorization
+        lu_.solve(dx_);
       } catch (const SingularMatrixError&) {
-        if (plu_) {
-          // A singular island is not necessarily a singular system: the
-          // monolithic factorization pivots globally, so retry this
-          // iteration there — and stay there, the block split already
-          // proved numerically fragile for this circuit.
-          log_info("partition: singular block, falling back to the monolithic path");
-          plu_.reset();
-          for (std::size_t i = 0; i < n; ++i) dx_[i] = -resid_[i];
-          try {
-            lu_.factor(jac_vals_);
-            lu_.solve(dx_);
-          } catch (const SingularMatrixError&) {
-            singular = true;
-          } catch (const DeadlineError& e) {
-            result.failure = e.kind();
-            result.iterations = iter;
-            return result;
-          }
-        } else {
-          singular = true;
-        }
+        singular = true;
       } catch (const DeadlineError& e) {
         result.failure = e.kind();
         result.iterations = iter;
@@ -315,8 +220,5 @@ NewtonResult NewtonSolver::solve(EvalCtx ctx_proto, double a0, const DVector& hi
   result.failure = FailureKind::newton_divergence;
   return result;
 }
-
-// solve_dc's deprecated wrapper definition lives in analysis.cpp beside its
-// siblings (operating_point / transient / ac_sweep).
 
 }  // namespace usys::spice

@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "common/deadline.hpp"
-#include "common/partition.hpp"
 #include "common/sparse_lu.hpp"
 #include "common/status.hpp"
 #include "spice/circuit.hpp"
@@ -32,15 +31,6 @@ enum class MatrixBackend {
   auto_select,  ///< sparse when the pattern is complete and n >= sparse_threshold
   dense,        ///< force the dense path
   sparse,       ///< force sparse (falls back to dense on incomplete patterns)
-};
-
-/// Island/Schur decomposition policy for the sparse backend
-/// (common/partition.hpp; docs/partitioning.md).
-enum class PartitionMode {
-  off,   ///< always the monolithic factorization (the default)
-  auto_mode,  ///< partition when the compiled pattern has usable island
-              ///< structure; decline or a singular block falls back to the
-              ///< monolithic path automatically
 };
 
 struct NewtonOptions {
@@ -56,35 +46,6 @@ struct NewtonOptions {
   /// n=20 — so the default sits at the middle of the measured break-even
   /// band. Re-measure per platform when tuning.
   int sparse_threshold = 12;
-  /// Threads for the sparse MNA assembly pass (spice/mna.hpp): 1 = serial,
-  /// 0 = auto (hardware concurrency), N = exactly N. The parallel pass is
-  /// deterministic — bit-identical to serial for any thread count. Only the
-  /// sparse backend parallelizes; the dense path ignores this.
-  int assembly_threads = 1;
-  /// Threads for the level-scheduled sparse triangular solves
-  /// (common/sparse_lu.hpp): same semantics as assembly_threads, same
-  /// guarantee (bit-identical to serial for any thread count), same scope
-  /// (sparse backend only). Assembly and solve share one thread pool.
-  int solve_threads = 1;
-  /// Threads for the level-scheduled parallel numeric refactorization
-  /// (common/sparse_lu.hpp): same semantics and bit-identity guarantee as
-  /// solve_threads, same scope (sparse backend only), same shared pool.
-  /// Refactorization dominates each Newton iteration once assembly and
-  /// solve are parallel, so this is usually the knob that pays most.
-  int refactor_threads = 1;
-  /// Island/Schur decomposition of the sparse system (docs/partitioning.md).
-  /// auto_mode partitions weakly-coupled circuits (e.g. transducer arrays)
-  /// into independently factored blocks plus a small dense interface and
-  /// falls back to the monolithic factorization when the pattern has no
-  /// usable structure or a block turns singular. Partitioned results match
-  /// monolithic to solver tolerance but are not bit-identical to it (the
-  /// monolithic factorization pivots globally); across thread counts the
-  /// partitioned path itself IS bit-identical.
-  PartitionMode partition = PartitionMode::off;
-  /// Fill-reducing ordering for the sparse LU. AMD is the default; the
-  /// simple min-degree variant remains selectable as the quality baseline
-  /// (bench_solver_scaling compares the two).
-  LuOrdering ordering = LuOrdering::amd;
   /// Wall-clock budget for the WHOLE analysis this options object drives
   /// (run_dc including its rescue ladder; run_tran including its initial
   /// operating point; run_ac including its sweep). 0 = unlimited. On expiry
@@ -145,34 +106,14 @@ class NewtonSolver {
   const std::vector<double>& sparse_jf() const { return assembler_->jf_values(); }
   const std::vector<double>& sparse_jq() const { return assembler_->jq_values(); }
 
-  int symbolic_factorizations() const noexcept {
-    return plu_ ? plu_->symbolic_factorizations() : lu_.symbolic_factorizations();
-  }
-
-  /// True while the island/Schur path is live (partition == auto_mode, the
-  /// partitioner accepted the pattern, and no block has gone singular).
-  bool partition_active() const noexcept { return plu_ != nullptr; }
-
-  /// The partitioner's verdict on the compiled pattern (plan().ok == false
-  /// carries the decline reason). Only meaningful with partition ==
-  /// auto_mode on the sparse backend.
-  const PartitionPlan& partition_plan() const noexcept { return plan_; }
-
-  /// The pool shared by parallel assembly and the threaded triangular
-  /// solves; null when both are serial (or on the dense path). The AC sweep
-  /// borrows it for the complex per-frequency solves, so one solver means
-  /// one pool across every analysis.
-  ThreadPool* shared_pool() const noexcept { return pool_.get(); }
+  int symbolic_factorizations() const noexcept { return lu_.symbolic_factorizations(); }
 
   /// Drops the sparse LU's recorded pivot order (no-op on the dense path),
   /// so the next solve pivots afresh. The engine calls this at the DC ->
   /// transient boundary: the transient matrix Jf + a0*Jq is a different
   /// numerical regime, and a fresh pivot search there reproduces the
   /// legacy fresh-solver-per-analysis behavior bit for bit.
-  void refresh_pivot_order() noexcept {
-    lu_.invalidate_pivot_order();
-    if (plu_) plu_->invalidate_pivot_order();
-  }
+  void refresh_pivot_order() noexcept { lu_.invalidate_pivot_order(); }
 
   /// Adjusts the diagonal gmin in place, so one solver — and its single
   /// symbolic factorization — serves every stage of the gmin-stepping
@@ -186,16 +127,14 @@ class NewtonSolver {
   void set_deadline(const Deadline* deadline) noexcept {
     deadline_ = deadline;
     lu_.set_deadline(deadline);
-    if (plu_) plu_->set_deadline(deadline);
   }
 
   /// Re-tunes the iteration controls (max_iters, reltol, gmin,
   /// damping_limit) without touching the allocated backend, so one solver —
   /// and its compiled pattern and symbolic factorization — can serve
   /// several analyses with different convergence settings. The caller must
-  /// keep the backend-selection fields (backend, sparse_threshold,
-  /// assembly_threads, solve_threads, refactor_threads, partition,
-  /// ordering) unchanged; compare with same_backend_config first.
+  /// keep the backend-selection fields (backend, sparse_threshold)
+  /// unchanged; compare with same_backend_config first.
   void retune(const NewtonOptions& opts) noexcept {
     opts_.max_iters = opts.max_iters;
     opts_.reltol = opts.reltol;
@@ -208,11 +147,7 @@ class NewtonSolver {
   /// True when `a` and `b` would build the same solver backend (the fields
   /// retune() cannot change).
   static bool same_backend_config(const NewtonOptions& a, const NewtonOptions& b) noexcept {
-    return a.backend == b.backend && a.sparse_threshold == b.sparse_threshold &&
-           a.assembly_threads == b.assembly_threads &&
-           a.solve_threads == b.solve_threads &&
-           a.refactor_threads == b.refactor_threads && a.partition == b.partition &&
-           a.ordering == b.ordering;
+    return a.backend == b.backend && a.sparse_threshold == b.sparse_threshold;
   }
 
  private:
@@ -221,17 +156,8 @@ class NewtonSolver {
   // Scratch, reused across iterations to avoid reallocations.
   DVector f_, q_, resid_, dx_;
   DMatrix jf_, jq_, jacobian_;          // dense backend only
-  // One pool serves both the parallel assembly and the threaded triangular
-  // solves (sized for the larger of the two requests); null when both are
-  // serial. Declared before the assembler/LU that borrow it.
-  std::unique_ptr<ThreadPool> pool_;         // sparse backend only
   std::unique_ptr<MnaAssembler> assembler_;  // sparse backend only
   DSparseLu lu_;
-  // Island/Schur path (sparse backend, partition == auto_mode, plan ok).
-  // plu_ is reset permanently if a block factorization turns singular —
-  // the monolithic lu_ (analyzed up front as the fallback) takes over.
-  PartitionPlan plan_;
-  std::unique_ptr<DPartitionedLu> plu_;
   std::vector<double> jac_vals_;
   const Deadline* deadline_ = nullptr;  ///< non-owning; see set_deadline
 };
@@ -256,10 +182,5 @@ struct DcResult {
   /// gmin stepping and source stepping each count one). ok() when converged.
   FailureInfo failure;
 };
-
-/// Deprecated: call usys::api::solve_dc (api/api.hpp); the wrapper forwards
-/// to the facade (defined in analysis.cpp beside its siblings).
-[[deprecated("use usys::api::solve_dc (api/api.hpp)")]]
-DcResult solve_dc(Circuit& circuit, const DcOptions& opts = {});
 
 }  // namespace usys::spice

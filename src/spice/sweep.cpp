@@ -277,7 +277,7 @@ bool shard_owns(std::size_t index, int shard_index, int shard_count) noexcept {
          static_cast<std::size_t>(shard_index - 1);
 }
 
-SweepRunner::SweepRunner(int threads) : threads_(ThreadPool::resolve_threads(threads)) {}
+SweepRunner::SweepRunner(int threads) : threads_(ThreadPool::threads_for(threads)) {}
 
 namespace {
 

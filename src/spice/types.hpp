@@ -46,15 +46,6 @@ struct SparseStampSink {
   const int* col_idx = nullptr;
   long missed = 0;                ///< stamps outside the pattern (fatal; checked per pass)
 
-  // Block-capture mode (parallel assembly, spice/mna.cpp): when f_local /
-  // q_local are set, f/q stamps are redirected into the active device's
-  // private local-index vectors instead of the shared global accumulators,
-  // and jf_vals/jq_vals point at the device's private k*k block (with an
-  // identity slot table). In this mode row_ptr/col_idx are null: any stamp
-  // outside the device's declared footprint counts as missed.
-  double* f_local = nullptr;
-  double* q_local = nullptr;
-
   void add(double* vals, int r, int c, double v) noexcept {
     if (local_of != nullptr) {
       const int li = local_of[r];
@@ -64,7 +55,7 @@ struct SparseStampSink {
         return;
       }
     }
-    if (row_ptr == nullptr) {  // block-capture mode: no cross-footprint escape
+    if (row_ptr == nullptr) {  // private k*k block (lint probe): no CSR fallback
       ++missed;
       return;
     }
@@ -115,30 +106,10 @@ struct EvalCtx {
   bool wants_jq() const noexcept { return sparse != nullptr || jq != nullptr; }
 
   void f_add(int row, double val) noexcept {
-    if (row < 0) return;
-    if (sparse != nullptr && sparse->f_local != nullptr) {
-      const int li = sparse->local_of[row];
-      if (li >= 0) {
-        sparse->f_local[li] += val;
-      } else {
-        ++sparse->missed;
-      }
-      return;
-    }
-    (*f)[static_cast<std::size_t>(row)] += val;
+    if (row >= 0) (*f)[static_cast<std::size_t>(row)] += val;
   }
   void q_add(int row, double val) noexcept {
-    if (row < 0) return;
-    if (sparse != nullptr && sparse->q_local != nullptr) {
-      const int li = sparse->local_of[row];
-      if (li >= 0) {
-        sparse->q_local[li] += val;
-      } else {
-        ++sparse->missed;
-      }
-      return;
-    }
-    (*q)[static_cast<std::size_t>(row)] += val;
+    if (row >= 0) (*q)[static_cast<std::size_t>(row)] += val;
   }
   void jf_add(int row, int col, double val) noexcept {
     if (row < 0 || col < 0) return;

@@ -59,8 +59,8 @@ TEST(ThreadPool, FirstExceptionPropagatesAfterBarrier) {
 }
 
 TEST(ThreadPool, ResolveThreads) {
-  EXPECT_EQ(ThreadPool::resolve_threads(3), 3);
-  EXPECT_GE(ThreadPool::resolve_threads(0), 1);
+  EXPECT_EQ(ThreadPool::threads_for(3), 3);
+  EXPECT_GE(ThreadPool::threads_for(0), 1);
 }
 
 }  // namespace

@@ -3,9 +3,6 @@
 // rebind() delta path vs a cold run of the edited netlist, baseline
 // restoration after overrides, device set_param/get_param contracts, and
 // the SeriesView tabular extraction the CLI and the server share.
-//
-// (The deprecated spice:: free-function wrappers have their own pinned
-// parity suite in tests/spice/test_engine.cpp.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -140,7 +137,7 @@ TEST(Session, CoolShedsWarmSolverState) {
   const JobResult cold = session.run();
   ASSERT_TRUE(cold.ok);
   EXPECT_TRUE(session.warm());
-  session.cool();
+  session.engine().rebind();  // the server's eviction hook
   EXPECT_FALSE(session.warm());
   // A cooled session re-warms transparently — and still bit-identically.
   const JobResult rewarmed = session.run();

@@ -7,8 +7,9 @@
 // the same hash, result-cache replay, the parameter-delta rebind path vs a
 // cold run of the edited netlist, queue saturation -> structured busy
 // rejection, client disconnect mid-stream cancelling via the job's
-// CancelToken, per-job deadlines (exit 3), bad-request handling, engine
-// cache eviction/cooling, and /stats self-consistency.
+// CancelToken, per-job deadlines (exit 3), bad-request handling, retired
+// wire keys ignored, engine cache eviction/cooling, and /stats
+// self-consistency.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -273,6 +274,37 @@ TEST(Server, ResultCacheReplaysByteIdenticalFrames) {
   auto delta_status = find_frame(submit(ts.server, delta), "status");
   ASSERT_TRUE(delta_status.has_value());
   EXPECT_NE(delta_status->get_string("cached"), "result");
+}
+
+/// Retired solver knobs on the wire are untrusted input: "threads" once sized
+/// a ThreadPool per job, so {"threads":100000} spawned that many threads.
+/// Now they are ignored like any other unknown key — the job must stream
+/// exactly the frames the same request without them does.
+TEST(Server, RetiredThreadsAndPartitionKeysAreIgnored) {
+  TestServer ts(small_server("knobs"));
+  ASSERT_TRUE(ts.started);
+
+  Request req = run_request(
+      "* array op\nV1 drive 0 2\n"
+      "Xarr drive 0 TRANSARRAY n=200 a=1e-8 d=2e-6 m=1e-9 k=25 alpha=1e-4\n.op\n.end\n");
+  req.no_cache = true;  // both jobs run the engine, not the result cache
+  const auto plain = submit(ts.server, req);
+
+  JsonValue doc = parse_frame(build_request(req));
+  doc.set("threads", JsonValue::make_number(100000));
+  doc.set("partition", JsonValue::make_bool(true));
+  UnixConn conn = UnixConn::connect_to(ts.server.socket_path());
+  ASSERT_TRUE(conn.valid());
+  ASSERT_TRUE(conn.write_all(doc.dump() + "\n"));
+  std::vector<std::string> knobbed;
+  std::string line;
+  while (conn.read_line(line, 30000)) knobbed.push_back(line);
+
+  auto done = find_frame(knobbed, "done");
+  ASSERT_TRUE(done.has_value());
+  EXPECT_TRUE(done->get_bool("ok"));
+  ASSERT_TRUE(find_frame(plain, "rows").has_value());
+  EXPECT_EQ(payload_frames(plain), payload_frames(knobbed));
 }
 
 TEST(Server, ParamDeltaTakesRebindPathAndMatchesColdEditedRun) {

@@ -1,21 +1,14 @@
-// AnalysisEngine coverage: DC/TRAN/AC parity between the engine (including
-// one engine reused across analyses) and the legacy free-function path at
-// 1e-12 on the relay pull-in and interpreted-HDL circuits; determinism of
-// the parallel MNA assembly (N-thread results bit-identical to serial);
-// rebind() after device-parameter changes; and the SweepRunner batch path.
-//
-// PINNED PARITY SUITE: this file intentionally keeps calling the
-// [[deprecated]] spice:: free functions (operating_point / transient /
-// ac_sweep / solve_dc) so the wrappers stay exercised and provably
-// equivalent to the usys::api facade they forward to. Every other in-tree
-// caller has migrated (docs/architecture.md); do not "fix" these.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// AnalysisEngine coverage: DC/TRAN/AC parity between one engine reused
+// across analyses and the fresh-engine-per-call api:: free functions at
+// 1e-12 on the relay pull-in and interpreted-HDL circuits; rebind() after
+// device-parameter changes; and the SweepRunner batch path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <memory>
 
+#include "api/api.hpp"
 #include "core/netlist_ext.hpp"
 #include "core/transducers.hpp"
 #include "hdl/interpreter.hpp"
@@ -93,7 +86,7 @@ std::string tag(const char* prefix, int i) {
 }
 
 /// N-element transverse-transducer array below pull-in, all electrical
-/// ports on a shared bus — the workload the parallel assembler targets.
+/// ports on a shared bus.
 std::unique_ptr<Circuit> transducer_array(int elements) {
   auto ckt = std::make_unique<Circuit>();
   const int drive = ckt->add_node("drive", Nature::electrical);
@@ -122,10 +115,10 @@ TranOptions tran_opts(double tstop, double dt) {
   return opts;
 }
 
-// --- engine vs free functions -----------------------------------------------
+// --- reused engine vs fresh engine per call ---------------------------------
 
-/// One engine reused across op -> tran -> ac must reproduce the legacy
-/// fresh-call-per-analysis results to 1e-12.
+/// One engine reused across op -> tran -> ac must reproduce the fresh
+/// engine-per-call results to 1e-12.
 void expect_engine_parity(const CircuitBuilder& build, double tstop, double dt,
                           bool with_ac) {
   const TranOptions topts = tran_opts(tstop, dt);
@@ -133,9 +126,9 @@ void expect_engine_parity(const CircuitBuilder& build, double tstop, double dt,
   aopts.points = 10;
 
   auto ckt_legacy_op = build();
-  const OpResult op_legacy = operating_point(*ckt_legacy_op);
+  const OpResult op_legacy = api::operating_point(*ckt_legacy_op);
   auto ckt_legacy_tran = build();
-  const TranResult tran_legacy = transient(*ckt_legacy_tran, topts);
+  const TranResult tran_legacy = api::transient(*ckt_legacy_tran, topts);
 
   auto ckt_engine = build();
   AnalysisEngine engine(*ckt_engine);
@@ -155,7 +148,7 @@ void expect_engine_parity(const CircuitBuilder& build, double tstop, double dt,
 
   if (with_ac) {
     auto ckt_legacy_ac = build();
-    const AcResult ac_legacy = ac_sweep(*ckt_legacy_ac, aopts);
+    const AcResult ac_legacy = api::ac_sweep(*ckt_legacy_ac, aopts);
     const AcResult ac_engine = engine.run_ac(aopts);
     ASSERT_TRUE(ac_legacy.ok) << ac_legacy.error;
     ASSERT_TRUE(ac_engine.ok) << ac_engine.error;
@@ -213,93 +206,9 @@ TEST(AnalysisEngine, RebindPicksUpParameterChanges) {
       dynamic_cast<core::ElectromagneticTransducer*>(ckt_ref->find_device("Xrel"));
   ASSERT_NE(xd_ref, nullptr);
   xd_ref->set_initial_displacement(-0.05e-3);
-  const OpResult ref = operating_point(*ckt_ref);
+  const OpResult ref = api::operating_point(*ckt_ref);
   ASSERT_TRUE(ref.converged);
   EXPECT_LT(rel_diff(changed.x, ref.x), 1e-12);
-}
-
-// --- parallel assembly determinism ------------------------------------------
-
-/// Direct assembler check: the parallel gather must reproduce the serial
-/// scatter BIT-IDENTICALLY (==, not NEAR) for every thread count.
-TEST(ParallelAssembly, BitIdenticalToSerial) {
-  auto ckt = transducer_array(97);  // odd count: uneven device chunks
-  ckt->bind_all();
-  const MnaPattern& pattern = ckt->mna_pattern();
-  ASSERT_TRUE(pattern.complete());
-  const auto n = static_cast<std::size_t>(ckt->unknown_count());
-
-  DVector x(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) x[i] = 0.01 * std::sin(static_cast<double>(i));
-  EvalCtx ctx;
-  ctx.mode = AnalysisMode::transient;
-  ctx.time = 1e-6;
-  ctx.integ_c1 = 1e-6;
-
-  MnaAssembler serial(*ckt, pattern, 1);
-  DVector f0, q0;
-  serial.assemble(ctx, x, f0, q0);
-
-  for (int threads : {2, 4, 8}) {
-    MnaAssembler par(*ckt, pattern, threads);
-    DVector f1, q1;
-    par.assemble(ctx, x, f1, q1);
-    EXPECT_EQ(serial.jf_values(), par.jf_values()) << threads << " threads";
-    EXPECT_EQ(serial.jq_values(), par.jq_values()) << threads << " threads";
-    EXPECT_EQ(f0, f1) << threads << " threads";
-    EXPECT_EQ(q0, q1) << threads << " threads";
-  }
-}
-
-/// End-to-end: a full adaptive transient with 4 assembly threads must take
-/// the exact step sequence and produce the exact solutions of the serial run.
-TEST(ParallelAssembly, TransientTrajectoryBitIdentical) {
-  TranOptions opts = tran_opts(2e-4, 2e-6);
-  opts.newton.backend = MatrixBackend::sparse;
-  opts.dc.newton.backend = MatrixBackend::sparse;
-
-  auto ckt_serial = transducer_array(40);
-  const TranResult serial = transient(*ckt_serial, opts);
-  ASSERT_TRUE(serial.ok) << serial.error;
-  EXPECT_TRUE(serial.used_sparse);
-
-  opts.newton.assembly_threads = 4;
-  opts.dc.newton.assembly_threads = 4;
-  auto ckt_par = transducer_array(40);
-  const TranResult par = transient(*ckt_par, opts);
-  ASSERT_TRUE(par.ok) << par.error;
-
-  ASSERT_EQ(serial.time.size(), par.time.size());
-  EXPECT_EQ(serial.time, par.time);
-  for (std::size_t k = 0; k < serial.x.size(); ++k)
-    EXPECT_EQ(serial.x[k], par.x[k]) << "point " << k;
-}
-
-/// An HDL (bytecode VM, stateful executor) device inside the parallel pass:
-/// every device is evaluated exactly once per pass, so the VM never races
-/// and the result still matches serial bit for bit.
-TEST(ParallelAssembly, HdlDeviceBitIdentical) {
-  const auto build = [] { return hdl_resonator(); };
-  auto ckt_a = build();
-  ckt_a->bind_all();
-  const MnaPattern& pat_a = ckt_a->mna_pattern();
-  ASSERT_TRUE(pat_a.complete());
-  const auto n = static_cast<std::size_t>(ckt_a->unknown_count());
-  DVector x(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) x[i] = 0.1 + 0.05 * static_cast<double>(i);
-  EvalCtx ctx;
-  ctx.mode = AnalysisMode::dc;
-
-  MnaAssembler serial(*ckt_a, pat_a, 1);
-  DVector f0, q0;
-  serial.assemble(ctx, x, f0, q0);
-  MnaAssembler par(*ckt_a, pat_a, 3);
-  DVector f1, q1;
-  par.assemble(ctx, x, f1, q1);
-  EXPECT_EQ(serial.jf_values(), par.jf_values());
-  EXPECT_EQ(serial.jq_values(), par.jq_values());
-  EXPECT_EQ(f0, f1);
-  EXPECT_EQ(q0, q1);
 }
 
 // --- sweep runner ------------------------------------------------------------

@@ -1,8 +1,7 @@
 // usim — command-line netlist simulator (the "SPICE" of this repository).
 //
 //   usim <netlist.cir> [--csv=<path>] [--sweep <name>=<spec>]... [--mc=N]
-//        [--seed=S] [--stats-out=<path>] [--threads=N] [--solve-threads=N]
-//        [--refactor-threads=N] [--partition=auto|off]
+//        [--seed=S] [--stats-out=<path>] [--threads=N]
 //        [--set <DEV.PARAM=value>]... [--hdl-mode=<mode>] [--quiet] [--help]
 //   usim --merge-stats=<out.jsonl> <shard.jsonl>...
 //   usim --serve=<socket> [--serve-workers=N] [--serve-queue=N] [--serve-cache=N]
@@ -48,19 +47,8 @@
 // files into the byte-identical single-run document. Example netlist with
 // a sweepable gap: examples/transducer_array.cir.
 //
-// In single-run mode --threads=N instead selects N-thread parallel MNA
-// assembly (NewtonOptions::assembly_threads), --solve-threads=N the
-// level-scheduled parallel triangular solves (NewtonOptions::solve_threads),
-// and --refactor-threads=N the level-scheduled parallel numeric
-// refactorization (NewtonOptions::refactor_threads); all three share one
-// pool. Each is bit-identical to serial for any thread count, so threading
-// never changes results. --partition=auto additionally tries the
-// island/Schur decomposition (NewtonOptions::partition — see
-// docs/partitioning.md): weakly-coupled blocks factor in parallel and the
-// solver falls back to the monolithic path automatically when the circuit
-// has no usable island structure. Partitioned results match monolithic to
-// solver tolerance (not bit-identically: pivoting differs). In sweep mode
-// the grid parallelism wins and each point runs serially.
+// --threads applies to sweep mode only: every single run, sweep point, and
+// server job solves on the serial solver.
 //
 // --set DEV.PARAM=value overrides one device parameter against the BOUND
 // circuit (no netlist edit, no re-parse): the facade's delta path. Values
@@ -264,8 +252,7 @@ void render_ac(const api::AnalysisOutcome& outcome, spice::Circuit& ckt,
   sink.emit(view.columns, view.rows, view.row_at);
 }
 
-int run_single(const std::string& text, const std::string& csv, int assembly_threads,
-               int solve_threads, int refactor_threads, spice::PartitionMode partition,
+int run_single(const std::string& text, const std::string& csv,
                const std::string& hdl_mode, double timeout_ms,
                const std::vector<std::string>& set_specs) {
   api::Session session(text, hdl_mode);  // NetlistError -> main -> exit 2
@@ -282,10 +269,6 @@ int run_single(const std::string& text, const std::string& csv, int assembly_thr
     }
     jr.overrides.push_back(std::move(ov));
   }
-  jr.options.assembly_threads = assembly_threads;
-  jr.options.solve_threads = solve_threads;
-  jr.options.refactor_threads = refactor_threads;
-  jr.options.partition = partition;
   // The timeout budgets each ANALYSIS CARD, not the whole netlist: the
   // engine polls one deadline per run_op/run_tran/run_ac call.
   jr.options.timeout_ms = timeout_ms;
@@ -389,13 +372,10 @@ int run_sweep(const std::string& text, const std::vector<spice::SweepAxis>& axes
     std::cout << " (shard " << sweep_opts.shard_index << "/" << sweep_opts.shard_count
               << ")";
   std::cout << " ===\n";
-  // Grid parallelism wins in sweep mode: each point assembles serially so
-  // points x threads never oversubscribes the machine.
   const auto results = runner.run(
       grid,
       [&](const spice::SweepPoint& p, int attempt) {
         api::JobOptions opts;
-        opts.assembly_threads = 1;
         opts.timeout_ms = timeout_ms;
         return api::run_sweep_point(text, p, hdl_mode, opts, attempt);
       },
@@ -587,8 +567,7 @@ void print_usage(std::ostream& os) {
   os << "usage: usim <netlist.cir> [--csv=<path>] "
         "[--sweep <name>=<spec>]... [--mc=N] [--seed=S] [--stats-out=<path>] "
         "[--set <DEV.PARAM=value>]... "
-        "[--threads=N] [--solve-threads=N] [--refactor-threads=N] "
-        "[--partition=auto|off] [--hdl-mode=<mode>] [--timeout=<ms>] "
+        "[--threads=N] [--hdl-mode=<mode>] [--timeout=<ms>] "
         "[--retries=N] [--checkpoint=<path>] [--resume=<path>] [--shard=k/n] "
         "[--lint[=error|warn]] [--lint-format=text|json] [--quiet]\n"
         "       usim --merge-stats=<out.jsonl> <shard.jsonl>...\n"
@@ -638,23 +617,8 @@ void print_usage(std::ostream& os) {
         "                      (no re-parse; lower-case netlist keys: R1.r, C3.c,\n"
         "                      XK2.k, V1.dc, ...). Repeatable; SPICE number syntax.\n"
         "                      Works in single-run and --client modes\n"
-        "  --threads=N         sweep mode: N parallel grid workers (0 = auto);\n"
-        "                      single-run mode: N-thread parallel MNA assembly\n"
-        "  --solve-threads=N   single-run mode: N-thread level-scheduled triangular\n"
-        "                      solves (0 = auto); shares the assembly thread pool.\n"
-        "                      Threading is bit-identical to serial — results never\n"
-        "                      depend on N\n"
-        "  --refactor-threads=N single-run mode: N-thread level-scheduled parallel\n"
-        "                      numeric refactorization (0 = auto); shares the same\n"
-        "                      pool and is likewise bit-identical to serial for any\n"
-        "                      thread count\n"
-        "  --partition=M       single-run mode: island/Schur decomposition of the\n"
-        "                      MNA system (docs/partitioning.md). auto = partition\n"
-        "                      when the circuit has usable island structure (e.g.\n"
-        "                      transducer arrays), falling back to the monolithic\n"
-        "                      solver otherwise; off = always monolithic (default).\n"
-        "                      Partitioned results match monolithic to solver\n"
-        "                      tolerance and are bit-identical across thread counts\n"
+        "  --threads=N         sweep mode: N parallel grid workers (0 = auto, the\n"
+        "                      default); results never depend on N\n"
         "  --hdl-mode=<mode>   execution mode for HDL behavioral cards: ast (the\n"
         "                      paper's interpreted walk), bytecode (VM, default), or\n"
         "                      codegen (natively compiled; falls back to the VM when\n"
@@ -741,11 +705,7 @@ int main(int argc, char** argv) {
   std::string stats_out;
   std::string merge_out;  // --merge-stats=<out>: merge mode
   std::vector<std::string> set_specs;
-  int threads = -1;           // flag absent: sweep mode = auto, assembly = serial
-  int solve_threads = -1;     // flag absent: serial triangular solves
-  int refactor_threads = -1;  // flag absent: serial numeric refactorization
-  spice::PartitionMode partition = spice::PartitionMode::off;
-  bool partition_flag = false;  // for the sweep-mode "ignored" note
+  int threads = -1;  // flag absent: auto sweep workers
   double timeout_ms = 0.0;
   bool lint_mode = false;
   bool lint_warn = false;   // --lint=warn: warnings fail too
@@ -824,27 +784,6 @@ int main(int argc, char** argv) {
         std::cerr << "error: --threads must be >= 0 (0 = auto)\n";
         return 2;
       }
-    } else if (std::strncmp(argv[i], "--solve-threads=", 16) == 0) {
-      solve_threads = std::atoi(argv[i] + 16);
-      if (solve_threads < 0) {
-        std::cerr << "error: --solve-threads must be >= 0 (0 = auto)\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--refactor-threads=", 19) == 0) {
-      refactor_threads = std::atoi(argv[i] + 19);
-      if (refactor_threads < 0) {
-        std::cerr << "error: --refactor-threads must be >= 0 (0 = auto)\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--partition=", 12) == 0) {
-      const std::string mode = argv[i] + 12;
-      if (mode == "auto") {
-        partition = spice::PartitionMode::auto_mode;
-      } else if (mode != "off") {
-        std::cerr << "error: bad --partition '" << mode << "' (auto|off)\n";
-        return 2;
-      }
-      partition_flag = true;
     } else if (std::strncmp(argv[i], "--hdl-mode=", 11) == 0) {
       hdl_mode = argv[i] + 11;
       hdl::HdlExecMode parsed{};
@@ -990,8 +929,6 @@ int main(int argc, char** argv) {
       req.hdl_mode = hdl_mode;
       req.set_specs = set_specs;
       req.timeout_ms = timeout_ms;
-      req.threads = threads < 0 ? 1 : threads;
-      req.partition = partition == spice::PartitionMode::auto_mode;
       req.no_cache = no_cache;
       // Any sweep/MC ingredient — a --sweep spec, --mc, or a netlist that
       // declares .param distributions — upgrades the submission to the
@@ -1065,12 +1002,6 @@ int main(int argc, char** argv) {
       return run_lint(ltext, hdl_mode, lint_warn, lint_json);
     }
     if (sweep_mode) {
-      if ((solve_threads >= 0 && solve_threads != 1) ||
-          (refactor_threads >= 0 && refactor_threads != 1) ||
-          (partition_flag && partition != spice::PartitionMode::off))
-        std::cerr << "note: --solve-threads/--refactor-threads/--partition are "
-                     "ignored in sweep mode (grid parallelism wins; each point "
-                     "solves serially and monolithically)\n";
       if (!set_specs.empty())
         std::cerr << "note: --set applies to single-run and --client modes only "
                      "(use a --sweep axis with one value instead)\n";
@@ -1082,15 +1013,12 @@ int main(int argc, char** argv) {
                        threads < 0 ? 0 : threads, csv, stats_out, hdl_mode,
                        timeout_ms, sweep_opts);
     }
-    if (sweep_opts.retries > 0 || !sweep_opts.checkpoint_path.empty() ||
+    if (threads >= 0 || sweep_opts.retries > 0 || !sweep_opts.checkpoint_path.empty() ||
         !sweep_opts.resume_path.empty() || sweep_opts.shard_count > 0 ||
         !stats_out.empty())
-      std::cerr << "note: --retries/--checkpoint/--resume/--shard/--stats-out "
+      std::cerr << "note: --threads/--retries/--checkpoint/--resume/--shard/--stats-out "
                    "apply to sweep mode only (no --sweep axis given)\n";
-    return run_single(text, csv, threads < 0 ? 1 : threads,
-                      solve_threads < 0 ? 1 : solve_threads,
-                      refactor_threads < 0 ? 1 : refactor_threads, partition,
-                      hdl_mode, timeout_ms, set_specs);
+    return run_single(text, csv, hdl_mode, timeout_ms, set_specs);
   } catch (const spice::NetlistError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
