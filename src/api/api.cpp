@@ -1,8 +1,10 @@
 #include "api/api.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "common/strings.hpp"
@@ -139,20 +141,33 @@ struct Session::Impl {
   long jobs = 0;
 };
 
-Session::Session(const std::string& netlist_text, const std::string& hdl_mode)
-    : impl_(std::make_unique<Impl>()) {
+namespace {
+
+/// The full-device-set parse every netlist session starts from. `point`
+/// resolves value placeholders in place (spice::NetlistParser::parse).
+spice::Netlist parse_netlist(const std::string& text, const std::string& hdl_mode,
+                             const spice::SweepPoint* point = nullptr) {
   auto parser = core::make_full_parser();
   if (!hdl_mode.empty()) parser.set_option("hdl", hdl_mode);
   try {
-    impl_->net = parser.parse(netlist_text);
+    return parser.parse(text, point);
   } catch (const spice::CircuitError& e) {
     // Circuit-construction conflicts during parse are netlist problems
     // (usim exit 2), same as malformed cards.
     throw spice::NetlistError(0, e.what());
   }
+}
+
+}  // namespace
+
+Session::Session(const std::string& netlist_text, const std::string& hdl_mode)
+    : Session(parse_netlist(netlist_text, hdl_mode), content_hash(netlist_text, hdl_mode)) {}
+
+Session::Session(spice::Netlist net, std::string hash) : impl_(std::make_unique<Impl>()) {
+  impl_->net = std::move(net);
   impl_->circuit = impl_->net.circuit.get();
   impl_->title = impl_->net.title;
-  impl_->hash = content_hash(netlist_text, hdl_mode);
+  impl_->hash = std::move(hash);
   impl_->engine = std::make_unique<spice::AnalysisEngine>(*impl_->circuit);
   impl_->first_job_parsed = true;
   impl_->first_job_bound = true;
@@ -193,6 +208,19 @@ struct AppliedOverride {
   double baseline = 0.0;
 };
 
+/// Restores every applied override (newest first) and rebinds on every exit
+/// from Session::run, exceptions included.
+struct OverrideRestorer {
+  spice::AnalysisEngine& engine;
+  std::vector<AppliedOverride> applied;
+
+  ~OverrideRestorer() {
+    for (auto it = applied.rbegin(); it != applied.rend(); ++it)
+      it->device->set_param(it->param, it->baseline);
+    if (!applied.empty()) engine.rebind();
+  }
+};
+
 }  // namespace
 
 JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_analysis) {
@@ -203,13 +231,9 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
   impl_->first_job_bound = false;
 
   // --- apply parameter overrides against the bound circuit ----------------
-  std::vector<AppliedOverride> applied;
+  OverrideRestorer restorer{*impl_->engine, {}};
+  std::vector<AppliedOverride>& applied = restorer.applied;
   applied.reserve(request.overrides.size());
-  const auto restore = [&]() {
-    for (auto it = applied.rbegin(); it != applied.rend(); ++it)
-      it->device->set_param(it->param, it->baseline);
-    if (!applied.empty()) impl_->engine->rebind();
-  };
   for (const auto& ov : request.overrides) {
     spice::Device* dev = impl_->circuit->find_device(ov.device);
     AppliedOverride entry{dev, ov.param, 0.0};
@@ -222,7 +246,6 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
       problem = "value rejected for parameter";
     }
     if (problem != nullptr) {
-      restore();
       result.ok = false;
       result.exit_code = 2;
       result.error = std::string("override '") + ov.device + "." + ov.param +
@@ -293,7 +316,6 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
     }
   }
 
-  restore();
   ++impl_->jobs;
   return result;
 }
@@ -344,18 +366,9 @@ void node_metrics(spice::SweepOutcome& out, const spice::Circuit& ckt,
   out.metrics.emplace_back(prefix + ":mean", sum / ckt.node_count());
 }
 
-}  // namespace
-
-spice::SweepOutcome run_sweep_point(const std::string& text,
-                                    const spice::SweepPoint& point,
-                                    const std::string& hdl_mode,
-                                    const JobOptions& options, int attempt) {
+/// Distills a finished sweep-point job into the point's scalar metrics.
+spice::SweepOutcome distill(Session& session, const JobResult& result) {
   spice::SweepOutcome out;
-  Session session(substitute_params(text, point), hdl_mode);
-  JobRequest jr;
-  jr.options = options;
-  jr.options.max_iters_scale = 1 << std::min(attempt, 4);
-  const JobResult result = session.run(jr);
   if (!result.ok) {
     out.failure = result.failure;
     out.error = result.error.empty() ? "analysis failed" : result.error;
@@ -388,6 +401,106 @@ spice::SweepOutcome run_sweep_point(const std::string& text,
   }
   out.ok = true;
   return out;
+}
+
+/// A worker thread's warm template: the session the last value-only
+/// template built, plus where its placeholders landed. One per thread, so a
+/// sweep holds at most one extra Session per worker.
+struct WarmTemplate {
+  std::string key;                 ///< content_hash(text, hdl_mode)
+  std::vector<std::string> names;  ///< the point's parameter names, in order
+  bool classified = false;         ///< a template parse has succeeded
+  std::unique_ptr<Session> session;  ///< null: the template is structural
+  std::vector<spice::PlaceholderSite> sites;
+};
+
+thread_local WarmTemplate t_warm;
+
+/// Runs `point` on the thread's warm session: one Session::run with an
+/// override per placeholder site. nullopt sends the point down the text
+/// path — a structural template, a non-finite value, a template parse that
+/// threw, a set_param refusal or a lint rejection — where it gets exactly
+/// the outcome (or exception) a cold run gives it.
+std::optional<spice::SweepOutcome> run_warm(const std::string& text,
+                                            const spice::SweepPoint& point,
+                                            const std::string& hdl_mode,
+                                            const JobOptions& options) {
+  for (const auto& [name, value] : point.params) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  WarmTemplate& w = t_warm;
+  std::string key = content_hash(text, hdl_mode);
+  const bool same_names =
+      std::equal(w.names.begin(), w.names.end(), point.params.begin(), point.params.end(),
+                 [](const std::string& n, const auto& p) { return n == p.first; });
+  if (w.key != key || !same_names) {
+    w = WarmTemplate{};
+    w.key = std::move(key);
+    for (const auto& [name, value] : point.params) w.names.push_back(name);
+  }
+  if (!w.classified) {
+    std::unique_ptr<Session> session;
+    std::vector<spice::PlaceholderSite> sites;
+    try {
+      spice::Netlist net = parse_netlist(text, hdl_mode, &point);
+      if (!net.structural_placeholders) {
+        sites = std::move(net.placeholders);
+        session = std::make_unique<Session>(std::move(net), w.key);
+      }
+    } catch (...) {
+      return std::nullopt;  // e.g. a drawn value the constructor refuses
+    }
+    w.classified = true;
+    // Warm only if every site reads back the value it was built with: a
+    // factory that transforms a card value, or a site with no device of
+    // that name (a macro card), leaves the template on the text path.
+    for (const auto& site : sites) {
+      spice::Device* dev = session->circuit().find_device(site.device);
+      double v = 0.0;
+      if (dev == nullptr || !dev->get_param(site.param, v) || v != point.value(site.name)) {
+        session.reset();
+        break;
+      }
+    }
+    w.session = std::move(session);
+    w.sites = std::move(sites);
+  }
+  if (!w.session) return std::nullopt;
+
+  JobRequest jr;
+  jr.options = options;
+  jr.overrides.reserve(w.sites.size());
+  for (const auto& site : w.sites)
+    jr.overrides.push_back({site.device, site.param, point.value(site.name)});
+  JobResult result;
+  try {
+    result = w.session->run(jr);
+  } catch (...) {
+    t_warm = WarmTemplate{};  // the session's state is suspect now
+    throw;
+  }
+  if (result.exit_code == 2 || result.failure.kind == FailureKind::lint_rejected)
+    return std::nullopt;
+  return distill(*w.session, result);
+}
+
+}  // namespace
+
+bool sweep_template_warm(const std::string& text, const std::string& hdl_mode) {
+  return t_warm.session != nullptr && t_warm.key == content_hash(text, hdl_mode);
+}
+
+spice::SweepOutcome run_sweep_point(const std::string& text,
+                                    const spice::SweepPoint& point,
+                                    const std::string& hdl_mode,
+                                    const JobOptions& options, int attempt) {
+  JobOptions opts = options;
+  opts.max_iters_scale = 1 << std::min(attempt, 4);
+  if (auto warm = run_warm(text, point, hdl_mode, opts)) return std::move(*warm);
+  Session session(substitute_params(text, point), hdl_mode);
+  JobRequest jr;
+  jr.options = opts;
+  return distill(session, session.run(jr));
 }
 
 // ---------------------------------------------------------------------------

@@ -130,6 +130,11 @@ class Session {
   /// (the usim exit-2 contract).
   explicit Session(const std::string& netlist_text, const std::string& hdl_mode = "");
 
+  /// Adopts an already parsed netlist (run_sweep_point's warm templates are
+  /// parsed with their placeholders resolved); `hash` becomes hash().
+  /// Binds and preflights like the text constructor.
+  Session(spice::Netlist net, std::string hash);
+
   /// Borrows an externally built circuit (tests, embedding); no netlist
   /// text, no analysis cards, hash() is "". The circuit must outlive the
   /// session.
@@ -171,18 +176,36 @@ class Session {
 std::string substitute_params(std::string text, const spice::SweepPoint& point);
 
 /// The per-point sweep job shared by `usim --sweep` and the server's sweep
-/// op: substitutes `point` into `text`, runs the netlist's analysis cards
-/// through a fresh Session, and distills scalar metrics (per-node op
-/// efforts / final transient values / last-point AC magnitudes; min/max/mean
-/// aggregates above 16 nodes). `attempt` > 0 is a retry of a failed point —
-/// Newton iteration limits double per attempt so a marginal point gets a
-/// genuinely stronger solve, not a replay. Exceptions propagate; run this
-/// under SweepRunner, whose isolation boundary converts them to per-point
-/// failures.
+/// op: runs the netlist's analysis cards for `point` and distills scalar
+/// metrics (per-node op efforts / final transient values / last-point AC
+/// magnitudes; min/max/mean aggregates above 16 nodes). `attempt` > 0 is a
+/// retry of a failed point — Newton iteration limits double per attempt so
+/// a marginal point gets a genuinely stronger solve, not a replay.
+///
+/// Two paths, one outcome. When every `{name}` in `text` is a value
+/// placeholder — a whole R/C/L value, V/I DC value or X-card `key={name}`
+/// token whose device exposes that key through set_param — the calling
+/// thread keeps one warm Session for the template and runs each point as
+/// one Session::run with parameter overrides: parse, HDL compile, bind,
+/// pattern compile and structural preflight are paid once per thread, not
+/// per point. Any other template (a placeholder inside a token, in a node
+/// or device name, a waveform, a directive or `.array`) takes the text
+/// path: substitute_params, then a fresh Session. A point on a warm
+/// template also takes the text path when a value is non-finite, a
+/// set_param refuses it, or the parameter lint rejects it, so its outcome —
+/// metrics, error text, failure kind, or exception — is bit-identical to
+/// the text path's. The cache holds one template Session per thread (the
+/// memory bound: one extra circuit per sweep worker); a point that throws
+/// discards it. Exceptions propagate; run this under SweepRunner, whose
+/// isolation boundary converts them to per-point failures.
 spice::SweepOutcome run_sweep_point(const std::string& text,
                                     const spice::SweepPoint& point,
                                     const std::string& hdl_mode,
                                     const JobOptions& options, int attempt);
+
+/// Whether the calling thread's run_sweep_point cache holds a warm Session
+/// for (text, hdl_mode) — i.e. whether its points take the override path.
+bool sweep_template_warm(const std::string& text, const std::string& hdl_mode = "");
 
 // One-shot analyses: each runs on a fresh engine (fresh solver, fresh pivot
 // order, per-analysis statistics). Prefer a held Session (or

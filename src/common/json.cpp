@@ -117,6 +117,19 @@ void json_append_escaped(std::string& out, const std::string& v) {
   out += '"';
 }
 
+void json_append_utf8(std::string& out, unsigned code) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xC0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    out += static_cast<char>(0xE0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
+
 void json_append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
@@ -262,18 +275,7 @@ class Parser {
               else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
               else return false;
             }
-            // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-            // the wire schema is ASCII + escaped control characters).
-            if (code < 0x80) {
-              s += static_cast<char>(code);
-            } else if (code < 0x800) {
-              s += static_cast<char>(0xC0 | (code >> 6));
-              s += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              s += static_cast<char>(0xE0 | (code >> 12));
-              s += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              s += static_cast<char>(0x80 | (code & 0x3F));
-            }
+            json_append_utf8(s, code);
             break;
           }
           default: return false;

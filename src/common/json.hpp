@@ -87,6 +87,10 @@ std::optional<JsonValue> json_parse(const std::string& text);
 /// with the hand-rolled fast paths that build frames without a JsonValue.
 void json_append_escaped(std::string& out, const std::string& v);
 
+/// Appends the UTF-8 encoding of a `\uXXXX` escape's code point (BMP
+/// only: surrogate halves are encoded as-is, the wire schemas are ASCII).
+void json_append_utf8(std::string& out, unsigned code);
+
 /// Appends a double as a JSON number with round-trip (%.17g) precision;
 /// NaN/inf append "null".
 void json_append_double(std::string& out, double v);

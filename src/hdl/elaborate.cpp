@@ -14,6 +14,13 @@ int ElaboratedModel::pin_index(const std::string& name) const {
   return -1;
 }
 
+int ElaboratedModel::generic_index(std::string_view name) const {
+  for (int i = 0; i < generic_count; ++i) {
+    if (iequals(slot_names[static_cast<std::size_t>(i)], name)) return i;
+  }
+  return -1;
+}
+
 int ElaboratedModel::effort_pair_index(int p1, int p2, bool* forward) const {
   for (std::size_t k = 0; k < effort_pairs.size(); ++k) {
     const auto& [a, b] = effort_pairs[k];
@@ -218,6 +225,20 @@ double eval_const(const ExprNode& e, const std::vector<double>& frame) {
 
 }  // namespace
 
+void ElaboratedModel::set_generic(int index, double value) {
+  generic_values.at(static_cast<std::size_t>(index)) = value;
+  run_init();
+}
+
+void ElaboratedModel::run_init() {
+  std::copy(generic_values.begin(), generic_values.end(), init_frame.begin());
+  std::fill(init_frame.begin() + generic_count, init_frame.end(), 0.0);
+  for (const auto& b : init_blocks) {
+    for (const auto& s : b.stmts)
+      init_frame[static_cast<std::size_t>(s.slot)] = eval_const(*s.expr, init_frame);
+  }
+}
+
 ElaboratedModel elaborate(DesignUnit unit, const std::string& entity,
                           const std::map<std::string, double>& generics) {
   const Entity* ent = unit.find_entity(entity);
@@ -249,8 +270,9 @@ ElaboratedModel elaborate(DesignUnit unit, const std::string& entity,
                         "' has no binding and no default");
       value = g.default_value;
     }
-    m.init_frame.push_back(value);
+    m.generic_values.push_back(value);
   }
+  m.init_frame = m.generic_values;
   m.generic_count = static_cast<int>(ent->generics.size());
   for (const auto& v : arch_c->variables) {
     for (const auto& existing : m.slot_names) {
@@ -285,7 +307,7 @@ ElaboratedModel elaborate(DesignUnit unit, const std::string& entity,
     }
   }
 
-  // Resolve all blocks; execute init blocks immediately into the frame.
+  // Resolve all blocks, then execute the init blocks into the frame.
   for (auto& b : arch.blocks) {
     for (auto& s : b.stmts) el.resolve_stmt(s);
     if (b.has_domain("init")) {
@@ -293,12 +315,13 @@ ElaboratedModel elaborate(DesignUnit unit, const std::string& entity,
         if (s.kind != StmtKind::assign)
           throw ElabError("line " + std::to_string(s.line) +
                           ": only assignments allowed in init blocks");
-        m.init_frame[static_cast<std::size_t>(s.slot)] = eval_const(*s.expr, m.init_frame);
       }
-      continue;  // init blocks are consumed at elaboration
+      m.init_blocks.push_back(std::move(b));  // consumed here, kept for rebinds
+      continue;
     }
     m.blocks.push_back(std::move(b));
   }
+  m.run_init();
   return m;
 }
 

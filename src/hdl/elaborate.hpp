@@ -23,6 +23,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hdl/ast.hpp"
@@ -50,8 +51,14 @@ struct ElaboratedModel {
   std::vector<double> init_frame;
   int generic_count = 0;
 
+  /// Generic bindings in declaration order, as bound before the init blocks
+  /// ran (an init block may assign a generic slot).
+  std::vector<double> generic_values;
+
   /// Blocks with resolved expressions (init blocks already consumed).
   std::vector<ProceduralBlock> blocks;
+  /// The consumed init blocks, kept so a generic can be rebound later.
+  std::vector<ProceduralBlock> init_blocks;
 
   int ddt_site_count = 0;
   int integ_site_count = 0;
@@ -61,6 +68,16 @@ struct ElaboratedModel {
   std::vector<std::pair<int, int>> effort_pairs;
 
   int pin_index(const std::string& name) const;  ///< -1 if absent
+  /// Generic matched case-insensitively (card key "a" finds generic "A");
+  /// -1 if absent.
+  int generic_index(std::string_view name) const;
+
+  /// Rebinds generic `index` and recomputes `init_frame` exactly as
+  /// elaboration computes it: generic bindings, zeroed variables, then the
+  /// init blocks in source order.
+  void set_generic(int index, double value);
+  /// The init_frame computation shared by elaborate() and set_generic().
+  void run_init();
 
   /// Index into effort_pairs matching (p1, p2) in either orientation; -1 if
   /// absent. `forward` (optional) reports whether (p1, p2) matches the

@@ -519,7 +519,26 @@ void HdlDevice::evaluate(spice::EvalCtx& ctx) {
   }
 }
 
+bool HdlDevice::set_param(std::string_view key, double value) {
+  const int g = model_.generic_index(key);
+  if (g < 0) return false;
+  model_.set_generic(g, value);
+  // The compiled program (after bind) carries its own copy of the frame.
+  if (!program_.frame_init.empty()) program_.frame_init = model_.init_frame;
+  return true;
+}
+
+bool HdlDevice::get_param(std::string_view key, double& out) const {
+  const int g = model_.generic_index(key);
+  if (g < 0) return false;
+  out = model_.generic_values[static_cast<std::size_t>(g)];
+  return true;
+}
+
 void HdlDevice::start_transient(const DVector& x_dc) {
+  // A reused circuit (warm session, server delta job) must not carry an
+  // earlier transient's ASSERT firings into this one's fail_on_assert check.
+  asserted_.clear();
   // Arm every site, then record each ddt/integ argument's DC value via a
   // commit pass (c0 = 0, c1 = 1 placeholders make the formulas benign), and
   // finally reset the histories the pass is not supposed to disturb.

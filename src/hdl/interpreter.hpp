@@ -108,7 +108,15 @@ class HdlDevice final : public spice::Device {
   /// of the paper's Listing 1), indexed in source order.
   double integ_state(int site) const;
 
-  /// Distinct ASSERT sites that have fired so far (each site warns once).
+  /// Generic parameters by name, matched case-insensitively, so the stdlib
+  /// card keys ("a", "d", "er") address the generics ("A", "d", "er").
+  /// set_param takes any value (elaboration does) and recomputes the init
+  /// frame, which every executor reads on its next pass.
+  bool set_param(std::string_view key, double value) override;
+  bool get_param(std::string_view key, double& out) const override;
+
+  /// Distinct ASSERT sites that have fired in the current transient (each
+  /// site warns once per transient; start_transient clears the record).
   int assert_violations() const noexcept override {
     return static_cast<int>(asserted_.size());
   }

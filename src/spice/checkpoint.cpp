@@ -7,6 +7,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace usys::spice {
 
 // ---------------------------------------------------------------------------
@@ -180,11 +182,14 @@ struct Parser {
           case 'b': c = '\b'; break;
           case 'f': c = '\f'; break;
           case 'u': {
-            if (end - p < 4) { fail = true; return false; }
-            char hex[5] = {p[0], p[1], p[2], p[3], 0};
-            c = static_cast<char>(std::strtol(hex, nullptr, 16));
-            p += 4;
-            break;
+            unsigned code = 0;
+            for (int k = 0; k < 4; ++k, ++p) {
+              const int digit = p < end ? hex_digit(*p) : -1;
+              if (digit < 0) { fail = true; return false; }
+              code = code << 4 | static_cast<unsigned>(digit);
+            }
+            json_append_utf8(out, code);
+            continue;
           }
           default: fail = true; return false;
         }
@@ -239,17 +244,27 @@ struct Parser {
     return consume(']');
   }
 
+  static int hex_digit(char h) {
+    if (h >= '0' && h <= '9') return h - '0';
+    if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+    if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+    return -1;
+  }
+
   /// Skips any well-formed JSON value (forward compatibility: unknown keys).
-  bool skip_value() {
+  /// Nesting is capped like json_parse's, so a hostile or torn line of deep
+  /// brackets is rejected instead of overflowing the stack.
+  bool skip_value(int depth = 0) {
+    static constexpr int kMaxDepth = 64;
     skip_ws();
-    if (p >= end) { fail = true; return false; }
+    if (p >= end || depth > kMaxDepth) { fail = true; return false; }
     switch (*p) {
       case '{': {
         consume('{');
         if (peek('}')) return consume('}');
         do {
           std::string key;
-          if (!parse_string(key) || !consume(':') || !skip_value()) return false;
+          if (!parse_string(key) || !consume(':') || !skip_value(depth + 1)) return false;
         } while (peek(',') && consume(','));
         return consume('}');
       }
@@ -257,7 +272,7 @@ struct Parser {
         consume('[');
         if (peek(']')) return consume(']');
         do {
-          if (!skip_value()) return false;
+          if (!skip_value(depth + 1)) return false;
         } while (peek(',') && consume(','));
         return consume(']');
       }

@@ -127,8 +127,10 @@ class Device {
   /// stamped VALUES only, never structure, so the compiled MNA pattern
   /// stays valid — but callers must AnalysisEngine::rebind() before the
   /// next run. Both return false for keys the device does not expose (the
-  /// default), and set_param additionally rejects values the device cannot
-  /// stamp (non-finite, or zero where it divides).
+  /// default), and set_param additionally rejects exactly the values the
+  /// device's constructor throws on — so an override and a cold build of the
+  /// same value agree; values the constructor accepts but that make no
+  /// physical sense (zero stiffness, NaN) are the parameter lint's to reject.
   virtual bool set_param(std::string_view key, double value) {
     (void)key;
     (void)value;

@@ -8,7 +8,7 @@ namespace usys::spice {
 
 Resistor::Resistor(std::string name, int a, int b, double resistance, Nature nature)
     : Device(std::move(name)), a_(a), b_(b), r_(resistance), nature_(nature) {
-  if (r_ <= 0.0) throw std::invalid_argument("Resistor '" + this->name() + "': R must be > 0");
+  if (!valid(r_)) throw std::invalid_argument("Resistor '" + this->name() + "': R must be > 0");
 }
 
 void Resistor::bind(Binder& binder) {
@@ -44,7 +44,7 @@ void Resistor::evaluate(EvalCtx& ctx) {
 
 Capacitor::Capacitor(std::string name, int a, int b, double capacitance, Nature nature)
     : Device(std::move(name)), a_(a), b_(b), c_(capacitance), nature_(nature) {
-  if (c_ <= 0.0)
+  if (!valid(c_))
     throw std::invalid_argument("Capacitor '" + this->name() + "': C must be > 0");
 }
 
@@ -80,7 +80,7 @@ void Capacitor::evaluate(EvalCtx& ctx) {
 
 Inductor::Inductor(std::string name, int a, int b, double inductance, Nature nature)
     : Device(std::move(name)), a_(a), b_(b), l_(inductance), nature_(nature) {
-  if (l_ <= 0.0)
+  if (!valid(l_))
     throw std::invalid_argument("Inductor '" + this->name() + "': L must be > 0");
 }
 

@@ -23,8 +23,11 @@ class Resistor : public Device {
   bool stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   double resistance() const noexcept { return r_; }
+  /// The one value rule the constructor and set_param share: a resistance
+  /// must not be <= 0 (NaN passes here and is left to the parameter lint).
+  static bool valid(double r) noexcept { return !(r <= 0.0); }
   bool set_param(std::string_view key, double value) override {
-    if (key != "r" || value == 0.0 || !std::isfinite(value)) return false;
+    if (key != "r" || !valid(value)) return false;
     r_ = value;
     return true;
   }
@@ -56,8 +59,10 @@ class Capacitor : public Device {
   bool stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   double capacitance() const noexcept { return c_; }
+  /// Shared by the constructor and set_param (see Resistor::valid).
+  static bool valid(double c) noexcept { return !(c <= 0.0); }
   bool set_param(std::string_view key, double value) override {
-    if (key != "c" || !std::isfinite(value)) return false;
+    if (key != "c" || !valid(value)) return false;
     c_ = value;
     return true;
   }
@@ -87,10 +92,12 @@ class Inductor : public Device {
   bool stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   double inductance() const noexcept { return l_; }
+  /// Shared by the constructor and set_param (see Resistor::valid).
+  static bool valid(double l) noexcept { return !(l <= 0.0); }
   /// Unknown index of the branch current (valid after bind).
   int branch() const noexcept { return br_; }
   bool set_param(std::string_view key, double value) override {
-    if (key != "l" || !std::isfinite(value)) return false;
+    if (key != "l" || !valid(value)) return false;
     l_ = value;
     return true;
   }
@@ -121,7 +128,7 @@ class Mass : public Capacitor {
   double mass() const noexcept { return capacitance(); }
   // Shadows Capacitor's "c": a Mass is addressed by its netlist key "m".
   bool set_param(std::string_view key, double value) override {
-    if (key != "m" || !std::isfinite(value)) return false;
+    if (key != "m" || !valid(value)) return false;
     set_capacitance(value);
     return true;
   }
@@ -150,7 +157,7 @@ class Spring : public Inductor {
   }
   // Shadows Inductor's "l": keeps k_ and the stamped L = 1/k in lockstep.
   bool set_param(std::string_view key, double value) override {
-    if (key != "k" || value == 0.0 || !std::isfinite(value)) return false;
+    if (key != "k" || !Inductor::valid(1.0 / value)) return false;
     k_ = value;
     set_inductance(1.0 / value);
     return true;
@@ -177,7 +184,7 @@ class Damper : public Resistor {
   double alpha() const noexcept { return alpha_; }
   // Shadows Resistor's "r": keeps alpha_ and the stamped R = 1/alpha in sync.
   bool set_param(std::string_view key, double value) override {
-    if (key != "alpha" || value == 0.0 || !std::isfinite(value)) return false;
+    if (key != "alpha" || !Resistor::valid(1.0 / value)) return false;
     alpha_ = value;
     set_resistance(1.0 / value);
     return true;

@@ -102,8 +102,10 @@ void ISource::breakpoints(std::vector<double>& out) const { wave_->breakpoints(o
 
 namespace {
 
+// Any value the constructor takes is settable (it takes every double); a
+// non-finite drive is the solver's to fail on, exactly as when built cold.
 bool set_dc_param(std::unique_ptr<Waveform>& wave, std::string_view key, double value) {
-  if (key != "dc" || !std::isfinite(value)) return false;
+  if (key != "dc") return false;
   if (dynamic_cast<const DcWave*>(wave.get()) == nullptr) return false;
   wave = std::make_unique<DcWave>(value);
   return true;

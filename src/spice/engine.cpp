@@ -52,6 +52,9 @@ AnalysisEngine::AnalysisEngine(Circuit& circuit) : circuit_(circuit) {
   opts.matching = false;
   opts.hdl = false;
   preflight_ = lint_circuit(circuit_, opts);
+  for (const LintDiag& d : preflight_.diags) {
+    if (!is_parameter_rule(d.rule)) structural_.push_back(d);
+  }
 }
 
 AnalysisEngine::~AnalysisEngine() = default;
@@ -59,6 +62,17 @@ AnalysisEngine::~AnalysisEngine() = default;
 void AnalysisEngine::rebind() {
   circuit_.bind_all();  // idempotent; structure is frozen after the first bind
   solver_.reset();      // drop warm pivot order / value arrays; pattern survives
+  params_stale_ = true;
+}
+
+void AnalysisEngine::recheck_parameters() {
+  LintOptions opts;
+  opts.connectivity = false;
+  opts.matching = false;
+  opts.hdl = false;
+  preflight_ = lint_circuit(circuit_, opts);
+  preflight_.diags.insert(preflight_.diags.end(), structural_.begin(), structural_.end());
+  params_stale_ = false;
 }
 
 NewtonSolver& AnalysisEngine::solver_for(const NewtonOptions& opts) {
@@ -95,6 +109,7 @@ DcResult AnalysisEngine::run_dc_under(const DcOptions& opts, const Deadline& dl)
   DcResult out;
   out.x.assign(static_cast<std::size_t>(circuit_.unknown_count()), 0.0);
 
+  if (params_stale_) recheck_parameters();
   // Static preflight verdict: an error-severity structural defect (voltage
   // loop, zero resistance, ...) makes every Newton stage below pointless —
   // report it as a structured failure instead of burning the rescue ladder.

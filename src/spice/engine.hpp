@@ -60,8 +60,11 @@ class AnalysisEngine {
   /// Re-arms the engine after external device-parameter changes: drops the
   /// warm solver (pivot order, value arrays) so the next run restamps and
   /// refactors from scratch, while the circuit's compiled MNA pattern —
-  /// which depends only on structure — is reused as-is. The server's engine
-  /// cache calls it to shed that memory-heavy state on eviction.
+  /// which depends only on structure — is reused as-is. The next run_*
+  /// re-checks the parameter-sanity lint rules against the new values; the
+  /// structural verdict is kept, since parameters never change structure.
+  /// The server's engine cache calls it to shed that memory-heavy state on
+  /// eviction.
   void rebind();
 
   /// True while the engine holds warm solver state (LU factors, recorded
@@ -71,8 +74,10 @@ class AnalysisEngine {
 
   /// The construction-time static diagnostics pass (errors-only options:
   /// the expensive matching probe and the HDL re-surface are left to
-  /// `usim --lint`). When it holds errors, every run_* call returns a
-  /// FailureKind::lint_rejected result instead of attempting a solve.
+  /// `usim --lint`), with its parameter findings refreshed by the first
+  /// run_* after each rebind(). When it holds errors, every run_* call
+  /// returns a FailureKind::lint_rejected result instead of attempting a
+  /// solve.
   const LintReport& preflight() const noexcept { return preflight_; }
 
  private:
@@ -91,8 +96,15 @@ class AnalysisEngine {
   enum class FactorRegime { none, dc, transient };
   void enter_regime(NewtonSolver& solver, FactorRegime regime);
 
+  /// Re-runs the parameter-sanity rules after a rebind(): preflight_ becomes
+  /// the fresh parameter findings followed by the kept structural ones —
+  /// the order a cold preflight reports them in.
+  void recheck_parameters();
+
   Circuit& circuit_;
   LintReport preflight_;
+  std::vector<LintDiag> structural_;  ///< preflight_ minus parameter findings
+  bool params_stale_ = false;         ///< set by rebind(), cleared on recheck
   std::unique_ptr<NewtonSolver> solver_;
   NewtonOptions solver_opts_;  ///< options solver_ was built with
   FactorRegime regime_ = FactorRegime::none;

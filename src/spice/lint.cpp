@@ -105,10 +105,12 @@ std::string LintReport::error_summary() const {
 // ---------------------------------------------------------------------------
 
 void LintSink::edge(int node_a, int node_b, LintEdgeKind kind) {
+  if (!topology_) return;
   edges_.push_back({node_a, node_b, kind, current_device_});
 }
 
 void LintSink::footprint_clique(const Device& dev, LintEdgeKind kind) {
+  if (!topology_) return;
   scratch_.clear();
   if (!dev.stamp_footprint(scratch_)) return;
   const int n_nodes = circuit_->node_count();
@@ -231,6 +233,7 @@ class LintDriver {
   void collect() {
     sink_.circuit_ = &circuit_;
     sink_.diags_ = &rep_.diags;
+    sink_.topology_ = opts_.connectivity;  // only the connectivity rules read edges
     sink_.parameters_ = opts_.parameters;
     sink_.hdl_ = opts_.hdl;
     const auto& devs = circuit_.devices();
@@ -693,6 +696,10 @@ class LintDriver {
   std::vector<char> floating_;
   std::vector<int> branch_owner_;
 };
+
+bool is_parameter_rule(const std::string& rule) noexcept {
+  return rule.starts_with("param-");
+}
 
 LintReport lint_circuit(Circuit& circuit, const LintOptions& opts) {
   LintReport rep;

@@ -129,10 +129,15 @@ class LintSink {
   std::vector<LintDiag>* diags_ = nullptr;
   int current_device_ = -1;
   const Device* current_ptr_ = nullptr;
+  bool topology_ = true;  ///< collect edges (LintOptions::connectivity)
   bool parameters_ = true;
   bool hdl_ = true;
   std::vector<int> scratch_;
 };
+
+/// True for the parameter-sanity rules (`param-*`): the only findings that
+/// depend on device values rather than on circuit structure.
+bool is_parameter_rule(const std::string& rule) noexcept;
 
 /// Runs every enabled analysis on `circuit` (binds it first — may throw
 /// CircuitError for defects the construction path already rejects).

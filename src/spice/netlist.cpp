@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -228,10 +229,64 @@ void NetlistParser::set_option(const std::string& key, const std::string& value)
   default_options_[k] = value;
 }
 
-Netlist NetlistParser::parse(const std::string& text) {
+Netlist NetlistParser::parse(const std::string& text, const SweepPoint* point) {
   Netlist out;
   out.circuit = std::make_unique<Circuit>();
   Circuit& ckt = *out.circuit;
+
+  // Sweep placeholders: "{name}" for each of the point's names.
+  std::vector<std::string> keys;
+  if (point != nullptr) {
+    for (const auto& [name, value] : point->params) keys.push_back("{" + name + "}");
+  }
+  const auto placeholder_at = [&keys](std::string_view tok) -> int {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      if (tok == keys[k]) return static_cast<int>(k);
+    }
+    return -1;
+  };
+  const auto count_placeholders = [&keys](std::string_view line) {
+    int n = 0;
+    for (const auto& key : keys) {
+      for (auto p = line.find(key); p != std::string_view::npos;
+           p = line.find(key, p + key.size()))
+        ++n;
+    }
+    return n;
+  };
+  // Placeholders a device card holds in value positions: the R/C/L value,
+  // a plain V/I DC value, the value of a numeric X-card key=value.
+  const auto value_slots = [&](const std::vector<std::string>& toks) {
+    const char kind = static_cast<char>(std::tolower(static_cast<unsigned char>(toks[0][0])));
+    int n = 0;
+    for (std::size_t i = 1; i < toks.size(); ++i) {
+      std::string_view v = toks[i];
+      if (kind == 'x') {
+        const auto eq = v.find('=');
+        if (eq == std::string_view::npos ||
+            string_param_keys_.count(to_lower(v.substr(0, eq))) != 0U)
+          continue;
+        v = v.substr(eq + 1);
+      } else if (i != 3 || std::string_view("rclvi").find(kind) == std::string_view::npos) {
+        continue;
+      }
+      if (placeholder_at(v) >= 0) ++n;
+    }
+    return n;
+  };
+  // A device-parameter value: a placeholder resolves to the point's value
+  // and records where it landed; anything else parses as a number.
+  const auto value_of = [&](const std::string& tok, const std::string& device,
+                            const std::string& key, int lineno) {
+    const int k = placeholder_at(tok);
+    if (k < 0) return parse_num(tok, lineno);
+    const auto& [name, value] = point->params[static_cast<std::size_t>(k)];
+    // The text path prints the value and parses it back: only a non-finite
+    // value differs (it is rejected), so let that text give the verdict.
+    if (!std::isfinite(value)) return parse_num(str_format("%.17g", value), lineno);
+    out.placeholders.push_back({device, key, name});
+    return value;
+  };
 
   // Pass 1: .node nature declarations (so later cards see the right natures).
   std::map<std::string, Nature> declared;
@@ -243,6 +298,7 @@ Netlist NetlistParser::parse(const std::string& text) {
       ++lineno;
       const auto t = trim(line);
       if (!t.starts_with(".node") && !t.starts_with(".NODE")) continue;
+      if (count_placeholders(t) > 0) continue;  // structural: pass 2 stops there
       const auto toks = tokenize_card(t, lineno);
       if (toks.size() != 3) throw NetlistError(lineno, ".node needs <name> <nature>");
       Nature n{};
@@ -279,19 +335,22 @@ Netlist NetlistParser::parse(const std::string& text) {
       case 'r': {
         if (toks.size() != 4) throw NetlistError(lineno, "R card: R<id> a b <ohms>");
         ckt.add<Resistor>(name, get_node(toks[1], Nature::electrical),
-                          get_node(toks[2], Nature::electrical), parse_num(toks[3], lineno));
+                          get_node(toks[2], Nature::electrical),
+                          value_of(toks[3], name, "r", lineno));
         break;
       }
       case 'c': {
         if (toks.size() != 4) throw NetlistError(lineno, "C card: C<id> a b <farads>");
         ckt.add<Capacitor>(name, get_node(toks[1], Nature::electrical),
-                           get_node(toks[2], Nature::electrical), parse_num(toks[3], lineno));
+                           get_node(toks[2], Nature::electrical),
+                           value_of(toks[3], name, "c", lineno));
         break;
       }
       case 'l': {
         if (toks.size() != 4) throw NetlistError(lineno, "L card: L<id> a b <henries>");
         ckt.add<Inductor>(name, get_node(toks[1], Nature::electrical),
-                          get_node(toks[2], Nature::electrical), parse_num(toks[3], lineno));
+                          get_node(toks[2], Nature::electrical),
+                          value_of(toks[3], name, "l", lineno));
         break;
       }
       case 'v':
@@ -299,7 +358,9 @@ Netlist NetlistParser::parse(const std::string& text) {
         if (toks.size() < 4) throw NetlistError(lineno, "source card: needs n+ n- value");
         const int a = get_node(toks[1], Nature::electrical);
         const int b = get_node(toks[2], Nature::electrical);
-        auto wave = parse_waveform(toks[3], lineno);
+        auto wave = toks[3].find('(') == std::string::npos
+                        ? std::make_unique<DcWave>(value_of(toks[3], name, "dc", lineno))
+                        : parse_waveform(toks[3], lineno);
         double ac_mag = 0.0;
         double ac_ph = 0.0;
         for (std::size_t i = 4; i < toks.size(); ++i) {
@@ -381,7 +442,7 @@ Netlist NetlistParser::parse(const std::string& text) {
             if (string_param_keys_.count(key) != 0U) {
               args.sparams[key] = val;
             } else {
-              args.params[key] = parse_num(val, lineno);
+              args.params[key] = value_of(val, name, key, lineno);
             }
           } else if (xdevices_.count(to_lower(toks[i])) != 0U) {
             type = to_lower(toks[i]);
@@ -427,6 +488,17 @@ Netlist NetlistParser::parse(const std::string& text) {
     first_content_line = false;
     const auto toks = tokenize_card(t, lineno);
     const std::string head = to_lower(toks[0]);
+
+    // Placeholders outside value positions need text substitution. The
+    // parser ignores .param/.measure, so placeholders there change nothing.
+    if (!keys.empty()) {
+      const int n = count_placeholders(t);
+      const bool inert = head == ".param" || head == ".measure";
+      if (n > 0 && !inert && (head[0] == '.' || value_slots(toks) != n)) {
+        out.structural_placeholders = true;
+        return out;
+      }
+    }
 
     if (head[0] == '.') {
       if (head == ".node") continue;  // handled in pass 1

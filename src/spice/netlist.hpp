@@ -72,11 +72,26 @@ struct AnalysisCard {
   AcOptions ac;
 };
 
+/// Where a sweep value placeholder landed (parse() with a point): the
+/// device the card created and the set_param key its value feeds.
+struct PlaceholderSite {
+  std::string device;  ///< card name ("R1", "XT")
+  std::string param;   ///< lower-case parameter key ("r", "dc", "d")
+  std::string name;    ///< placeholder name ("gap" for `{gap}`)
+};
+
 /// Parse result: the built circuit plus the requested analyses.
 struct Netlist {
   std::unique_ptr<Circuit> circuit;
   std::vector<AnalysisCard> analyses;
   std::string title;
+  /// Every value placeholder parse() resolved, in card order.
+  std::vector<PlaceholderSite> placeholders;
+  /// A placeholder sits outside a value position (inside a longer token, a
+  /// node or device name, a waveform, a directive, `.array`): only text
+  /// substitution can build this template. parse() stops at that card, so
+  /// the rest of the Netlist is incomplete and must not be used.
+  bool structural_placeholders = false;
 };
 
 /// Key/value parameters of an X card (keys lowercased).
@@ -127,7 +142,15 @@ class NetlistParser {
   void set_option(const std::string& key, const std::string& value);
 
   /// Parses netlist text; throws NetlistError with a line number on failure.
-  Netlist parse(const std::string& text);
+  ///
+  /// With `point`, a token that is exactly `{name}` for one of the point's
+  /// names is a sweep placeholder. In a value position — the R/C/L value, a
+  /// V/I DC value, an X-card `key={name}` — it resolves to the point's
+  /// value (the same double `%.17g` substitution would parse back to; a
+  /// non-finite value fails as its text would) and is recorded in
+  /// Netlist::placeholders. Any other occurrence sets
+  /// Netlist::structural_placeholders.
+  Netlist parse(const std::string& text, const SweepPoint* point = nullptr);
 
  private:
   std::map<std::string, XDeviceFactory> xdevices_;

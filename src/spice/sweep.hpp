@@ -1,11 +1,14 @@
 // SweepRunner — batch parameter-grid execution over a thread pool.
 //
 // Fans a cartesian parameter grid (e.g. transducer gap x drive amplitude x
-// array size) across workers; every grid point gets its own circuit and
-// AnalysisEngine built by a caller-supplied job (worker-local state, no
-// sharing), so points are fully isolated and the result vector is
+// array size) across workers; a caller-supplied job runs each grid point on
+// worker-local state (no sharing between workers), so the result vector is
 // deterministic: results[i] always corresponds to grid[i], whatever the
 // execution interleaving. Backs `usim --sweep` and bench_array_scaling.
+// api::run_sweep_point, the job every front end uses, keeps one warm
+// Session per worker thread for a value-only template and runs each point
+// as parameter overrides on it, with outcomes bit-identical to building
+// the point's circuit afresh (api/api.hpp).
 //
 // Fault tolerance (SweepOptions): a failed point records a structured
 // FailureInfo and never takes the batch down; failed points can be retried
@@ -171,9 +174,10 @@ std::string shard_suffixed_path(const std::string& path, int shard_index,
 
 class SweepRunner {
  public:
-  /// The per-point job: build the circuit (worker-local), run its analyses
-  /// through an AnalysisEngine, and distill scalar metrics. Exceptions are
-  /// captured into the point's outcome — they fail the point, not the batch.
+  /// The per-point job: run the point's analyses on worker-local state (a
+  /// fresh circuit, or a thread-local warm Session) and distill scalar
+  /// metrics. Exceptions are captured into the point's outcome — they fail
+  /// the point, not the batch.
   using Job = std::function<SweepOutcome(const SweepPoint&)>;
   /// Attempt-aware job for retry escalation: attempt is 0 on the first run,
   /// 1..retries on re-runs of a failed point.

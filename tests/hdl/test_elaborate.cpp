@@ -28,6 +28,35 @@ TEST(Elaborate, Listing1Binds) {
   EXPECT_DOUBLE_EQ(m.init_frame[static_cast<std::size_t>(e0_slot)], 8.8542e-12);
 }
 
+TEST(Elaborate, SetGenericRerunsInitLikeAFreshElaboration) {
+  const char* src = R"(
+ENTITY cap IS
+  GENERIC (A, d : analog);
+  PIN (a, b : electrical);
+END ENTITY cap;
+ARCHITECTURE x OF cap IS
+  VARIABLE e0, c0 : analog;
+BEGIN
+  RELATION
+    PROCEDURAL FOR init =>
+      e0 := 8.8542e-12;
+      c0 := e0*A/d;
+      d := 2.0*d;
+    PROCEDURAL FOR dc =>
+      [a, b].i %= c0*[a, b].v;
+  END RELATION;
+END ARCHITECTURE x;
+)";
+  ElaboratedModel m = elaborate(parse(src), "cap", {{"A", 1e-4}, {"d", 1e-4}});
+  const ElaboratedModel fresh = elaborate(parse(src), "cap", {{"A", 1e-4}, {"d", 3e-4}});
+  ASSERT_EQ(m.generic_index("D"), 1);  // case-insensitive, like the card keys
+  EXPECT_EQ(m.generic_index("c0"), -1);  // variables are not generics
+  m.set_generic(m.generic_index("d"), 3e-4);
+  // The binding is kept apart from the frame slot the init block rewrote.
+  EXPECT_EQ(m.generic_values[1], 3e-4);
+  EXPECT_EQ(m.init_frame, fresh.init_frame);
+}
+
 TEST(Elaborate, GenericDefaultsApply) {
   const auto unit = parse(R"(
 ENTITY m IS

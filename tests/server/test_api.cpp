@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/api.hpp"
+#include "hdl/interpreter.hpp"
 #include "spice/devices_passive.hpp"
 #include "spice/devices_source.hpp"
 
@@ -258,6 +264,87 @@ TEST(DeviceParams, SourceDcOnlyWhileWaveformIsDc) {
   ASSERT_NE(v_pulse, nullptr);
   EXPECT_FALSE(v_pulse->get_param("dc", v));
   EXPECT_FALSE(v_pulse->set_param("dc", 1.0));
+}
+
+TEST(DeviceParams, SetParamRejectsExactlyWhatTheConstructorThrowsOn) {
+  // A warm sweep point applies a drawn value through set_param, a cold one
+  // through the constructor: both must accept or refuse the same values.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Row {
+    const char* key;
+    std::function<std::unique_ptr<spice::Device>(double)> make;
+  };
+  const std::vector<Row> rows = {
+      {"r", [](double v) { return std::make_unique<spice::Resistor>("R", 0, 1, v); }},
+      {"c", [](double v) { return std::make_unique<spice::Capacitor>("C", 0, 1, v); }},
+      {"l", [](double v) { return std::make_unique<spice::Inductor>("L", 0, 1, v); }},
+      {"m", [](double v) { return std::make_unique<spice::Mass>("M", 0, v); }},
+      {"k", [](double v) { return std::make_unique<spice::Spring>("K", 0, 1, v); }},
+      {"alpha", [](double v) { return std::make_unique<spice::Damper>("D", 0, 1, v); }},
+      {"dc", [](double v) { return std::make_unique<spice::VSource>("V", 0, 1, v); }},
+      {"dc", [](double v) { return std::make_unique<spice::ISource>("I", 0, 1, v); }},
+  };
+  for (const Row& row : rows) {
+    const auto dev = row.make(1.0);
+    for (const double v : {-1.0, 0.0, 1e-300, inf, -inf, nan}) {
+      bool throws = false;
+      try {
+        row.make(v);
+      } catch (const std::invalid_argument&) {
+        throws = true;
+      }
+      EXPECT_EQ(throws, !dev->set_param(row.key, v)) << row.key << " = " << v;
+    }
+  }
+}
+
+// --- reused-session ASSERT record --------------------------------------------
+
+TEST(Session, AssertFiredInAnEarlierJobDoesNotFailTheNext) {
+  // An ASSERT guard (vmax - V > 0) on a 0.5 V drive: the first job lowers
+  // vmax below the drive so the guard fires; the second runs the netlist's
+  // own vmax = 1 and must not inherit the first job's firing.
+  const char* model = R"(
+ENTITY guard IS
+  GENERIC (vmax : analog);
+  PIN (a, b : electrical);
+END ENTITY guard;
+ARCHITECTURE x OF guard IS
+  STATE V : analog;
+BEGIN
+  RELATION
+    PROCEDURAL FOR transient =>
+      V := [a, b].v;
+      ASSERT vmax - V;
+      [a, b].i %= 1e-9*V;
+  END RELATION;
+END ARCHITECTURE x;
+)";
+  spice::Circuit ckt;
+  const int drive = ckt.add_node("drive", Nature::electrical);
+  ckt.add<spice::VSource>("V1", drive, spice::Circuit::kGround, 0.5);
+  ckt.add<spice::Resistor>("R1", drive, spice::Circuit::kGround, 1e3);
+  ckt.add_device(hdl::instantiate("XG", model, "guard", {{"vmax", 1.0}},
+                                  {drive, spice::Circuit::kGround}));
+  Session session(ckt);
+
+  spice::AnalysisCard tran;
+  tran.kind = spice::AnalysisCard::Kind::tran;
+  tran.tran.tstop = 1e-3;
+  tran.tran.fail_on_assert = true;
+
+  JobRequest tripped;
+  tripped.analyses = {tran};
+  tripped.overrides.push_back({"XG", "vmax", 0.1});
+  const JobResult first = session.run(tripped);
+  ASSERT_FALSE(first.ok);
+  EXPECT_EQ(first.failure.kind, FailureKind::assert_violation);
+
+  JobRequest clean;
+  clean.analyses = {tran};
+  const JobResult second = session.run(clean);
+  EXPECT_TRUE(second.ok) << second.error;
 }
 
 // --- series view -------------------------------------------------------------

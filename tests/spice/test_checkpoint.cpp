@@ -133,6 +133,54 @@ TEST_F(CheckpointTest, ParseIgnoresUnknownKeysForForwardCompatibility) {
   EXPECT_EQ(rec.outcome.metrics[0].second, 2.0);
 }
 
+TEST_F(CheckpointTest, UnicodeEscapesDecodeToUtf8) {
+  CheckpointRecord rec;
+  ASSERT_TRUE(parse_checkpoint_line(
+      "{\"i\":0,\"error\":\"\\u0041\\u00e9\\u03a9\\u20ac\\u0009\"}", rec));
+  EXPECT_EQ(rec.outcome.error, "A\xc3\xa9\xce\xa9\xe2\x82\xac\t");
+  // The writer's own control-character escapes still round-trip.
+  SweepOutcome out;
+  out.error = std::string("bell\x07") + "nul" + std::string(1, '\0') + "end";
+  ASSERT_TRUE(parse_checkpoint_line(checkpoint_line(0, {}, out), rec));
+  EXPECT_EQ(rec.outcome.error, out.error);
+  // Bad hex digits are malformed, not silently truncated.
+  EXPECT_FALSE(parse_checkpoint_line("{\"i\":0,\"error\":\"\\u00zz\"}", rec));
+  EXPECT_FALSE(parse_checkpoint_line("{\"i\":0,\"error\":\"\\u00", rec));
+}
+
+TEST_F(CheckpointTest, DeeplyNestedUnknownValueIsSalvagedAsTorn) {
+  // 100k nested '[' under an unknown key: rejected at the depth cap instead
+  // of recursing once per bracket.
+  const std::string deep = "{\"i\":0,\"junk\":" + std::string(100000, '[');
+  CheckpointRecord rec;
+  EXPECT_FALSE(parse_checkpoint_line(deep, rec));
+
+  const std::string path = temp_path("deep");
+  {
+    SweepPoint p0;
+    p0.params = {{"k", 0.0}};
+    SweepOutcome ok_out;
+    ok_out.ok = true;
+    ok_out.metrics = {{"m", 1.0}};
+    CheckpointWriter writer(path);
+    writer.append(1, p0, ok_out);
+  }
+  {
+    std::ofstream junk(path, std::ios::app);
+    junk << deep << "\n";
+  }
+  CheckpointData data;
+  std::string err;
+  ASSERT_TRUE(load_checkpoint(path, data, &err));
+  EXPECT_NE(err.find("1 malformed"), std::string::npos);
+  ASSERT_EQ(data.records.size(), 1u);
+  EXPECT_TRUE(data.records.at(1).outcome.ok);
+  // Nesting within the cap is still skipped as an unknown value.
+  const std::string nested = "{\"i\":2,\"junk\":" + std::string(32, '[') +
+                             std::string(32, ']') + "}";
+  EXPECT_TRUE(parse_checkpoint_line(nested, rec));
+}
+
 // ---------------------------------------------------------------------------
 // File round-trip
 // ---------------------------------------------------------------------------

@@ -211,6 +211,43 @@ TEST(AnalysisEngine, RebindPicksUpParameterChanges) {
   EXPECT_LT(rel_diff(changed.x, ref.x), 1e-12);
 }
 
+TEST(AnalysisEngine, RebindRechecksParameterLint) {
+  // A zero stiffness builds (L = 1/k = inf) but the parameter lint rejects
+  // it. Set through set_param on a warm engine, the next run must reject it
+  // with the same verdict a cold engine gives, and recover once restored.
+  const auto build = [](double k) {
+    auto ckt = std::make_unique<Circuit>();
+    const int a = ckt->add_node("a", Nature::electrical);
+    const int v = ckt->add_node("v", Nature::mechanical_translation);
+    ckt->add<VSource>("V1", a, Circuit::kGround, 1.0);
+    ckt->add<Resistor>("R1", a, Circuit::kGround, 1e3);
+    ckt->add<Mass>("M1", v, 1e-4);
+    ckt->add<Spring>("K1", v, Circuit::kGround, k);
+    ckt->add<Damper>("D1", v, Circuit::kGround, 0.04);
+    return ckt;
+  };
+  auto ckt = build(200.0);
+  AnalysisEngine engine(*ckt);
+  ASSERT_TRUE(engine.run_op().converged);
+
+  ASSERT_TRUE(ckt->find_device("K1")->set_param("k", 0.0));
+  engine.rebind();
+  const OpResult rejected = engine.run_op();
+  EXPECT_FALSE(rejected.converged);
+  EXPECT_EQ(rejected.failure.kind, FailureKind::lint_rejected);
+
+  auto cold_ckt = build(0.0);
+  AnalysisEngine cold(*cold_ckt);
+  const OpResult want = cold.run_op();
+  EXPECT_EQ(rejected.failure.to_string(), want.failure.to_string());
+  EXPECT_EQ(engine.preflight().to_text(), cold.preflight().to_text());
+
+  ASSERT_TRUE(ckt->find_device("K1")->set_param("k", 200.0));
+  engine.rebind();
+  EXPECT_TRUE(engine.run_op().converged);
+  EXPECT_FALSE(engine.preflight().has_errors());
+}
+
 // --- sweep runner ------------------------------------------------------------
 
 TEST(SweepRunner, GridIsCartesianLastAxisFastest) {

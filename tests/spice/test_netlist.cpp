@@ -2,6 +2,11 @@
 // and the transducer extension cards registered by usys::core.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "api/api.hpp"
 #include "core/netlist_ext.hpp"
 #include "spice/analysis.hpp"
@@ -254,6 +259,97 @@ TEST(Netlist, TransArrayRejectsBadParameters) {
   EXPECT_THROW(
       parser.parse("X1 a 0 TRANSARRAY n=4 a=1e-8 d=2e-6 m=1e-9 k=25 dspread=1.5\n"),
       NetlistError);
+}
+
+// --- sweep value placeholders -------------------------------------------------
+
+const char kValueTemplate[] = R"(* value placeholders
+V1 in 0 {vd} AC 1
+I1 0 in {id}
+R1 in out {r}
+C1 out 0 {c}
+L1 out tip {l}
+R2 tip 0 1k
+XT in 0 vel 0 HDLTRANSV a=1e-4 d={gap} er=1
+Xm vel MASS m=1e-4
+Xk vel 0 SPRING k={k}
+.op
+.end
+)";
+
+SweepPoint value_point() {
+  SweepPoint p;
+  p.params = {{"vd", 5.0 / 3.0},  {"id", 1e-7 / 3.0}, {"r", 1000.0 / 7.0},
+              {"c", 0.1e-6 / 3.0}, {"l", 1e-3 / 7.0},  {"gap", 0.15e-3 + 1e-9 / 3.0},
+              {"k", 200.0 / 3.0}};
+  return p;
+}
+
+TEST(NetlistPlaceholders, ValuePositionsResolveBitIdenticallyToSubstitution) {
+  auto parser = core::make_full_parser();
+  const SweepPoint p = value_point();
+  const Netlist resolved = parser.parse(kValueTemplate, &p);
+  ASSERT_FALSE(resolved.structural_placeholders);
+  const std::vector<std::vector<std::string>> want = {
+      {"V1", "dc", "vd"}, {"I1", "dc", "id"}, {"R1", "r", "r"}, {"C1", "c", "c"},
+      {"L1", "l", "l"},   {"XT", "d", "gap"}, {"Xk", "k", "k"}};
+  ASSERT_EQ(resolved.placeholders.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(resolved.placeholders[i].device, want[i][0]);
+    EXPECT_EQ(resolved.placeholders[i].param, want[i][1]);
+    EXPECT_EQ(resolved.placeholders[i].name, want[i][2]);
+  }
+  // The text path: print %.17g, parse back. Every site reads the same bits.
+  const Netlist text = parser.parse(api::substitute_params(kValueTemplate, p));
+  EXPECT_TRUE(text.placeholders.empty());
+  for (const auto& site : resolved.placeholders) {
+    double a = 0.0;
+    double b = 0.0;
+    ASSERT_TRUE(resolved.circuit->find_device(site.device)->get_param(site.param, a));
+    ASSERT_TRUE(text.circuit->find_device(site.device)->get_param(site.param, b));
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << site.device;
+    EXPECT_EQ(a, p.value(site.name)) << site.device;
+  }
+}
+
+TEST(NetlistPlaceholders, OtherOccurrencesAreStructural) {
+  auto parser = core::make_full_parser();
+  SweepPoint p;
+  p.params = {{"n", 2.0}};
+  for (const char* text : {
+           "R{n} a 0 1k\n",                                // device name
+           "R1 a {n} 1k\n",                                // node name
+           "R1 a 0 {n}k\n",                                // inside a value token
+           "V1 a 0 PULSE(0 {n} 0 1u 1u 1m)\nR1 a 0 1k\n",  // waveform
+           "V1 a 0 1 AC {n}\nR1 a 0 1k\n",                 // AC magnitude
+           "E1 a 0 b 0 {n}\n",                             // controlled-source gain
+           "R1 a 0 1k\n.tran 1u {n}\n",                    // analysis card
+           ".array 2 R{i} a 0 {n}\n",                      // .array
+           ".node {n} mechanical1\nR1 a 0 1k\n",           // .node
+           "X1 a 0 HDLTRANSV a=1e-4 d=1e-4 er=1 mode={n}\n",  // string key
+       }) {
+    SCOPED_TRACE(text);
+    EXPECT_TRUE(parser.parse(text, &p).structural_placeholders);
+  }
+  // .param / .measure cards are inert to parse(): not structural.
+  const Netlist net = parser.parse(".param n dist=normal(1,{n})\nR1 a 0 {n}\n", &p);
+  EXPECT_FALSE(net.structural_placeholders);
+  EXPECT_EQ(net.placeholders.size(), 1u);
+}
+
+TEST(NetlistPlaceholders, UnsweptNamesAndNonFiniteValuesFailAsText) {
+  auto parser = core::make_full_parser();
+  SweepPoint p;
+  p.params = {{"r", std::numeric_limits<double>::infinity()}};
+  // `{x}` is not swept: it stays literal text, exactly as substitution
+  // leaves it.
+  EXPECT_THROW(parser.parse("R1 a 0 {x}\n", &p), NetlistError);
+  try {
+    parser.parse("R1 a 0 {r}\n", &p);
+    FAIL() << "an infinite value must fail like its printed text";
+  } catch (const NetlistError& e) {
+    EXPECT_NE(std::string(e.what()).find("got 'inf'"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

@@ -38,8 +38,12 @@
 // come from a counter-based RNG keyed on (--seed, global point index,
 // param-name hash), so results are bit-identical across thread counts,
 // --shard splits, and checkpoint resume (docs/sweeps.md). Points run in
-// parallel via SweepRunner — one api::Session per point, --threads workers
-// (default: hardware concurrency) — and the result table has one row per
+// parallel via SweepRunner on --threads workers (default: hardware
+// concurrency). When every {name} is a value placeholder (a whole R/C/L
+// value, V/I DC value or X-card key={name}), each worker parses the netlist
+// once and runs its points as parameter overrides on that warm session;
+// otherwise each point's substituted text gets a fresh session. Both give
+// bit-identical results (api::run_sweep_point). The result table has one row per
 // point: global index, parameter values, summary metrics (op efforts /
 // final transient values / last AC magnitudes per node; min/max/mean
 // aggregates over 16 nodes). --stats-out distills the run into a mergeable
