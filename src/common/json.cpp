@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace usys {
 
@@ -138,6 +139,41 @@ void json_append_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   out += buf;
+}
+
+void json_append_exact(std::string& out, double v) {
+  if (std::isnan(v)) {
+    out += "null";
+  } else if (std::isinf(v)) {
+    out += v > 0 ? "\"inf\"" : "\"-inf\"";
+  } else {
+    json_append_double(out, v);
+  }
+}
+
+bool json_read_exact(const JsonValue& v, double& out) {
+  if (v.is_number()) {
+    out = v.as_number();
+  } else if (v.is_null()) {
+    out = std::numeric_limits<double>::quiet_NaN();
+  } else if (v.is_string() && (v.as_string() == "inf" || v.as_string() == "-inf")) {
+    const double inf = std::numeric_limits<double>::infinity();
+    out = v.as_string() == "inf" ? inf : -inf;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool json_read_integer(const JsonValue& v, long lo, long hi, long& out) {
+  const double d = v.as_number(std::numeric_limits<double>::quiet_NaN());
+  // NaN fails both comparisons; the range test precedes the cast, which
+  // is undefined for doubles outside long's range.
+  if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) ||
+      d != std::floor(d))
+    return false;
+  out = static_cast<long>(d);
+  return true;
 }
 
 namespace {

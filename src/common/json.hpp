@@ -1,19 +1,17 @@
-// Minimal JSON value model for the line-delimited wire protocols.
+// Minimal JSON value model for the line-delimited wire protocols and files.
 //
 // The simulation server (src/server) speaks newline-delimited JSON over a
-// Unix socket (docs/server.md); this is the small, dependency-free parser
-// and writer behind it. It covers the full JSON grammar (objects, arrays,
-// strings with escapes, numbers, booleans, null) with two deliberate,
-// protocol-friendly simplifications:
+// Unix socket (docs/server.md), and sweeps journal and summarize their
+// points as JSONL files (spice/checkpoint.hpp, spice/stats.hpp); this is
+// the small, dependency-free parser and writer behind all of them. It
+// covers the full JSON grammar (objects, arrays, strings with escapes,
+// numbers, booleans, null) with two deliberate, protocol-friendly
+// simplifications:
 //
 //   * all numbers are double (the wire schema only carries doubles/ints
 //     within the 2^53 exact range);
 //   * object key order is preserved on write but lookup is linear — request
 //     objects are a handful of keys, so a map would cost more than it saves.
-//
-// The sweep checkpoint journal (spice/checkpoint.hpp) keeps its own
-// schema-specific scanner: its format predates this parser and its torn-line
-// salvage rules are part of the resume contract.
 #pragma once
 
 #include <optional>
@@ -94,5 +92,20 @@ void json_append_utf8(std::string& out, unsigned code);
 /// Appends a double as a JSON number with round-trip (%.17g) precision;
 /// NaN/inf append "null".
 void json_append_double(std::string& out, double v);
+
+/// Appends a double so that every value survives json_parse + json_read_exact
+/// bit for bit: finite values as json_append_double does, NaN as null and
+/// the infinities as the strings "inf" / "-inf". Used by the per-record
+/// sweep files, whose values may legitimately be non-finite (the dB of an
+/// undriven node is -inf).
+void json_append_exact(std::string& out, double v);
+
+/// Reads a value written by json_append_exact: a number, null (NaN) or the
+/// string "inf" / "-inf". False for any other value.
+bool json_read_exact(const JsonValue& v, double& out);
+
+/// Reads an integer field from untrusted input: true only when `v` is a
+/// finite, integral number inside [lo, hi] (both within +-2^53).
+bool json_read_integer(const JsonValue& v, long lo, long hi, long& out);
 
 }  // namespace usys

@@ -231,38 +231,13 @@ std::string sweep_stats_frame(const spice::StatsRun& run) {
   for (const auto& s : run.metric_summaries()) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":";
-    json_append_escaped(out, s.name);
-    out += ",\"n\":" + std::to_string(s.n);
-    out += ",\"mean\":";
-    json_append_double(out, s.mean);
-    out += ",\"stddev\":";
-    json_append_double(out, s.stddev);
-    out += ",\"min\":";
-    json_append_double(out, s.min);
-    out += ",\"max\":";
-    json_append_double(out, s.max);
-    out += ",\"q\":[";
-    for (std::size_t i = 0; i < s.quantiles.size(); ++i) {
-      if (i > 0) out += ',';
-      out += '[';
-      json_append_double(out, s.quantiles[i].q);
-      out += ',';
-      json_append_double(out, s.quantiles[i].value);
-      out += ']';
-    }
-    out += "]}";
+    out += '{';
+    spice::append_metric_summary(out, s);
+    out += '}';
   }
-  out += "],\"measures\":[";
-  for (std::size_t m = 0; m < y.measure_failures.size(); ++m) {
-    if (m > 0) out += ',';
-    out += '[';
-    json_append_escaped(out, y.measure_failures[m].first);
-    out += ',';
-    out += std::to_string(y.measure_failures[m].second);
-    out += ']';
-  }
-  out += "]}";
+  out += "],\"measures\":";
+  spice::append_measure_failures(out, y);
+  out += '}';
   return out;
 }
 

@@ -17,34 +17,29 @@
 //    "params":[["name",<value>],...],
 //    "metrics":[["name",<value>],...],
 //    "error":"<string>",
-//    "failure":{"kind":"<FailureKind name>","analysis":"...","time":<num|null>,
+//    "failure":{"kind":"<FailureKind name>","analysis":"...","time":<value>,
 //               "iteration":<int>,"rescue":<int>,"detail":"..."}}   // only when !ok
 //
-// All doubles are printed with %.17g, so a value restored from a checkpoint
-// round-trips bit for bit — the basis of the "--resume reproduces completed
-// points bit-identically" guarantee. params are recorded so resume can
-// verify the checkpoint actually belongs to the grid being run.
+// A <value> is a %.17g number, null for NaN, or "inf"/"-inf" (the shared
+// per-point codec, spice/point_record.hpp), so every line is plain JSON and
+// a value restored from a checkpoint round-trips bit for bit — the basis of
+// the "--resume reproduces completed points bit-identically" guarantee.
+// Lines are read through json_parse; integer fields must be integral and in
+// range, or the line is rejected like a torn one. params are recorded so
+// resume can verify the checkpoint actually belongs to the grid being run.
 #pragma once
 
 #include <cstdio>
 #include <map>
 #include <string>
 
-#include "spice/sweep.hpp"
+#include "spice/point_record.hpp"
 
 namespace usys::spice {
 
-/// One journaled grid point: the index, the parameters it ran with, and the
-/// outcome (restored SweepOutcome, including the structured failure).
-struct CheckpointRecord {
-  long index = -1;
-  SweepPoint point;
-  SweepOutcome outcome;
-};
-
 /// All records of a checkpoint file, last-write-wins per grid index.
 struct CheckpointData {
-  std::map<long, CheckpointRecord> records;
+  std::map<long, PointRecord> records;
 };
 
 /// Appends records to `path` (created when absent), one flushed line per
@@ -79,6 +74,6 @@ bool load_checkpoint(const std::string& path, CheckpointData& out, std::string* 
 std::string checkpoint_line(long index, const SweepPoint& point, const SweepOutcome& outcome);
 
 /// Parses one JSONL line into a record; false on malformed input.
-bool parse_checkpoint_line(const std::string& line, CheckpointRecord& out);
+bool parse_checkpoint_line(const std::string& line, PointRecord& out);
 
 }  // namespace usys::spice

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "common/union_find.hpp"
 #include "spice/types.hpp"
@@ -48,40 +49,18 @@ std::string LintReport::to_text() const {
   return out;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string LintReport::to_json() const {
   std::string out = "{\"findings\": [";
   for (std::size_t i = 0; i < diags.size(); ++i) {
     const auto& d = diags[i];
     if (i > 0) out += ", ";
-    out += str_format("{\"severity\": \"%s\", \"rule\": \"%s\", \"entity\": \"%s\", "
-                      "\"line\": %d, \"message\": \"%s\"}",
-                      to_string(d.severity), json_escape(d.rule).c_str(),
-                      json_escape(d.entity).c_str(), d.line,
-                      json_escape(d.message).c_str());
+    out += str_format("{\"severity\": \"%s\", \"rule\": ", to_string(d.severity));
+    json_append_escaped(out, d.rule);
+    out += ", \"entity\": ";
+    json_append_escaped(out, d.entity);
+    out += str_format(", \"line\": %d, \"message\": ", d.line);
+    json_append_escaped(out, d.message);
+    out += '}';
   }
   out += str_format("], \"errors\": %d, \"warnings\": %d}\n", error_count(),
                     warning_count());

@@ -116,13 +116,7 @@ const std::vector<double>& default_quantiles() {
 void StatsRun::add_outcome(long index, const SweepPoint& point,
                            const SweepOutcome& outcome) {
   if (outcome.skipped) return;
-  StatsPoint sp;
-  sp.index = index;
-  sp.point = point;
-  sp.ok = outcome.ok;
-  sp.metrics = outcome.metrics;
-  sp.pass = outcome.ok && measures_pass(outcome.metrics, measures);
-  points[index] = std::move(sp);
+  points[index] = PointRecord{index, point, outcome};
 }
 
 std::vector<MetricSummary> StatsRun::metric_summaries() const {
@@ -130,9 +124,9 @@ std::vector<MetricSummary> StatsRun::metric_summaries() const {
   // order. Both orders are deterministic, so the summaries are too.
   std::vector<std::string> names;
   std::vector<MetricStats> stats;
-  for (const auto& [index, sp] : points) {
-    if (!sp.ok) continue;
-    for (const auto& [name, value] : sp.metrics) {
+  for (const auto& [index, rec] : points) {
+    if (!rec.outcome.ok) continue;
+    for (const auto& [name, value] : rec.outcome.metrics) {
       std::size_t slot = 0;
       for (; slot < names.size(); ++slot)
         if (names[slot] == name) break;
@@ -153,13 +147,17 @@ std::vector<MetricSummary> StatsRun::metric_summaries() const {
 YieldSummary StatsRun::yield() const {
   YieldSummary y;
   std::vector<long> fails(measures.size(), 0);
-  for (const auto& [index, sp] : points) {
+  for (const auto& [index, rec] : points) {
     ++y.n;
-    if (!sp.ok) continue;
+    if (!rec.outcome.ok) continue;
     ++y.ok;
-    if (sp.pass) ++y.pass;
-    for (std::size_t m = 0; m < measures.size(); ++m)
-      if (!measure_passes(sp.metrics, measures[m])) ++fails[m];
+    bool pass = true;
+    for (std::size_t m = 0; m < measures.size(); ++m) {
+      if (measure_passes(rec.outcome.metrics, measures[m])) continue;
+      ++fails[m];
+      pass = false;
+    }
+    if (pass) ++y.pass;
   }
   y.yield = y.n > 0 ? static_cast<double>(y.pass) / static_cast<double>(y.n)
                     : 0.0;
@@ -168,25 +166,42 @@ YieldSummary StatsRun::yield() const {
   return y;
 }
 
-namespace {
-
-void append_params(std::string& out,
-                   const std::vector<std::pair<std::string, double>>& kv) {
-  out += '[';
-  bool first = true;
-  for (const auto& [name, value] : kv) {
-    if (!first) out += ',';
-    first = false;
+void append_metric_summary(std::string& out, const MetricSummary& s) {
+  out += "\"name\":";
+  json_append_escaped(out, s.name);
+  out += ",\"n\":" + std::to_string(s.n);
+  out += ",\"mean\":";
+  json_append_double(out, s.mean);
+  out += ",\"stddev\":";
+  json_append_double(out, s.stddev);
+  out += ",\"min\":";
+  json_append_double(out, s.min);
+  out += ",\"max\":";
+  json_append_double(out, s.max);
+  out += ",\"q\":[";
+  for (std::size_t i = 0; i < s.quantiles.size(); ++i) {
+    if (i) out += ',';
     out += '[';
-    json_append_escaped(out, name);
+    json_append_double(out, s.quantiles[i].q);
     out += ',';
-    json_append_double(out, value);
+    json_append_double(out, s.quantiles[i].value);
     out += ']';
   }
   out += ']';
 }
 
-}  // namespace
+void append_measure_failures(std::string& out, const YieldSummary& y) {
+  out += '[';
+  for (std::size_t m = 0; m < y.measure_failures.size(); ++m) {
+    if (m) out += ',';
+    out += '[';
+    json_append_escaped(out, y.measure_failures[m].first);
+    out += ',';
+    out += std::to_string(y.measure_failures[m].second);
+    out += ']';
+  }
+  out += ']';
+}
 
 std::string StatsRun::to_jsonl() const {
   std::string out;
@@ -225,41 +240,27 @@ std::string StatsRun::to_jsonl() const {
   }
   out += "]}\n";
 
-  // Points, ascending global index (std::map order).
-  for (const auto& [index, sp] : points) {
+  // Points, ascending global index (std::map order). attempts, error and
+  // failure are left out: resumed and retried runs must write the same
+  // stats as a clean one.
+  for (const auto& [index, rec] : points) {
+    const bool ok = rec.outcome.ok;
+    const bool pass = ok && measures_pass(rec.outcome.metrics, measures);
     out += "{\"stats\":\"point\",\"i\":" + std::to_string(index);
-    out += sp.ok ? ",\"ok\":true" : ",\"ok\":false";
-    out += sp.pass ? ",\"pass\":true" : ",\"pass\":false";
+    out += ok ? ",\"ok\":true" : ",\"ok\":false";
+    out += pass ? ",\"pass\":true" : ",\"pass\":false";
     out += ",\"params\":";
-    append_params(out, sp.point.params);
+    append_named_values(out, rec.point.params);
     out += ",\"metrics\":";
-    append_params(out, sp.metrics);
+    append_named_values(out, rec.outcome.metrics);
     out += "}\n";
   }
 
   // Derived summaries.
   for (const auto& s : metric_summaries()) {
-    out += "{\"stats\":\"metric\",\"name\":";
-    json_append_escaped(out, s.name);
-    out += ",\"n\":" + std::to_string(s.n);
-    out += ",\"mean\":";
-    json_append_double(out, s.mean);
-    out += ",\"stddev\":";
-    json_append_double(out, s.stddev);
-    out += ",\"min\":";
-    json_append_double(out, s.min);
-    out += ",\"max\":";
-    json_append_double(out, s.max);
-    out += ",\"q\":[";
-    for (std::size_t i = 0; i < s.quantiles.size(); ++i) {
-      if (i) out += ',';
-      out += '[';
-      json_append_double(out, s.quantiles[i].q);
-      out += ',';
-      json_append_double(out, s.quantiles[i].value);
-      out += ']';
-    }
-    out += "]}\n";
+    out += "{\"stats\":\"metric\",";
+    append_metric_summary(out, s);
+    out += "}\n";
   }
 
   const YieldSummary y = yield();
@@ -268,16 +269,9 @@ std::string StatsRun::to_jsonl() const {
   out += ",\"pass\":" + std::to_string(y.pass);
   out += ",\"yield\":";
   json_append_double(out, y.yield);
-  out += ",\"measures\":[";
-  for (std::size_t m = 0; m < y.measure_failures.size(); ++m) {
-    if (m) out += ',';
-    out += '[';
-    json_append_escaped(out, y.measure_failures[m].first);
-    out += ',';
-    out += std::to_string(y.measure_failures[m].second);
-    out += ']';
-  }
-  out += "]}\n";
+  out += ",\"measures\":";
+  append_measure_failures(out, y);
+  out += "}\n";
   return out;
 }
 
@@ -305,19 +299,6 @@ bool write_stats(const std::string& path, const StatsRun& run,
 }
 
 namespace {
-
-bool parse_kv_pairs(const JsonValue& v,
-                    std::vector<std::pair<std::string, double>>& out) {
-  if (!v.is_array()) return false;
-  for (const auto& item : v.items()) {
-    if (!item.is_array() || item.items().size() != 2 ||
-        !item.items()[0].is_string())
-      return false;
-    out.emplace_back(item.items()[0].as_string(),
-                     item.items()[1].as_number());
-  }
-  return true;
-}
 
 bool measures_equal(const std::vector<MeasureSpec>& a,
                     const std::vector<MeasureSpec>& b) {
@@ -358,8 +339,12 @@ bool load_stats(const std::string& path, StatsRun& run, std::string* error) {
     if (kind == "header") {
       saw_header = true;
       run.seed_text = doc->get_string("seed", "0");
-      run.total_points = static_cast<long>(doc->get_number("points"));
-      run.mc = static_cast<int>(doc->get_number("mc", 1));
+      const JsonValue* points = doc->find("points");
+      if (points && !json_read_integer(*points, 0, kMaxPointIndex,
+                                       run.total_points))
+        return fail("bad points field");
+      const JsonValue* mc = doc->find("mc");
+      if (mc && !read_int(*mc, 0, run.mc)) return fail("bad mc field");
       const std::string shard = doc->get_string("shard", "full");
       if (shard != "full") {
         const auto slash = shard.find('/');
@@ -388,18 +373,17 @@ bool load_stats(const std::string& path, StatsRun& run, std::string* error) {
         }
       }
     } else if (kind == "point") {
-      StatsPoint sp;
-      sp.index = static_cast<long>(doc->get_number("i", -1));
-      if (sp.index < 0) return fail("point without index");
-      sp.ok = doc->get_bool("ok");
-      sp.pass = doc->get_bool("pass");
+      // "pass" is derived from the header's measures, never read back.
+      PointRecord rec;
+      if (!read_point_index(*doc, rec.index)) return fail("bad point index");
+      rec.outcome.ok = doc->get_bool("ok");
       const JsonValue* params = doc->find("params");
       const JsonValue* metrics = doc->find("metrics");
-      if (!params || !parse_kv_pairs(*params, sp.point.params))
+      if (!params || !read_named_values(*params, rec.point.params))
         return fail("bad params field");
-      if (!metrics || !parse_kv_pairs(*metrics, sp.metrics))
+      if (!metrics || !read_named_values(*metrics, rec.outcome.metrics))
         return fail("bad metrics field");
-      run.points[sp.index] = std::move(sp);
+      run.points[rec.index] = std::move(rec);
     }
     // metric / yield summary lines are derived state: ignored on load.
   }
@@ -437,7 +421,7 @@ bool merge_stats(const std::vector<std::string>& inputs, StatsRun& out,
                  "mismatch) — refusing to merge";
       return false;
     }
-    for (auto& [index, sp] : shard.points) out.points[index] = std::move(sp);
+    for (auto& [index, rec] : shard.points) out.points[index] = std::move(rec);
   }
   // The merged document is the canonical unsharded form.
   out.shard_index = 0;

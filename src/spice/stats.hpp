@@ -5,11 +5,17 @@
 // count/mean/stddev/min/max and sorted-exact quantiles. StatsRun is the
 // document model for the stats JSONL file a sweep writes: a header line,
 // one line per executed point (global index, drawn parameters, metric
-// values, pass/fail), and recomputed summary lines. Because summaries are
-// always recomputed from the point records in global-index order with a
-// fixed algorithm and %.17g round-trip printing, merging per-shard files
-// (`usim --merge-stats`) reproduces the single-process file byte for byte —
-// the acceptance contract the determinism tests pin.
+// values, ok/pass flags), and recomputed summary lines. Because summaries
+// and pass flags are always recomputed from the point records in
+// global-index order with a fixed algorithm, and values round-trip exactly
+// through the shared per-point codec (spice/point_record.hpp: %.17g, null
+// for NaN, "inf"/"-inf"), merging per-shard files (`usim --merge-stats`)
+// reproduces the single-process file byte for byte — the acceptance
+// contract the determinism tests pin.
+//
+// Point lines hold the same PointRecord as the checkpoint journal but leave
+// out attempts, error and failure on purpose: a resumed or retried run then
+// writes the same stats as a clean one.
 //
 // Yield is evaluated against `.measure`-style bounds: a point passes when
 // it simulated ok and every measure's metric lies inside [min, max].
@@ -20,7 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "spice/sweep.hpp"
+#include "spice/point_record.hpp"
 
 namespace usys::spice {
 
@@ -92,15 +98,6 @@ class MetricStats {
 /// The quantile levels reported in summaries and stats files.
 const std::vector<double>& default_quantiles();
 
-/// One executed point in a stats run.
-struct StatsPoint {
-  long index = -1;
-  SweepPoint point;
-  bool ok = false;
-  bool pass = false;  ///< ok && all measures pass
-  std::vector<std::pair<std::string, double>> metrics;
-};
-
 struct YieldSummary {
   long n = 0;     ///< executed points
   long ok = 0;    ///< simulated successfully
@@ -120,7 +117,7 @@ struct StatsRun {
   int shard_index = 0;          ///< 0/0 = full run (canonical/merged form)
   int shard_count = 0;
   std::vector<MeasureSpec> measures;
-  std::map<long, StatsPoint> points;
+  std::map<long, PointRecord> points;
 
   /// Records one executed outcome (skipped points are not recorded).
   void add_outcome(long index, const SweepPoint& point,
@@ -136,6 +133,14 @@ struct StatsRun {
   /// order, metric summaries, yield).
   std::string to_jsonl() const;
 };
+
+/// Appends a summary's members (`"name":...,"n":...,...,"q":[...]`, no
+/// braces): the stats file's metric lines and the server's sweep_stats
+/// frame both write them.
+void append_metric_summary(std::string& out, const MetricSummary& s);
+
+/// Appends `[["label",failures],...]` in measure order.
+void append_measure_failures(std::string& out, const YieldSummary& y);
 
 /// Writes run.to_jsonl() atomically (tmp + rename).
 bool write_stats(const std::string& path, const StatsRun& run,

@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/api.hpp"
 #include "common/fault_inject.hpp"
+#include "common/json.hpp"
 #include "spice/checkpoint.hpp"
 #include "spice/devices_passive.hpp"
 #include "spice/devices_source.hpp"
@@ -51,6 +55,19 @@ double metric_of(const SweepPoint& p) {
   return std::sin(p.value("a")) * 1e-7 + p.value("b") / 3.0;
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Same names and the same value bits (so NaN matches NaN).
+bool same_bits(const NamedValues& a, const NamedValues& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t k = 0; k < a.size(); ++k)
+    if (a[k].first != b[k].first || std::bit_cast<std::uint64_t>(a[k].second) !=
+                                        std::bit_cast<std::uint64_t>(b[k].second))
+      return false;
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Line format
 // ---------------------------------------------------------------------------
@@ -65,7 +82,7 @@ TEST_F(CheckpointTest, OkRecordRoundTripsBitIdentically) {
   out.error = "";
   const std::string line = checkpoint_line(7, point, out);
 
-  CheckpointRecord rec;
+  PointRecord rec;
   ASSERT_TRUE(parse_checkpoint_line(line, rec)) << line;
   EXPECT_EQ(rec.index, 7);
   EXPECT_TRUE(rec.outcome.ok);
@@ -73,6 +90,17 @@ TEST_F(CheckpointTest, OkRecordRoundTripsBitIdentically) {
   EXPECT_EQ(rec.point.params, point.params);    // exact doubles, not approx
   EXPECT_EQ(rec.outcome.metrics, out.metrics);
   EXPECT_TRUE(rec.outcome.failure.ok());        // no failure object for ok records
+
+  // Non-finite values (the dB of an AC-dead node is -inf) stay plain JSON
+  // and restore bit for bit.
+  point.params = {{"p+", kInf}, {"p-", -kInf}, {"pn", kNaN}};
+  out.metrics = {{"m+", kInf}, {"m-", -kInf}, {"mn", kNaN}, {"m", 0.1}};
+  const std::string odd = checkpoint_line(8, point, out);
+  ASSERT_TRUE(json_parse(odd).has_value()) << odd;
+  ASSERT_TRUE(parse_checkpoint_line(odd, rec)) << odd;
+  EXPECT_EQ(rec.index, 8);
+  EXPECT_TRUE(same_bits(rec.point.params, point.params)) << odd;
+  EXPECT_TRUE(same_bits(rec.outcome.metrics, out.metrics)) << odd;
 }
 
 TEST_F(CheckpointTest, FailureRecordRoundTripsKindAndContext) {
@@ -85,7 +113,7 @@ TEST_F(CheckpointTest, FailureRecordRoundTripsKindAndContext) {
   out.failure = make_failure(FailureKind::timeout, "tran", "detail \\ here", 1.25e-5, 7, 1);
   const std::string line = checkpoint_line(0, point, out);
 
-  CheckpointRecord rec;
+  PointRecord rec;
   ASSERT_TRUE(parse_checkpoint_line(line, rec)) << line;
   EXPECT_EQ(rec.outcome.error, out.error);
   EXPECT_EQ(rec.outcome.failure.kind, FailureKind::timeout);
@@ -105,13 +133,13 @@ TEST_F(CheckpointTest, NanTimeWritesNullAndReadsBackNan) {
   out.failure = make_failure(FailureKind::newton_divergence, "dc");
   const std::string line = checkpoint_line(1, point, out);
   EXPECT_NE(line.find("\"time\":null"), std::string::npos);
-  CheckpointRecord rec;
+  PointRecord rec;
   ASSERT_TRUE(parse_checkpoint_line(line, rec));
   EXPECT_TRUE(std::isnan(rec.outcome.failure.time));
 }
 
 TEST_F(CheckpointTest, ParseRejectsMalformedLines) {
-  CheckpointRecord rec;
+  PointRecord rec;
   EXPECT_FALSE(parse_checkpoint_line("", rec));
   EXPECT_FALSE(parse_checkpoint_line("{\"i\":1,\"ok\":tr", rec));       // torn tail
   EXPECT_FALSE(parse_checkpoint_line("{\"ok\":true}", rec));            // no index
@@ -121,8 +149,73 @@ TEST_F(CheckpointTest, ParseRejectsMalformedLines) {
       "{\"i\":1,\"failure\":{\"kind\":\"no-such-kind\"}}", rec));       // unknown kind
 }
 
+TEST_F(CheckpointTest, UntrustedIntegersAndValuesAreSkipped) {
+  const std::vector<std::string> bad = {
+      "{\"i\":1e300,\"ok\":true}",
+      "{\"i\":2.5,\"ok\":true}",
+      "{\"i\":-1,\"ok\":true}",
+      "{\"i\":0,\"ok\":true,\"attempts\":1e300}",
+      "{\"i\":0,\"ok\":false,\"failure\":{\"kind\":\"timeout\",\"iteration\":2.5}}",
+      "{\"i\":0,\"ok\":false,\"failure\":{\"kind\":\"timeout\",\"rescue\":null}}",
+      "{\"i\":0,\"ok\":true,\"metrics\":[[\"r\",true]]}",
+      "{\"i\":0,\"ok\":true,\"params\":[[\"r\",\"1.5\"]]}",
+  };
+  PointRecord rec;
+  for (const auto& line : bad) EXPECT_FALSE(parse_checkpoint_line(line, rec)) << line;
+
+  // In a journal they are skipped like torn lines; the valid record stays.
+  const std::string path = temp_path("untrusted");
+  {
+    std::ofstream f(path);
+    f << "{\"i\":1,\"ok\":true,\"metrics\":[[\"m\",2]]}\n";
+    for (const auto& line : bad) f << line << "\n";
+  }
+  CheckpointData data;
+  std::string err;
+  ASSERT_TRUE(load_checkpoint(path, data, &err));
+  EXPECT_NE(err.find(std::to_string(bad.size()) + " malformed"), std::string::npos) << err;
+  ASSERT_EQ(data.records.size(), 1u);
+  EXPECT_EQ(data.records.at(1).outcome.metrics[0].second, 2.0);
+}
+
+TEST_F(CheckpointTest, EveryProperPrefixIsTornAndKeepsEarlierRecords) {
+  SweepPoint point;
+  point.params = {{"a", 1.0 / 3.0}, {"b", -kInf}};
+  SweepOutcome ok_out;
+  ok_out.ok = true;
+  ok_out.attempts = 1;
+  ok_out.metrics = {{"m", 0.1}, {"dead", -kInf}, {"nan", kNaN}};
+  SweepOutcome fail_out;
+  fail_out.attempts = 2;
+  fail_out.error = "weird \"quoted\"\nerror";
+  fail_out.failure = make_failure(FailureKind::timeout, "tran", "d \\ x", 1.25e-5, 7, 1);
+  const std::string earlier =
+      checkpoint_line(0, point, ok_out) + "\n" + checkpoint_line(2, point, fail_out) + "\n";
+
+  const std::string path = temp_path("prefix");
+  for (const SweepOutcome* out : {&ok_out, &fail_out}) {
+    const std::string line = checkpoint_line(1, point, *out);
+    PointRecord rec;
+    ASSERT_TRUE(parse_checkpoint_line(line, rec)) << line;
+    for (std::size_t n = 0; n < line.size(); ++n) {
+      const std::string prefix = line.substr(0, n);
+      EXPECT_FALSE(parse_checkpoint_line(prefix, rec)) << prefix;
+      {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << earlier << prefix;
+      }
+      CheckpointData data;
+      ASSERT_TRUE(load_checkpoint(path, data));
+      ASSERT_EQ(data.records.size(), 2u) << prefix;
+      EXPECT_TRUE(same_bits(data.records.at(0).outcome.metrics, ok_out.metrics));
+      EXPECT_EQ(data.records.at(2).outcome.failure.kind, FailureKind::timeout);
+      EXPECT_EQ(data.records.at(2).outcome.error, fail_out.error);
+    }
+  }
+}
+
 TEST_F(CheckpointTest, ParseIgnoresUnknownKeysForForwardCompatibility) {
-  CheckpointRecord rec;
+  PointRecord rec;
   ASSERT_TRUE(parse_checkpoint_line(
       "{\"i\":3,\"ok\":true,\"future\":{\"nested\":[1,\"x\",null,{}]},"
       "\"metrics\":[[\"m\",2]]}",
@@ -134,7 +227,7 @@ TEST_F(CheckpointTest, ParseIgnoresUnknownKeysForForwardCompatibility) {
 }
 
 TEST_F(CheckpointTest, UnicodeEscapesDecodeToUtf8) {
-  CheckpointRecord rec;
+  PointRecord rec;
   ASSERT_TRUE(parse_checkpoint_line(
       "{\"i\":0,\"error\":\"\\u0041\\u00e9\\u03a9\\u20ac\\u0009\"}", rec));
   EXPECT_EQ(rec.outcome.error, "A\xc3\xa9\xce\xa9\xe2\x82\xac\t");
@@ -152,7 +245,7 @@ TEST_F(CheckpointTest, DeeplyNestedUnknownValueIsSalvagedAsTorn) {
   // 100k nested '[' under an unknown key: rejected at the depth cap instead
   // of recursing once per bracket.
   const std::string deep = "{\"i\":0,\"junk\":" + std::string(100000, '[');
-  CheckpointRecord rec;
+  PointRecord rec;
   EXPECT_FALSE(parse_checkpoint_line(deep, rec));
 
   const std::string path = temp_path("deep");
@@ -262,6 +355,50 @@ TEST_F(CheckpointTest, ResumeRestoresCompletedPointsBitIdentically) {
     // Bit-identical through the decimal journal (%.17g round-trip).
     EXPECT_EQ(second[k].metrics, first[k].metrics);
   }
+}
+
+TEST_F(CheckpointTest, LegacyBareInfLineIsTornAndItsPointReruns) {
+  // Journals written before non-finite values were quoted carry a bare
+  // -inf, which is not JSON: the line is salvaged as torn, its point runs
+  // again and reproduces the same outcome.
+  const std::string path = temp_path("legacy");
+  const auto grid = small_grid();
+  std::atomic<int> runs{0};
+  const auto job = [&runs](const SweepPoint& p, int) {
+    ++runs;
+    SweepOutcome o;
+    o.ok = true;
+    o.metrics = {{"m", metric_of(p)}, {"dead", -kInf}};
+    return o;
+  };
+  const SweepRunner runner(1);
+  SweepOptions opts;
+  opts.checkpoint_path = path;
+  const auto first = runner.run(grid, job, opts);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), grid.size());
+  PointRecord legacy;
+  ASSERT_TRUE(parse_checkpoint_line(lines[0], legacy));
+  const auto quoted = lines[0].find("\"-inf\"");
+  ASSERT_NE(quoted, std::string::npos) << lines[0];
+  lines[0].replace(quoted, 6, "-inf");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    for (const auto& line : lines) out << line << "\n";
+  }
+
+  runs = 0;
+  SweepOptions resume_opts;
+  resume_opts.resume_path = path;
+  const auto second = runner.run(grid, job, resume_opts);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_FALSE(second[static_cast<std::size_t>(legacy.index)].restored);
+  for (std::size_t k = 0; k < grid.size(); ++k)
+    EXPECT_TRUE(same_bits(second[k].metrics, first[k].metrics)) << k;
 }
 
 TEST_F(CheckpointTest, ResumeRerunsOnlyFailedPoints) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/netlist_ext.hpp"
 #include "spice/engine.hpp"
 #include "spice/lint.hpp"
@@ -134,6 +135,20 @@ TEST(Lint, TextAndJsonRendering) {
   EXPECT_NE(json.find("\"findings\""), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"vloop\""), std::string::npos);
   EXPECT_NE(json.find("\"errors\": 1"), std::string::npos);
+
+  // Strings that need escaping: the JSON must parse and decode unchanged.
+  LintReport odd = rep;
+  odd.diags.push_back({LintSeverity::warning, "odd", "dev \"q\" \\ x",
+                       3, "line\nbreak\rcr\x01" "ctl"});
+  const auto doc = json_parse(odd.to_json());
+  ASSERT_TRUE(doc.has_value()) << odd.to_json();
+  const JsonValue* findings = doc->find("findings");
+  ASSERT_TRUE(findings != nullptr && findings->items().size() == odd.diags.size());
+  const JsonValue& f = findings->items().back();
+  EXPECT_EQ(f.get_string("entity"), odd.diags.back().entity);
+  EXPECT_EQ(f.get_string("message"), odd.diags.back().message);
+  EXPECT_EQ(f.get_number("line"), 3.0);
+  EXPECT_EQ(doc->get_number("warnings"), rep.warning_count() + 1.0);
 }
 
 // --- engine preflight --------------------------------------------------------

@@ -263,7 +263,10 @@ TEST_F(StatsFileTest, ShardMergeEqualsSingleRunByteForByte) {
                                  rng_hash_name("x"), 0.0, 1.0)}};
     SweepOutcome out;
     out.ok = true;
-    out.metrics = {{"m", p.params[0].second}};
+    // The second metric is the dB of an AC-dead node: -inf at every point,
+    // so its summary has n = 0 in the full run and must in the merge too.
+    out.metrics = {{"m", p.params[0].second},
+                   {"ac dB(fstop):dead", -std::numeric_limits<double>::infinity()}};
     full.add_outcome(i, p, out);
     (i % 2 == 0 ? shard1 : shard2).add_outcome(i, p, out);
   }
@@ -304,6 +307,42 @@ TEST_F(StatsFileTest, MergeRejectsIncompatibleHeaders) {
   StatsRun merged;
   EXPECT_FALSE(merge_stats({pa, pb}, merged, &err));
   EXPECT_FALSE(err.empty());
+}
+
+TEST_F(StatsFileTest, LoadRejectsUntrustedIntegersAndValuesWithLineNumber) {
+  const std::string header =
+      "{\"v\":1,\"stats\":\"header\",\"seed\":\"1\",\"points\":4,\"mc\":4,"
+      "\"shard\":\"full\",\"measures\":[]}\n";
+  const std::string good =
+      "{\"stats\":\"point\",\"i\":0,\"ok\":true,\"params\":[[\"r\",1]],"
+      "\"metrics\":[[\"m\",2]]}\n";
+  const auto point = [](const std::string& i, const std::string& value) {
+    return "{\"stats\":\"point\",\"i\":" + i +
+           ",\"ok\":true,\"params\":[[\"r\"," + value + "]],\"metrics\":[]}\n";
+  };
+  // {file contents, line number the error must name}
+  const std::vector<std::pair<std::string, int>> cases = {
+      {header + good + point("1e300", "1"), 3},
+      {header + good + point("2.5", "1"), 3},
+      {header + good + point("-1", "1"), 3},
+      {header + good + point("1", "true"), 3},
+      {"{\"v\":1,\"stats\":\"header\",\"points\":1e300}\n" + good, 1},
+      {"{\"v\":1,\"stats\":\"header\",\"mc\":2.5}\n" + good, 1},
+  };
+  const std::string path = temp_path("untrusted");
+  for (const auto& [text, lineno] : cases) {
+    std::ofstream(path, std::ios::trunc) << text;
+    StatsRun run;
+    std::string err;
+    EXPECT_FALSE(load_stats(path, run, &err)) << text;
+    EXPECT_NE(err.find(path + ":" + std::to_string(lineno) + ":"), std::string::npos)
+        << err;
+  }
+  std::ofstream(path, std::ios::trunc) << header << good;
+  StatsRun run;
+  std::string err;
+  ASSERT_TRUE(load_stats(path, run, &err)) << err;
+  EXPECT_EQ(run.points.at(0).outcome.metrics[0].second, 2.0);
 }
 
 TEST_F(StatsFileTest, LoadRejectsMissingAndMalformedFiles) {
