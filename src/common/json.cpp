@@ -1,11 +1,13 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 namespace usys {
 
@@ -43,6 +45,40 @@ JsonValue JsonValue::make_array() {
 JsonValue JsonValue::make_object() {
   JsonValue v;
   v.kind_ = Kind::object;
+  return v;
+}
+
+JsonValue JsonValue::make_object(std::vector<std::pair<std::string, JsonValue>> members) {
+  JsonValue v = make_object();
+  v.members_ = std::move(members);
+  auto& m = v.members_;
+  if (m.size() < 2) return v;
+  // Duplicate keys, in O(n log n): sort the positions by key (stable, so
+  // each key's occurrences stay in input order), move the last value of a
+  // run into its first position, and drop the rest.
+  std::vector<std::size_t> order(m.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return m[a].first < m[b].first; });
+  std::vector<bool> drop;
+  for (std::size_t i = 0; i < order.size();) {
+    std::size_t j = i + 1;
+    while (j < order.size() && m[order[j]].first == m[order[i]].first) ++j;
+    if (j - i > 1) {
+      if (drop.empty()) drop.assign(m.size(), false);
+      m[order[i]].second = std::move(m[order[j - 1]].second);
+      for (std::size_t k = i + 1; k < j; ++k) drop[order[k]] = true;
+    }
+    i = j;
+  }
+  if (drop.empty()) return v;
+  std::size_t out = 0;
+  for (std::size_t k = 0; k < m.size(); ++k) {
+    if (drop[k]) continue;
+    if (out != k) m[out] = std::move(m[k]);  // never self-move: it empties the key
+    ++out;
+  }
+  m.resize(out);
   return v;
 }
 
@@ -367,10 +403,11 @@ class Parser {
 
   bool object_value(JsonValue& out, int depth) {
     ++s_;  // '{'
-    out = JsonValue::make_object();
+    std::vector<std::pair<std::string, JsonValue>> members;
     skip_ws();
     if (s_ < end_ && *s_ == '}') {
       ++s_;
+      out = JsonValue::make_object();
       return true;
     }
     while (true) {
@@ -383,7 +420,7 @@ class Parser {
       skip_ws();
       JsonValue member;
       if (!value(member, depth + 1)) return false;
-      out.set(std::move(key), std::move(member));
+      members.emplace_back(std::move(key), std::move(member));
       skip_ws();
       if (s_ >= end_) return false;
       if (*s_ == ',') {
@@ -392,6 +429,7 @@ class Parser {
       }
       if (*s_ == '}') {
         ++s_;
+        out = JsonValue::make_object(std::move(members));
         return true;
       }
       return false;

@@ -33,6 +33,10 @@ class JsonValue {
   static JsonValue make_string(std::string s);
   static JsonValue make_array();
   static JsonValue make_object();
+  /// An object of `members` in order. A repeated key keeps its first
+  /// position and its last value, as repeated set() calls would; built in
+  /// O(n log n), so json_parse stays fast on hostile many-key lines.
+  static JsonValue make_object(std::vector<std::pair<std::string, JsonValue>> members);
 
   Kind kind() const noexcept { return kind_; }
   bool is_null() const noexcept { return kind_ == Kind::null; }
@@ -60,6 +64,7 @@ class JsonValue {
   bool get_bool(const std::string& key, bool fallback = false) const;
 
   /// Mutators (builder style; no-ops unless the value has the right kind).
+  /// set() replaces an existing key's value in place, by a linear scan.
   void push_back(JsonValue v);
   void set(std::string key, JsonValue v);
 

@@ -241,7 +241,21 @@ void BytecodeVm::reset(const BytecodeProgram* prog) {
                0.0);
 }
 
+bool BytecodeVm::wants_gradients(const RunIo& io) noexcept {
+  return io.jf_capture != nullptr ||
+         (io.ctx != nullptr && io.pass != HdlPass::commit && io.ctx->wants_jacobian());
+}
+
 void BytecodeVm::run(const RunIo& io) {
+  if (wants_gradients(io)) {
+    run_pass<true>(io);
+  } else {
+    run_pass<false>(io);
+  }
+}
+
+template <bool kGrad>
+void BytecodeVm::run_pass(const RunIo& io) {
   const BytecodeProgram& p = *prog_;
   const std::size_t S = static_cast<std::size_t>(p.n_seeds);
   const DVector& x = *io.x;
@@ -253,7 +267,7 @@ void BytecodeVm::run(const RunIo& io) {
   // AST walker rebuilds its Dual frame the same way); temporaries are always
   // fully written before being read, so they need no clearing.
   std::copy(p.frame_init.begin(), p.frame_init.end(), val);
-  std::fill(grad, grad + static_cast<std::size_t>(p.n_frame) * S, 0.0);
+  if constexpr (kGrad) std::fill(grad, grad + static_cast<std::size_t>(p.n_frame) * S, 0.0);
 
   spice::EvalCtx* ctx = io.ctx;
   const bool capture = io.jf_capture != nullptr;
@@ -267,11 +281,13 @@ void BytecodeVm::run(const RunIo& io) {
     for (const auto& pl : p.pairs) {
       ctx->f_add(pl.na, ctx->v(pl.br));
       ctx->f_add(pl.nb, -ctx->v(pl.br));
-      ctx->jf_add(pl.na, pl.br, 1.0);
-      ctx->jf_add(pl.nb, pl.br, -1.0);
       ctx->f_add(pl.br, ctx->v(pl.na) - ctx->v(pl.nb));
-      ctx->jf_add(pl.br, pl.na, 1.0);
-      ctx->jf_add(pl.br, pl.nb, -1.0);
+      if constexpr (kGrad) {
+        ctx->jf_add(pl.na, pl.br, 1.0);
+        ctx->jf_add(pl.nb, pl.br, -1.0);
+        ctx->jf_add(pl.br, pl.na, 1.0);
+        ctx->jf_add(pl.br, pl.nb, -1.0);
+      }
     }
   }
 
@@ -279,17 +295,29 @@ void BytecodeVm::run(const RunIo& io) {
                                   : (io.pass == HdlPass::transient) ? p.tran_code
                                                                     : p.dc_code;
 
+  // Gradient kernels, used only when kGrad: d(dst) = df * d(a), a zeroed
+  // row, and a row copy.
+  const auto chain = [&](const Insn& in, double df) {
+    const double* ga = G(in.a);
+    double* gd = G(in.dst);
+    for (std::size_t i = 0; i < S; ++i) gd[i] = df * ga[i];
+  };
+  const auto zero = [&](std::int32_t r) { std::fill(G(r), G(r) + S, 0.0); };
+  const auto copy_grad = [&](std::int32_t src, std::int32_t dst) {
+    if (src != dst) std::copy(G(src), G(src) + S, G(dst));
+  };
+
   for (const Insn& in : code) {
     switch (in.op) {
       case Op::kconst: {
         val[in.dst] = p.constants[static_cast<std::size_t>(in.a)];
-        std::fill(G(in.dst), G(in.dst) + S, 0.0);
+        if constexpr (kGrad) zero(in.dst);
         break;
       }
       case Op::copy: {
         if (in.dst != in.a) {
           val[in.dst] = val[in.a];
-          std::copy(G(in.a), G(in.a) + S, G(in.dst));
+          if constexpr (kGrad) copy_grad(in.a, in.dst);
         }
         break;
       }
@@ -297,50 +325,62 @@ void BytecodeVm::run(const RunIo& io) {
         double v = 0.0;
         if (in.a >= 0) v += x[static_cast<std::size_t>(in.a)];
         if (in.c >= 0) v -= x[static_cast<std::size_t>(in.c)];
-        double* g = G(in.dst);
-        std::fill(g, g + S, 0.0);
-        if (in.b >= 0) g[in.b] += 1.0;
-        if (in.d >= 0) g[in.d] -= 1.0;
+        if constexpr (kGrad) {
+          double* g = G(in.dst);
+          std::fill(g, g + S, 0.0);
+          if (in.b >= 0) g[in.b] += 1.0;
+          if (in.d >= 0) g[in.d] -= 1.0;
+        }
         val[in.dst] = v;
         break;
       }
       case Op::read_branch: {
         const double sgn = static_cast<double>(in.c);
-        double* g = G(in.dst);
-        std::fill(g, g + S, 0.0);
-        g[in.b] = sgn;
+        if constexpr (kGrad) {
+          double* g = G(in.dst);
+          std::fill(g, g + S, 0.0);
+          g[in.b] = sgn;
+        }
         val[in.dst] = sgn * x[static_cast<std::size_t>(in.a)];
         break;
       }
       case Op::neg: {
         const double a = val[in.a];
-        const double* ga = G(in.a);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = -ga[i];
+        if constexpr (kGrad) {
+          const double* ga = G(in.a);
+          double* gd = G(in.dst);
+          for (std::size_t i = 0; i < S; ++i) gd[i] = -ga[i];
+        }
         val[in.dst] = -a;
         break;
       }
       case Op::add: {
         const double a = val[in.a], b = val[in.b];
-        const double *ga = G(in.a), *gb = G(in.b);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = ga[i] + gb[i];
+        if constexpr (kGrad) {
+          const double *ga = G(in.a), *gb = G(in.b);
+          double* gd = G(in.dst);
+          for (std::size_t i = 0; i < S; ++i) gd[i] = ga[i] + gb[i];
+        }
         val[in.dst] = a + b;
         break;
       }
       case Op::sub: {
         const double a = val[in.a], b = val[in.b];
-        const double *ga = G(in.a), *gb = G(in.b);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = ga[i] - gb[i];
+        if constexpr (kGrad) {
+          const double *ga = G(in.a), *gb = G(in.b);
+          double* gd = G(in.dst);
+          for (std::size_t i = 0; i < S; ++i) gd[i] = ga[i] - gb[i];
+        }
         val[in.dst] = a - b;
         break;
       }
       case Op::mul: {
         const double a = val[in.a], b = val[in.b];
-        const double *ga = G(in.a), *gb = G(in.b);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = ga[i] * b + a * gb[i];
+        if constexpr (kGrad) {
+          const double *ga = G(in.a), *gb = G(in.b);
+          double* gd = G(in.dst);
+          for (std::size_t i = 0; i < S; ++i) gd[i] = ga[i] * b + a * gb[i];
+        }
         val[in.dst] = a * b;
         break;
       }
@@ -349,83 +389,69 @@ void BytecodeVm::run(const RunIo& io) {
         const double a = val[in.a], b = val[in.b];
         const double inv = 1.0 / b;
         const double rv = a * inv;
-        const double *ga = G(in.a), *gb = G(in.b);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = (ga[i] - rv * gb[i]) * inv;
+        if constexpr (kGrad) {
+          const double *ga = G(in.a), *gb = G(in.b);
+          double* gd = G(in.dst);
+          for (std::size_t i = 0; i < S; ++i) gd[i] = (ga[i] - rv * gb[i]) * inv;
+        }
         val[in.dst] = rv;
         break;
       }
       case Op::pow: {
         const double a = val[in.a], b = val[in.b];
         const double f = std::pow(a, b);
-        const double dfa = b * std::pow(a, b - 1.0);
-        const double dfb = (a > 0.0) ? f * std::log(a) : 0.0;
-        const double *ga = G(in.a), *gb = G(in.b);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = dfa * ga[i] + dfb * gb[i];
+        if constexpr (kGrad) {
+          const double dfa = b * std::pow(a, b - 1.0);
+          const double dfb = (a > 0.0) ? f * std::log(a) : 0.0;
+          const double *ga = G(in.a), *gb = G(in.b);
+          double* gd = G(in.dst);
+          for (std::size_t i = 0; i < S; ++i) gd[i] = dfa * ga[i] + dfb * gb[i];
+        }
         val[in.dst] = f;
         break;
       }
       case Op::sin: {
         const double a = val[in.a];
-        const double f = std::sin(a), df = std::cos(a);
-        const double* ga = G(in.a);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = df * ga[i];
-        val[in.dst] = f;
+        if constexpr (kGrad) chain(in, std::cos(a));
+        val[in.dst] = std::sin(a);
         break;
       }
       case Op::cos: {
         const double a = val[in.a];
-        const double f = std::cos(a), df = -std::sin(a);
-        const double* ga = G(in.a);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = df * ga[i];
-        val[in.dst] = f;
+        if constexpr (kGrad) chain(in, -std::sin(a));
+        val[in.dst] = std::cos(a);
         break;
       }
       case Op::tan: {
         const double a = val[in.a];
-        const double c = std::cos(a);
-        const double f = std::tan(a), df = 1.0 / (c * c);
-        const double* ga = G(in.a);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = df * ga[i];
-        val[in.dst] = f;
+        if constexpr (kGrad) {
+          const double c = std::cos(a);
+          chain(in, 1.0 / (c * c));
+        }
+        val[in.dst] = std::tan(a);
         break;
       }
       case Op::exp: {
         const double f = std::exp(val[in.a]);
-        const double* ga = G(in.a);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = f * ga[i];
+        if constexpr (kGrad) chain(in, f);
         val[in.dst] = f;
         break;
       }
       case Op::log: {
         const double a = val[in.a];
-        const double f = std::log(a), df = 1.0 / a;
-        const double* ga = G(in.a);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = df * ga[i];
-        val[in.dst] = f;
+        if constexpr (kGrad) chain(in, 1.0 / a);
+        val[in.dst] = std::log(a);
         break;
       }
       case Op::sqrt: {
         const double f = std::sqrt(val[in.a]);
-        const double df = 0.5 / f;
-        const double* ga = G(in.a);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = df * ga[i];
+        if constexpr (kGrad) chain(in, 0.5 / f);
         val[in.dst] = f;
         break;
       }
       case Op::abs: {
         const double a = val[in.a];
-        const double df = a >= 0.0 ? 1.0 : -1.0;
-        const double* ga = G(in.a);
-        double* gd = G(in.dst);
-        for (std::size_t i = 0; i < S; ++i) gd[i] = df * ga[i];
+        if constexpr (kGrad) chain(in, a >= 0.0 ? 1.0 : -1.0);
         val[in.dst] = std::abs(a);
         break;
       }
@@ -437,7 +463,7 @@ void BytecodeVm::run(const RunIo& io) {
         const std::int32_t src = pick_a ? in.a : in.b;
         if (src != in.dst) {
           val[in.dst] = val[src];
-          std::copy(G(src), G(src) + S, G(in.dst));
+          if constexpr (kGrad) copy_grad(src, in.dst);
         }
         break;
       }
@@ -447,24 +473,22 @@ void BytecodeVm::run(const RunIo& io) {
         else if (val[in.a] > val[in.c]) src = in.c;
         if (src != in.dst) {
           val[in.dst] = val[src];
-          std::copy(G(src), G(src) + S, G(in.dst));
+          if constexpr (kGrad) copy_grad(src, in.dst);
         }
         break;
       }
       case Op::ddt: {
         DdtSiteState& site = (*io.ddt)[static_cast<std::size_t>(in.b)];
         const double u = val[in.a];
-        const double* gu = G(in.a);
-        double* gd = G(in.dst);
         switch (io.pass) {
           case HdlPass::dc:
-            std::fill(gd, gd + S, 0.0);
+            if constexpr (kGrad) zero(in.dst);
             val[in.dst] = 0.0;
             break;
           case HdlPass::dc_ddt: {
             // jq-extraction: value 0 (u - u, NaN-preserving like the AST),
             // argument gradient passes with unit gain.
-            for (std::size_t i = 0; i < S; ++i) gd[i] = gu[i];
+            if constexpr (kGrad) copy_grad(in.a, in.dst);
             val[in.dst] = u - u;
             break;
           }
@@ -474,7 +498,7 @@ void BytecodeVm::run(const RunIo& io) {
             const double hist = (io.c0 > 0.0) ? (-a0 * site.u_prev - site.udot_prev)
                                               : (-a0 * site.u_prev);
             const double r = u * a0 + hist;
-            for (std::size_t i = 0; i < S; ++i) gd[i] = gu[i] * a0;
+            if constexpr (kGrad) chain(in, a0);
             val[in.dst] = r;
             if (io.pass == HdlPass::commit) {
               site.udot_prev = r;
@@ -488,18 +512,16 @@ void BytecodeVm::run(const RunIo& io) {
       case Op::integ: {
         IntegSiteState& site = (*io.integ)[static_cast<std::size_t>(in.b)];
         const double u = val[in.a];
-        const double* gu = G(in.a);
-        double* gd = G(in.dst);
         switch (io.pass) {
           case HdlPass::dc:
           case HdlPass::dc_ddt:
-            std::fill(gd, gd + S, 0.0);
+            if constexpr (kGrad) zero(in.dst);
             val[in.dst] = site.s0;
             break;
           case HdlPass::transient:
           case HdlPass::commit: {
             const double r = u * io.c1 + (site.s_prev + io.c0 * site.e_prev);
-            for (std::size_t i = 0; i < S; ++i) gd[i] = gu[i] * io.c1;
+            if constexpr (kGrad) chain(in, io.c1);
             val[in.dst] = r;
             if (io.pass == HdlPass::commit) {
               site.s_prev = r;
@@ -512,27 +534,35 @@ void BytecodeVm::run(const RunIo& io) {
       }
       case Op::stamp_flow: {
         const double v = val[in.dst];
-        const double* g = G(in.dst);
         if (capture) {
-          if (in.a >= 0) {
-            double* row = io.jf_capture + static_cast<std::size_t>(in.b) * S;
-            for (std::size_t i = 0; i < S; ++i) row[i] += g[i];
-          }
-          if (in.c >= 0) {
-            double* row = io.jf_capture + static_cast<std::size_t>(in.d) * S;
-            for (std::size_t i = 0; i < S; ++i) row[i] -= g[i];
+          if constexpr (kGrad) {
+            const double* g = G(in.dst);
+            if (in.a >= 0) {
+              double* row = io.jf_capture + static_cast<std::size_t>(in.b) * S;
+              for (std::size_t i = 0; i < S; ++i) row[i] += g[i];
+            }
+            if (in.c >= 0) {
+              double* row = io.jf_capture + static_cast<std::size_t>(in.d) * S;
+              for (std::size_t i = 0; i < S; ++i) row[i] -= g[i];
+            }
           }
         } else if (stamping) {
           if (in.a >= 0) {
             ctx->f_add(in.a, v);
-            for (std::size_t i = 0; i < S; ++i) {
-              if (g[i] != 0.0) ctx->jf_add(in.a, seeds[i], g[i]);
+            if constexpr (kGrad) {
+              const double* g = G(in.dst);
+              for (std::size_t i = 0; i < S; ++i) {
+                if (g[i] != 0.0) ctx->jf_add(in.a, seeds[i], g[i]);
+              }
             }
           }
           if (in.c >= 0) {
             ctx->f_add(in.c, -v);
-            for (std::size_t i = 0; i < S; ++i) {
-              if (g[i] != 0.0) ctx->jf_add(in.c, seeds[i], -g[i]);
+            if constexpr (kGrad) {
+              const double* g = G(in.dst);
+              for (std::size_t i = 0; i < S; ++i) {
+                if (g[i] != 0.0) ctx->jf_add(in.c, seeds[i], -g[i]);
+              }
             }
           }
         }
@@ -541,14 +571,19 @@ void BytecodeVm::run(const RunIo& io) {
       case Op::stamp_effort: {
         const double sgn = static_cast<double>(in.c);
         const double v = val[in.dst];
-        const double* g = G(in.dst);
         if (capture) {
-          double* row = io.jf_capture + static_cast<std::size_t>(in.b) * S;
-          for (std::size_t i = 0; i < S; ++i) row[i] += sgn * g[i];
+          if constexpr (kGrad) {
+            const double* g = G(in.dst);
+            double* row = io.jf_capture + static_cast<std::size_t>(in.b) * S;
+            for (std::size_t i = 0; i < S; ++i) row[i] += sgn * g[i];
+          }
         } else if (stamping) {
           ctx->f_add(in.a, sgn * v);
-          for (std::size_t i = 0; i < S; ++i) {
-            if (g[i] != 0.0) ctx->jf_add(in.a, seeds[i], sgn * g[i]);
+          if constexpr (kGrad) {
+            const double* g = G(in.dst);
+            for (std::size_t i = 0; i < S; ++i) {
+              if (g[i] != 0.0) ctx->jf_add(in.a, seeds[i], sgn * g[i]);
+            }
           }
         }
         break;
@@ -563,5 +598,8 @@ void BytecodeVm::run(const RunIo& io) {
     }
   }
 }
+
+template void BytecodeVm::run_pass<true>(const RunIo& io);
+template void BytecodeVm::run_pass<false>(const RunIo& io);
 
 }  // namespace usys::hdl

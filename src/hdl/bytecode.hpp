@@ -16,7 +16,9 @@
 //   * BytecodeVm executes a program with a flat persistent register file
 //     (values + a dense regs x seeds gradient block) — no recursion, no
 //     allocation, no name lookups on the hot path. One VM serves all four
-//     interpreter passes (dc, dc_ddt, transient, commit).
+//     interpreter passes (dc, dc_ddt, transient, commit). Passes whose
+//     gradients nobody reads (the commit pass, and value-only stamps such as
+//     the transient's q-harvest) run a value-only instantiation.
 //   * Capture mode redirects stamp gradients into a seeds x seeds scratch
 //     block instead of the MNA sink, which is what the jq extraction needs:
 //     every stamp row and every gradient column of a device is one of its
@@ -160,7 +162,20 @@ class BytecodeVm {
     std::vector<std::pair<int, double>>* fired_asserts = nullptr;
   };
 
+  /// Runs the pass. Gradients are computed only when something consumes
+  /// them (wants_gradients); otherwise the value-only instantiation runs,
+  /// whose values, stamps, site states and ASSERT firings are bit-identical.
   void run(const RunIo& io);
+
+  /// True when `io` consumes gradients: a capture block, or a stamping pass
+  /// whose context keeps Jacobian stamps. Commit passes never do.
+  static bool wants_gradients(const RunIo& io) noexcept;
+
+  /// run() with the instantiation fixed: kGrad = false skips all gradient
+  /// arithmetic (and drops Jacobian stamps). run() picks it from the
+  /// context; the parity tests call both on the same pass.
+  template <bool kGrad>
+  void run_pass(const RunIo& io);
 
  private:
   const BytecodeProgram* prog_ = nullptr;

@@ -10,7 +10,12 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     error = "malformed JSON request";
     return false;
   }
-  if (static_cast<int>(doc->get_number("v", 0)) != kProtocolVersion) {
+  // Wire integers go through json_read_integer: a cast of an untrusted
+  // double would truncate 1.5 and is undefined for 1e300.
+  const JsonValue* version = doc->find("v");
+  long v = 0;
+  if (version == nullptr ||
+      !json_read_integer(*version, kProtocolVersion, kProtocolVersion, v)) {
     error = "missing or unsupported protocol version (want \"v\":1)";
     return false;
   }
@@ -54,11 +59,13 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     return false;
   }
   if (out.op == Request::Op::sweep) {
-    out.mc = static_cast<int>(doc->get_number("mc", 1.0));
-    if (out.mc < 1 || out.mc > 10'000'000) {
+    long mc = 1;
+    if (const JsonValue* m = doc->find("mc");
+        m != nullptr && !json_read_integer(*m, 1, 10'000'000, mc)) {
       error = "\"mc\" must be an integer in [1, 1e7]";
       return false;
     }
+    out.mc = static_cast<int>(mc);
     out.seed = doc->get_string("seed", "0");
     out.sweep_specs.clear();
     if (const JsonValue* sw = doc->find("sweep"); sw != nullptr && sw->is_array()) {

@@ -356,9 +356,19 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
 
   double t = 0.0;
   double h = dt_init;
-  DVector x_prev = x;        // solution at t_{n-1} (for the predictor)
+  // Accepted-solution history x_n, x_{n-1}, x_{n-2} for the predictors, with
+  // the two step sizes between them. `run_pts` counts the accepted points
+  // since the DC point or the last breakpoint restart (that point included);
+  // history from before a restart is never extrapolated through.
+  DVector x_prev = x;
+  DVector x_prev2 = x;
   double h_prev = 0.0;
-  bool have_two_points = false;
+  double h_prev2 = 0.0;
+  int run_pts = 1;
+
+  // Per-step scratch, sized once: the step loop allocates nothing but the
+  // output rows it appends.
+  DVector hist(n), x_new(n), qdot(n);
 
   const DVector& abstol = circuit_.abstol();
 
@@ -387,6 +397,7 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
       }
     }
     const double t_new = t + h;
+    const bool have_two_points = run_pts >= 2;
 
     // First step after DC (or after a breakpoint) uses backward Euler: the
     // multistep history (qdot_prev / q_prev2) is unknown or discontinuous.
@@ -395,7 +406,6 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
       method = IntegMethod::backward_euler;
 
     const StepCoeffs sc = coeffs(method, h, h_prev);
-    DVector hist(n);
     for (std::size_t i = 0; i < n; ++i) {
       switch (method) {
         case IntegMethod::trapezoidal:
@@ -416,11 +426,23 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
     ctx.integ_c0 = sc.c0;
     ctx.integ_c1 = sc.c1;
 
-    // Predictor: linear extrapolation (also the reference for LTE).
-    DVector x_new = x;
-    if (have_two_points && h_prev > 0.0) {
+    // Newton's initial guess: the variable-step quadratic Lagrange
+    // extrapolation through x_{n-2}, x_{n-1}, x_n once three points exist,
+    // the linear one through two, else x_n. A closer start saves iterations
+    // and moves the converged point only within Newton's tolerance, so the
+    // step sequence (set by the LTE proxy below) barely changes.
+    if (run_pts >= 3) {
+      const double h1 = h_prev, h2 = h_prev2;
+      const double w0 = (h + h1) * (h + h1 + h2) / (h1 * (h1 + h2));
+      const double w1 = -h * (h + h1 + h2) / (h1 * h2);
+      const double w2 = h * (h + h1) / (h2 * (h1 + h2));
+      for (std::size_t i = 0; i < n; ++i)
+        x_new[i] = w0 * x[i] + w1 * x_prev[i] + w2 * x_prev2[i];
+    } else if (have_two_points) {
       const double r = h / h_prev;
       for (std::size_t i = 0; i < n; ++i) x_new[i] = x[i] + (x[i] - x_prev[i]) * r;
+    } else {
+      std::copy(x.begin(), x.end(), x_new.begin());
     }
 
     const NewtonResult nr = solver.solve(ctx, sc.a0, hist, x_new);
@@ -436,11 +458,11 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
     bool accept = nr.converged;
     double lte_ratio = 0.0;
     if (accept && opts.adaptive && have_two_points) {
-      // LTE proxy: corrector-vs-predictor distance, weighted per unknown.
-      // Branch flows are excluded: they are algebraic outputs and ring
-      // harmlessly under trapezoidal integration (A-stable, not L-stable),
-      // which would otherwise put a floor under the ratio and jam the
-      // controller.
+      // LTE proxy: corrector distance from the *linear* predictor, weighted
+      // per unknown. Branch flows are excluded: they are algebraic outputs
+      // and ring harmlessly under trapezoidal integration (A-stable, not
+      // L-stable), which would otherwise put a floor under the ratio and jam
+      // the controller.
       const std::size_t n_lte = static_cast<std::size_t>(circuit_.node_count());
       for (std::size_t i = 0; i < n_lte; ++i) {
         const double pred = x[i] + (h_prev > 0 ? (x[i] - x_prev[i]) * (h / h_prev) : 0.0);
@@ -468,12 +490,12 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
     }
 
     // Commit: harvest q(x_new), update integrator history, device states.
+    // The histories rotate by swapping buffers, never by copying them.
     solver.stamp_values(ctx, x_new, f, q);
-    DVector qdot(n);
     for (std::size_t i = 0; i < n; ++i) qdot[i] = sc.a0 * q[i] + hist[i];
-    q_prev2 = q_prev;
-    q_prev = q;
-    qdot_prev = qdot;
+    std::swap(q_prev2, q_prev);
+    std::swap(q_prev, q);
+    std::swap(qdot_prev, qdot);
 
     AcceptCtx actx;
     actx.time = t_new;
@@ -482,11 +504,13 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
     actx.x = &x_new;
     for (const auto& dev : circuit_.devices()) dev->accept(actx);
 
-    x_prev = x;
+    std::swap(x_prev2, x_prev);
+    std::swap(x_prev, x);
+    std::swap(x, x_new);
+    h_prev2 = h_prev;
     h_prev = h;
-    x = x_new;
     t = t_new;
-    have_two_points = true;
+    ++run_pts;
 
     // Integration restart at waveform corners: the trapezoidal history
     // derivative (qdot_prev) is discontinuous there, so the next step must
@@ -494,8 +518,8 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
     // breakpoint handling). Without this the corner step rejects forever.
     for (double b : breaks) {
       if (std::abs(t - b) < 1e-13) {
-        have_two_points = false;
-        qdot_prev.assign(n, 0.0);
+        run_pts = 1;
+        std::fill(qdot_prev.begin(), qdot_prev.end(), 0.0);
         h = std::min(h, dt_init);
         break;
       }

@@ -105,6 +105,13 @@ struct EvalCtx {
   /// value-only passes where all Jacobian stamps are discarded.
   bool wants_jq() const noexcept { return sparse != nullptr || jq != nullptr; }
 
+  /// True when this pass keeps any Jacobian stamp. False on value-only
+  /// passes (NewtonSolver::stamp_values), where devices may skip computing
+  /// derivatives altogether.
+  bool wants_jacobian() const noexcept {
+    return sparse != nullptr || jf != nullptr || jq != nullptr;
+  }
+
   void f_add(int row, double val) noexcept {
     if (row >= 0) (*f)[static_cast<std::size_t>(row)] += val;
   }

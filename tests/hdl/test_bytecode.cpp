@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "api/api.hpp"
@@ -410,6 +411,177 @@ TEST(BytecodeParity, AssertQuietWhenConditionHolds) {
     auto* dev = dynamic_cast<HdlDevice*>(ckt.find_device("XT"));
     ASSERT_NE(dev, nullptr);
     EXPECT_EQ(dev->assert_violations(), 0) << "mode " << static_cast<int>(mode);
+  }
+}
+
+// --- value-only VM runs ------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_same_bits(const DVector& a, const DVector& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_TRUE(same_bits(a[i], b[i])) << what << " [" << i << "]: " << a[i] << " vs " << b[i];
+}
+
+/// Runs one pass of `prog` twice, through the gradient and the value-only
+/// instantiation, from the same x and the same ddt/integ site states, and
+/// requires bit-identical f, q, committed site states and fired ASSERTs.
+/// Returns how many ASSERT sites fired.
+std::size_t expect_value_only_parity(const BytecodeProgram& prog, std::size_t n, const DVector& x,
+                              HdlPass pass, const std::vector<DdtSiteState>& ddt0,
+                              const std::vector<IntegSiteState>& integ0,
+                              const std::string& what) {
+  struct Run {
+    DVector f, q;
+    DMatrix jf, jq;
+    std::vector<DdtSiteState> ddt;
+    std::vector<IntegSiteState> integ;
+    std::vector<std::pair<int, double>> fired;
+    spice::EvalCtx ctx;
+    BytecodeVm::RunIo io;
+  };
+  Run runs[2];
+  for (int k = 0; k < 2; ++k) {
+    Run& r = runs[k];
+    const bool grad = k == 0;
+    r.f.assign(n, 0.0);
+    r.q.assign(n, 0.0);
+    r.ddt = ddt0;
+    r.integ = integ0;
+    r.ctx.mode = pass == HdlPass::dc ? spice::AnalysisMode::dc : spice::AnalysisMode::transient;
+    r.ctx.integ_c0 = pass == HdlPass::dc ? 0.0 : 2.5e-6;
+    r.ctx.integ_c1 = pass == HdlPass::dc ? 0.0 : 2.5e-6;
+    r.ctx.x = &x;
+    r.ctx.f = &r.f;
+    r.ctx.q = &r.q;
+    if (grad) {
+      // The Newton stamp: Jacobians kept, so run() must pick gradients
+      // (except on commit, which never stamps).
+      r.jf = DMatrix(n, n);
+      r.jq = DMatrix(n, n);
+      r.ctx.jf = &r.jf;
+      r.ctx.jq = &r.jq;
+    }
+    r.io.ctx = &r.ctx;
+    r.io.x = &x;
+    r.io.pass = pass;
+    r.io.c0 = r.ctx.integ_c0;
+    r.io.c1 = pass == HdlPass::dc ? 1.0 : r.ctx.integ_c1;
+    r.io.ddt = &r.ddt;
+    r.io.integ = &r.integ;
+    if (pass == HdlPass::commit) r.io.fired_asserts = &r.fired;
+    EXPECT_EQ(BytecodeVm::wants_gradients(r.io), grad && pass != HdlPass::commit) << what;
+    BytecodeVm vm(&prog);
+    if (grad) {
+      vm.run_pass<true>(r.io);
+    } else {
+      vm.run_pass<false>(r.io);
+    }
+  }
+  const Run& g = runs[0];
+  const Run& v = runs[1];
+  expect_same_bits(v.f, g.f, what + " f");
+  expect_same_bits(v.q, g.q, what + " q");
+  for (std::size_t i = 0; i < g.ddt.size(); ++i) {
+    EXPECT_TRUE(same_bits(v.ddt[i].u_prev, g.ddt[i].u_prev)) << what << " ddt u_prev " << i;
+    EXPECT_TRUE(same_bits(v.ddt[i].udot_prev, g.ddt[i].udot_prev)) << what << " ddt udot " << i;
+  }
+  for (std::size_t i = 0; i < g.integ.size(); ++i) {
+    EXPECT_TRUE(same_bits(v.integ[i].s_prev, g.integ[i].s_prev)) << what << " integ s " << i;
+    EXPECT_TRUE(same_bits(v.integ[i].e_prev, g.integ[i].e_prev)) << what << " integ e " << i;
+  }
+  EXPECT_EQ(v.fired.size(), g.fired.size()) << what;
+  for (std::size_t i = 0; i < std::min(v.fired.size(), g.fired.size()); ++i) {
+    EXPECT_EQ(v.fired[i].first, g.fired[i].first) << what;
+    EXPECT_TRUE(same_bits(v.fired[i].second, g.fired[i].second)) << what;
+  }
+  return g.fired.size();
+}
+
+/// Every stdlib model plus the guarded (max + ASSERT) model: value-only runs
+/// bit-match gradient runs on the dc, transient and commit passes, from
+/// site states on both sides of the guard (the ASSERT fires in the second).
+TEST(BytecodeValueOnly, BitMatchesGradientRunOnEveryModel) {
+  std::size_t fired = 0;
+  for (const auto& mc : regression_models()) {
+    auto ckt = build_system(mc, HdlExecMode::bytecode, nullptr);
+    ckt->bind_all();
+    auto* dev = dynamic_cast<HdlDevice*>(ckt->find_device("XT"));
+    ASSERT_NE(dev, nullptr) << mc.label;
+    const BytecodeProgram& prog = dev->program();
+    const std::size_t n = static_cast<std::size_t>(ckt->unknown_count());
+    const double d = mc.generics.count("d") ? mc.generics.at("d") : 1e-3;
+    for (const double s_prev : {0.2 * d, -2.0 * d}) {
+      DVector x(n);
+      for (std::size_t i = 0; i < n; ++i) x[i] = 0.7 - 0.23 * static_cast<double>(i);
+      std::vector<DdtSiteState> ddt(static_cast<std::size_t>(prog.ddt_sites));
+      std::vector<IntegSiteState> integ(static_cast<std::size_t>(prog.integ_sites));
+      for (std::size_t i = 0; i < ddt.size(); ++i) ddt[i] = {0.31 + 0.1 * i, -4.5e3};
+      for (auto& s : integ) s = {0.0, s_prev, 1.7e-3};
+      for (const HdlPass pass : {HdlPass::dc, HdlPass::transient, HdlPass::commit}) {
+        const std::string what = mc.label + " pass " + std::to_string(static_cast<int>(pass)) +
+                                 " s_prev=" + std::to_string(s_prev);
+        const std::size_t k = expect_value_only_parity(prog, n, x, pass, ddt, integ, what);
+        if (mc.label == "guarded" && s_prev < 0.0 && pass == HdlPass::commit) {
+          EXPECT_EQ(k, 1u) << what;
+        }
+        fired += k;
+      }
+    }
+  }
+  EXPECT_EQ(fired, 1u);  // only the guarded model past its guard
+}
+
+/// The kitchen-sink model covers every opcode, min/max/limit on both sides.
+TEST(BytecodeValueOnly, BitMatchesGradientRunOnEveryOpcode) {
+  for (double v : {-1.7, -0.25, 0.0, 0.4, 2.3}) {
+    Circuit ckt;
+    const int node = ckt.add_node("n", Nature::electrical);
+    ckt.add_device(instantiate("XS", kKitchenSink, "esink", {{"k", 1.0}},
+                               {node, Circuit::kGround}, HdlExecMode::bytecode));
+    ckt.bind_all();
+    auto* dev = dynamic_cast<HdlDevice*>(ckt.find_device("XS"));
+    ASSERT_NE(dev, nullptr);
+    const BytecodeProgram& prog = dev->program();
+    const std::size_t n = static_cast<std::size_t>(ckt.unknown_count());
+    const DVector x(n, v);
+    const std::vector<DdtSiteState> ddt(static_cast<std::size_t>(prog.ddt_sites), {0.1, 2.0});
+    const std::vector<IntegSiteState> integ(static_cast<std::size_t>(prog.integ_sites));
+    for (const HdlPass pass : {HdlPass::dc, HdlPass::transient, HdlPass::commit})
+      expect_value_only_parity(prog, n, x, pass, ddt, integ,
+                               "v=" + std::to_string(v) + " pass " +
+                                   std::to_string(static_cast<int>(pass)));
+  }
+}
+
+/// Through the device: the solver's value-only stamp equals the f and q of
+/// the full stamp bit for bit, so the transient's q-harvest is unchanged.
+TEST(BytecodeValueOnly, StampValuesMatchesFullStamp) {
+  for (const auto& mc : regression_models()) {
+    auto ckt = build_system(mc, HdlExecMode::bytecode, nullptr);
+    ckt->bind_all();
+    const std::size_t n = static_cast<std::size_t>(ckt->unknown_count());
+    DVector x(n);
+    for (std::size_t i = 0; i < n; ++i) x[i] = 0.45 + 0.05 * static_cast<double>(i);
+    spice::NewtonOptions nopts;
+    nopts.backend = spice::MatrixBackend::dense;
+    spice::NewtonSolver solver(*ckt, nopts);
+    for (const auto mode : {spice::AnalysisMode::dc, spice::AnalysisMode::transient}) {
+      spice::EvalCtx ctx;
+      ctx.mode = mode;
+      ctx.integ_c0 = mode == spice::AnalysisMode::dc ? 0.0 : 1e-5;
+      ctx.integ_c1 = mode == spice::AnalysisMode::dc ? 0.0 : 1e-5;
+      DVector f1, q1, f2, q2;
+      DMatrix jf, jq;
+      solver.stamp(ctx, x, f1, q1, jf, jq);
+      solver.stamp_values(ctx, x, f2, q2);
+      const std::string what = mc.label + " mode " + std::to_string(static_cast<int>(mode));
+      expect_same_bits(f2, f1, what + " f");
+      expect_same_bits(q2, q1, what + " q");
+    }
   }
 }
 

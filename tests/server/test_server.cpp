@@ -205,8 +205,56 @@ TEST(Server, MalformedRequestsGetStructuredErrors) {
   JsonValue e3 = send_raw(R"({"v":1,"op":"run"})");  // run without netlist
   EXPECT_EQ(e3.get_string("frame"), "error");
 
+  // Wire integers that are out of range, fractional, negative or strings.
+  const auto expect_bad_request = [](const JsonValue& frame, const char* field,
+                                     const std::string& what) {
+    EXPECT_EQ(frame.get_string("frame"), "error") << what;
+    EXPECT_EQ(frame.get_number("code"), 2.0) << what;
+    EXPECT_EQ(frame.get_string("kind"), "bad-request") << what;
+    EXPECT_NE(frame.get_string("message").find(field), std::string::npos) << what;
+  };
+  for (const std::string bad : {"1e300", "1.5", "-1", "\"1\""})
+    expect_bad_request(send_raw(R"({"v":)" + bad + R"(,"op":"ping"})"), "protocol version",
+                       "v=" + bad);
+  const std::string sweep =
+      R"({"v":1,"op":"sweep","netlist":"* rc\nV1 in 0 1\nR1 in 0 1k\n.op\n.end\n","mc":)";
+  for (const std::string bad : {"1e300", "2.7", "-1", "\"5\""})
+    expect_bad_request(send_raw(sweep + bad + "}"), "\"mc\"", "mc=" + bad);
+
   EXPECT_TRUE(wait_for_stats(
-      ts.server, [](const StatsSnapshot& s) { return s.bad_requests == 3; }));
+      ts.server, [](const StatsSnapshot& s) { return s.bad_requests == 3 + 8; }));
+}
+
+// Wire integers ("v", "mc") are read through json_read_integer: an
+// out-of-range, fractional, negative or string value is a structured
+// bad-request, never a truncating (or, for 1e300, undefined) cast.
+TEST(Protocol, VersionAndMcMustBeExactIntegers) {
+  const char* kBad[] = {"1e300", "1.5", "-1", "\"1\""};
+  for (const char* bad : kBad) {
+    Request req;
+    std::string error;
+    EXPECT_FALSE(parse_request(std::string(R"({"v":)") + bad + R"(,"op":"ping"})", req, error))
+        << bad;
+    EXPECT_NE(error.find("protocol version"), std::string::npos) << bad << ": " << error;
+  }
+  const char* kBadMc[] = {"1e300", "2.7", "-1", "\"5\""};
+  for (const char* bad : kBadMc) {
+    Request req;
+    std::string error;
+    EXPECT_FALSE(parse_request(
+        std::string(R"({"v":1,"op":"sweep","netlist":"* x\n.end\n","mc":)") + bad + "}", req,
+        error))
+        << bad;
+    EXPECT_NE(error.find("\"mc\" must be an integer"), std::string::npos) << bad << ": " << error;
+  }
+  Request req;
+  std::string error;
+  ASSERT_TRUE(parse_request(R"({"v":1.0,"op":"sweep","netlist":"* x\n.end\n","mc":2e3})", req,
+                            error))
+      << error;
+  EXPECT_EQ(req.mc, 2000);
+  ASSERT_TRUE(parse_request(R"({"v":1,"op":"sweep","netlist":"* x\n.end\n"})", req, error));
+  EXPECT_EQ(req.mc, 1);
 }
 
 // --- cache tiers -------------------------------------------------------------
