@@ -1,6 +1,7 @@
 #include "api/api.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -501,6 +502,110 @@ spice::SweepOutcome run_sweep_point(const std::string& text,
   JobRequest jr;
   jr.options = opts;
   return distill(session, session.run(jr));
+}
+
+// ---------------------------------------------------------------------------
+// Sweep jobs (the one job behind usim --sweep/--mc and the server's sweep op)
+// ---------------------------------------------------------------------------
+
+std::size_t SweepPlan::point_count() const {
+  std::size_t n = static_cast<std::size_t>(std::max(1, mc.samples));
+  const auto times = [&n](std::size_t k) {
+    n = k != 0 && n > SIZE_MAX / k ? SIZE_MAX : n * k;
+  };
+  for (const auto& axis : axes) times(axis.values.size());
+  for (const auto& d : dists)
+    if (d.kind == spice::ParamDist::Kind::corner) times(d.values.size());
+  return n;
+}
+
+bool plan_sweep(const SweepRequest& request, SweepPlan& plan, std::string& error) {
+  plan = SweepPlan{};
+  plan.netlist = request.netlist;
+  plan.hdl_mode = request.hdl_mode;
+  try {
+    plan.dists = spice::parse_param_dists(request.netlist);
+    plan.measures = spice::parse_measures(request.netlist);
+  } catch (const spice::NetlistError& e) {
+    error = e.what();
+    return false;
+  }
+  for (const auto& spec : request.specs) {
+    std::string why;
+    auto entry = spice::parse_sweep_entry(spec, &why);
+    if (!entry) {
+      error = "bad sweep spec '" + spec + "': " + why;
+      return false;
+    }
+    const std::string& name = entry->is_dist ? entry->dist.name : entry->axis.name;
+    // {i}, {i+N}, {i-N} belong to the netlist's .array construct; a sweep
+    // parameter with one of those names would rewrite array placeholders
+    // before the parser ever sees them.
+    if (name == "i" || ((name.rfind("i+", 0) == 0 || name.rfind("i-", 0) == 0) &&
+                        name.find_first_not_of("0123456789", 2) == std::string::npos)) {
+      error = "sweep parameter '" + name +
+              "' collides with .array {i} placeholders; pick another name";
+      return false;
+    }
+    if (!entry->is_dist) {
+      plan.axes.push_back(std::move(entry->axis));
+      continue;
+    }
+    const auto it = std::find_if(plan.dists.begin(), plan.dists.end(),
+                                 [&](const auto& d) { return d.name == name; });
+    if (it == plan.dists.end()) {
+      plan.dists.push_back(std::move(entry->dist));
+    } else {
+      *it = std::move(entry->dist);  // the request overrides the netlist card
+    }
+  }
+  for (const auto& axis : plan.axes) {
+    for (const auto& d : plan.dists) {
+      if (axis.name == d.name) {
+        error = "'" + axis.name + "' is both a sweep axis and a parameter distribution";
+        return false;
+      }
+    }
+  }
+  // from_chars on an unsigned type takes digits only: no sign, no
+  // whitespace, and out-of-range values fail instead of wrapping.
+  const char* const end = request.seed.data() + request.seed.size();
+  const auto [ptr, ec] = std::from_chars(request.seed.data(), end, plan.mc.seed);
+  if (ec != std::errc() || ptr != end) {
+    error = "bad seed '" + request.seed +
+            "' (want decimal digits, at most 18446744073709551615)";
+    return false;
+  }
+  plan.mc.samples = std::max(1, request.mc);
+  if (plan.point_count() == 0) {
+    error = "empty sweep grid";
+    return false;
+  }
+  return true;
+}
+
+SweepRun run_sweep(const SweepPlan& plan, int threads,
+                   const spice::SweepOptions& options, const JobOptions& job) {
+  SweepRun run;
+  run.grid = spice::mc_grid(plan.axes, plan.dists, plan.mc);
+  run.outcomes = spice::SweepRunner(threads).run(
+      run.grid,
+      [&](const spice::SweepPoint& p, int attempt) {
+        return run_sweep_point(plan.netlist, p, plan.hdl_mode, job, attempt);
+      },
+      options);
+  spice::StatsRun& stats = run.stats;
+  stats.seed_text = std::to_string(plan.mc.seed);
+  stats.total_points = static_cast<long>(run.grid.size());
+  stats.mc = plan.mc.samples;
+  if (options.shard_count > 1) {
+    stats.shard_index = options.shard_index;
+    stats.shard_count = options.shard_count;
+  }
+  stats.measures = plan.measures;
+  for (std::size_t i = 0; i < run.grid.size(); ++i)
+    stats.add_outcome(static_cast<long>(i), run.grid[i], run.outcomes[i]);
+  return run;
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@
 //   JobResult — per-analysis outcomes plus the provenance counters
 //               (parsed/bound/rebound, symbolic factorization count) the
 //               server's /stats and the warm-cache tests key on.
+//   plan_sweep / run_sweep — the whole sweep job (spec, seed and name
+//               rules, grid, points, stats) for usim and the server alike.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +27,7 @@
 
 #include "spice/engine.hpp"
 #include "spice/netlist.hpp"
+#include "spice/stats.hpp"
 #include "spice/sweep.hpp"
 
 namespace usys::api {
@@ -206,6 +209,54 @@ spice::SweepOutcome run_sweep_point(const std::string& text,
 /// Whether the calling thread's run_sweep_point cache holds a warm Session
 /// for (text, hdl_mode) — i.e. whether its points take the override path.
 bool sweep_template_warm(const std::string& text, const std::string& hdl_mode = "");
+
+/// A sweep job as `usim --sweep/--mc` and the server's sweep op receive it.
+struct SweepRequest {
+  std::string netlist;
+  std::vector<std::string> specs;  ///< "name=spec" (spice::parse_sweep_entry)
+  int mc = 1;                      ///< Monte Carlo draws per grid combination
+  std::string seed = "0";          ///< decimal digits, at most 2^64-1
+  std::string hdl_mode;
+};
+
+/// A validated sweep job. Nothing is materialised yet: point_count() is
+/// known before the grid exists, so a caller can cap a job's size first.
+struct SweepPlan {
+  std::string netlist;
+  std::string hdl_mode;
+  std::vector<spice::SweepAxis> axes;
+  std::vector<spice::ParamDist> dists;  ///< .param cards, request specs merged in
+  std::vector<spice::MeasureSpec> measures;
+  spice::McOptions mc;
+
+  /// Exact size of the grid run_sweep will build (saturates at SIZE_MAX).
+  std::size_t point_count() const;
+};
+
+/// Turns a request into a plan, applying the rules both front ends share:
+/// the netlist's .param/.measure pre-pass (its NetlistError text is the
+/// rejection), the spec grammar, no spec named like an .array `{i}`/`{i±N}`
+/// placeholder, a request dist replacing the netlist dist of the same name,
+/// no name that is both an axis and a dist, the strict seed grammar
+/// (decimal digits only, no sign or whitespace, at most 2^64-1) and a
+/// non-empty grid. False with `error` set on the first violation: a usage
+/// error (usim exit 2, server bad-request).
+bool plan_sweep(const SweepRequest& request, SweepPlan& plan, std::string& error);
+
+/// A finished sweep: outcomes[i] is grid[i]'s, and `stats` holds every
+/// executed point plus the run identity (seed, size, mc, measures, shard).
+struct SweepRun {
+  std::vector<spice::SweepPoint> grid;
+  std::vector<spice::SweepOutcome> outcomes;
+  spice::StatsRun stats;
+};
+
+/// Builds the plan's grid and runs each point through run_sweep_point on a
+/// SweepRunner of `threads` workers (0 = hardware concurrency), under
+/// `options` (retries, checkpoint, resume, shard) and `job` (timeout,
+/// cancel). Throws what SweepRunner::run throws.
+SweepRun run_sweep(const SweepPlan& plan, int threads,
+                   const spice::SweepOptions& options, const JobOptions& job);
 
 // One-shot analyses: each runs on a fresh engine (fresh solver, fresh pivot
 // order, per-analysis statistics). Prefer a held Session (or

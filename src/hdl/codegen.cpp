@@ -517,24 +517,6 @@ std::string load_object(const fs::path& so, LoadedModel& out) {
   return {};
 }
 
-/// Probe (under the registry lock): can the configured compiler build a
-/// trivial shared object?
-bool probe_compiler_locked(Registry& r) {
-  if (r.probe >= 0) return r.probe == 1;
-  const std::string cxx = compiler_unlocked(r);
-  const fs::path dir = cache_dir_unlocked(r);
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  const fs::path cpp = dir / "usys_cg_probe.cpp";
-  const fs::path so = dir / "usys_cg_probe.so";
-  if (ec || !write_file_atomic(cpp, "extern \"C\" int usys_cg_probe(void) { return 0; }\n")) {
-    r.probe = 0;
-    return false;
-  }
-  r.probe = compile_object(cxx, cpp, so).empty() ? 1 : 0;
-  return r.probe == 1;
-}
-
 }  // namespace
 
 std::string generate_source(const BytecodeProgram& p) { return Emitter(p).run(); }
@@ -647,19 +629,9 @@ const CompiledModel* acquire(const BytecodeProgram& p) {
       ++r.stats.memory_hits;
       return &it->second->fns;
     }
+    // No compiler probe: a cached object proves the toolchain once worked,
+    // and a missing or broken compiler fails the compile below instead.
     if (r.failed.count(h) != 0) return nullptr;  // warned once already
-    if (!probe_compiler_locked(r)) {
-      // Probe failures are cheap and shared; record + warn under the lock.
-      r.failed.insert(h);
-      ++r.stats.failures;
-      std::string msg("HDL codegen: entity '");
-      msg += p.entity_name;
-      msg += "': no working host compiler ('";
-      msg += compiler_unlocked(r);
-      msg += "'); falling back to the bytecode VM";
-      log_warn(msg);
-      return nullptr;
-    }
     cxx = compiler_unlocked(r);
     dir = cache_dir_unlocked(r);
   }
@@ -743,7 +715,18 @@ const CompiledModel* acquire(const BytecodeProgram& p) {
 bool compiler_available() {
   Registry& r = reg();
   std::lock_guard<std::mutex> lock(r.mu);
-  return probe_compiler_locked(r);
+  if (r.probe < 0) {
+    const fs::path dir = cache_dir_unlocked(r);
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    const fs::path cpp = dir / "usys_cg_probe.cpp";
+    const fs::path so = dir / "usys_cg_probe.so";
+    const bool ok =
+        !ec && write_file_atomic(cpp, "extern \"C\" int usys_cg_probe(void) { return 0; }\n") &&
+        compile_object(compiler_unlocked(r), cpp, so).empty();
+    r.probe = ok ? 1 : 0;
+  }
+  return r.probe == 1;
 }
 
 void set_compiler(std::string cmd) {

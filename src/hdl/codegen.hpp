@@ -110,7 +110,9 @@ std::uint64_t source_hash(const std::string& source);
 const CompiledModel* acquire(const BytecodeProgram& p);
 
 /// Probes the configured host compiler with a trivial translation unit
-/// (result cached until set_compiler / reset_for_test).
+/// (result cached until set_compiler / reset_for_test). acquire() never
+/// probes: a cached object loads without a compiler, and a missing compiler
+/// fails the shape's compile. Tests use this to skip.
 bool compiler_available();
 
 /// Overrides the host compiler command ("" restores the default: the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <iostream>
 #include <list>
@@ -335,18 +334,18 @@ struct SimServer::Impl {
     }
   }
 
-  /// A sweep job: build the statistical grid (netlist .param/.measure cards
-  /// + request sweep specs), fan it across a SweepRunner, stream one
-  /// sweep_stats frame. Every point parses its own substituted netlist, so
-  /// the engine/result caches are bypassed; the job-level deadline and
-  /// hangup cancellation ride the same monitor/token path as run jobs (each
-  /// point polls the token through its JobOptions).
+  /// A sweep job: api::plan_sweep applies the rules usim applies too, this
+  /// adds only the point cap, then api::run_sweep runs the grid on one
+  /// sweep worker and one sweep_stats frame carries the result. Value-only
+  /// netlists run as overrides on that worker's warm session; the engine
+  /// and result caches are not used. The job-level deadline and hangup
+  /// cancellation ride the same monitor/token path as run jobs (each point
+  /// polls the token through its JobOptions).
   void execute_sweep(Job& job) {
     const auto write = [&job](const std::string& line) {
       return job.conn.write_all(line + "\n");
     };
     const Request& req = job.req;
-    const std::string hash = api::content_hash(req.netlist, req.hdl_mode);
     const auto reject = [&](const std::string& message) {
       const auto failure = make_failure(FailureKind::internal_error, "sweep", message);
       write(error_frame(2, "bad-request", message));
@@ -355,88 +354,29 @@ struct SimServer::Impl {
       finish(job, false, 2, failure);
     };
 
-    std::vector<spice::SweepAxis> axes;
-    std::vector<spice::ParamDist> dists;
-    std::vector<spice::MeasureSpec> measures;
-    try {
-      dists = spice::parse_param_dists(req.netlist);
-      measures = spice::parse_measures(req.netlist);
-    } catch (const spice::NetlistError& e) {
-      reject(e.what());
+    api::SweepPlan plan;
+    std::string why;
+    if (!api::plan_sweep({req.netlist, req.sweep_specs, req.mc, req.seed, req.hdl_mode},
+                         plan, why)) {
+      reject(why);
       return;
     }
-    for (const auto& spec : req.sweep_specs) {
-      std::string why;
-      const auto entry = spice::parse_sweep_entry(spec, &why);
-      if (!entry) {
-        reject("bad sweep spec '" + spec + "': " + why);
-        return;
-      }
-      if (entry->is_dist) {
-        // A request spec overrides a netlist .param of the same name.
-        bool replaced = false;
-        for (auto& d : dists) {
-          if (d.name == entry->dist.name) {
-            d = entry->dist;
-            replaced = true;
-            break;
-          }
-        }
-        if (!replaced) dists.push_back(entry->dist);
-      } else {
-        axes.push_back(entry->axis);
-      }
-    }
-    for (const auto& axis : axes) {
-      for (const auto& d : dists) {
-        if (d.name == axis.name) {
-          reject("parameter '" + axis.name + "' is both a sweep axis and a distribution");
-          return;
-        }
-      }
-    }
-    char* seed_end = nullptr;
-    const unsigned long long seed = std::strtoull(req.seed.c_str(), &seed_end, 10);
-    if (req.seed.empty() || seed_end == nullptr || *seed_end != '\0') {
-      reject("bad seed '" + req.seed + "' (want a decimal uint64)");
-      return;
-    }
-
-    spice::McOptions mc;
-    mc.seed = seed;
-    mc.samples = req.mc;
     // Size preflight before materializing anything: one request must not be
     // able to balloon the daemon.
     constexpr std::size_t kMaxServerSweepPoints = 1'000'000;
-    std::size_t combos = 1;
-    for (const auto& axis : axes) combos *= std::max<std::size_t>(1, axis.values.size());
-    for (const auto& d : dists)
-      if (d.kind == spice::ParamDist::Kind::corner)
-        combos *= std::max<std::size_t>(1, d.values.size());
-    if (combos * static_cast<std::size_t>(req.mc) > kMaxServerSweepPoints) {
-      reject("sweep grid too large (" + std::to_string(combos) + " combos x " +
-             std::to_string(req.mc) + " draws; server cap " +
-             std::to_string(kMaxServerSweepPoints) + " points)");
-      return;
-    }
-    const std::vector<spice::SweepPoint> grid = spice::mc_grid(axes, dists, mc);
-    if (grid.empty()) {
-      reject("empty sweep grid");
+    if (plan.point_count() > kMaxServerSweepPoints) {
+      reject("sweep grid too large (" + std::to_string(plan.point_count()) +
+             " points; server cap " + std::to_string(kMaxServerSweepPoints) + ")");
       return;
     }
 
-    write(status_frame(job.id, hash, "none", queue_depth()));
+    write(status_frame(job.id, api::content_hash(req.netlist, req.hdl_mode), "none",
+                       queue_depth()));
 
     api::JobOptions popts;
     popts.cancel = &job.cancel;
     // One sweep worker per job: the server's job workers are its parallelism.
-    spice::SweepRunner runner(1);
-    const auto results = runner.run(
-        grid,
-        [&](const spice::SweepPoint& p, int attempt) {
-          return api::run_sweep_point(req.netlist, p, req.hdl_mode, popts, attempt);
-        },
-        spice::SweepOptions{});
+    const api::SweepRun run = api::run_sweep(plan, 1, {}, popts);
 
     if (job.cancel.cancelled()) {
       const auto failure =
@@ -449,27 +389,21 @@ struct SimServer::Impl {
       return;
     }
 
-    spice::StatsRun stats;
-    stats.seed_text = std::to_string(seed);
-    stats.total_points = static_cast<long>(grid.size());
-    stats.mc = req.mc;
-    stats.measures = std::move(measures);
     long failures = 0;
     FailureInfo first_failure;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      stats.add_outcome(static_cast<long>(i), grid[i], results[i]);
-      if (!results[i].ok && !results[i].skipped) {
-        if (failures == 0) first_failure = results[i].failure;
+    for (const auto& outcome : run.outcomes) {
+      if (!outcome.ok && !outcome.skipped) {
+        if (failures == 0) first_failure = outcome.failure;
         ++failures;
       }
     }
-    write(sweep_stats_frame(stats));
+    write(sweep_stats_frame(run.stats));
     const bool ok = failures == 0;
     const int exit_code = ok ? 0 : 1;
     if (!ok)
       write(error_frame(exit_code, to_string(first_failure.kind),
-                        std::to_string(failures) + " of " + std::to_string(grid.size()) +
-                            " points failed"));
+                        std::to_string(failures) + " of " +
+                            std::to_string(run.grid.size()) + " points failed"));
     write(done_frame(ok, exit_code, true, true, false, 0, ms_since(job.enqueued),
                      "none"));
     finish(job, ok, exit_code, ok ? FailureInfo{} : first_failure);

@@ -487,6 +487,30 @@ TEST(CodegenCache, DiskCacheReusedWithoutRecompile) {
   EXPECT_EQ(s.disk_hits, 1);
 }
 
+/// A warm disk cache needs no compiler: a new process (registry reset)
+/// whose compiler is gone still loads the cached object for the shape.
+TEST(CodegenCache, WarmDiskCacheLoadsWithoutACompiler) {
+  if (!have_compiler()) GTEST_SKIP() << "no host compiler";
+  CodegenEnv env("warm_nocc");
+  auto build_once = [] {
+    Circuit ckt;
+    const int n = ckt.add_node("n", Nature::electrical);
+    ckt.add_device(instantiate("XS", kKitchenSink, "esink", {{"k", 1.0}},
+                               {n, Circuit::kGround}, HdlExecMode::codegen));
+    ckt.bind_all();
+    return hdl_of(ckt, "XS")->codegen_active();
+  };
+  EXPECT_TRUE(build_once());
+  EXPECT_EQ(codegen::stats().compiles, 1);
+  codegen::reset_for_test();
+  codegen::set_compiler("/nonexistent/usys-no-such-compiler");
+  EXPECT_TRUE(build_once());
+  const auto s = codegen::stats();
+  EXPECT_EQ(s.compiles, 0);
+  EXPECT_EQ(s.disk_hits, 1);
+  EXPECT_EQ(s.failures, 0);
+}
+
 /// A corrupt cached object (interrupted writer, toolchain change) must not
 /// crash or silently fall back: it is detected at load, removed, and rebuilt.
 TEST(CodegenCache, CorruptObjectIsRebuilt) {

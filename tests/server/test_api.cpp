@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -387,6 +388,119 @@ C1 out 0 1u
   const auto acrow = ac.row_at(0);
   EXPECT_EQ(acrow[0], r.analyses[2].ac.freq[0]);
   EXPECT_EQ(acrow[1], r.analyses[2].ac.magnitude_db(0, 0));
+}
+
+// --- sweep jobs --------------------------------------------------------------
+
+const char* kMcDivider = R"(* mc divider
+V1 in 0 {vd}
+R1 in out {r}
+R2 out 0 1000
+.param r dist=normal(1k,50)
+.param vd dist=uniform(4.5,5.5)
+.measure vout op:out min=2.2 max=2.8
+.op
+.end
+)";
+
+SweepRequest mc_request(std::vector<std::string> specs, std::string seed = "0",
+                        int mc = 1) {
+  SweepRequest req;
+  req.netlist = kMcDivider;
+  req.specs = std::move(specs);
+  req.seed = std::move(seed);
+  req.mc = mc;
+  return req;
+}
+
+TEST(SweepPlan, SeedIsDecimalDigitsUpToTwoToTheSixtyFour) {
+  SweepPlan plan;
+  std::string error;
+  ASSERT_TRUE(plan_sweep(mc_request({}, "007"), plan, error)) << error;
+  EXPECT_EQ(plan.mc.seed, 7u);
+  ASSERT_TRUE(plan_sweep(mc_request({}, "18446744073709551615"), plan, error)) << error;
+  EXPECT_EQ(plan.mc.seed, std::numeric_limits<std::uint64_t>::max());
+  for (const std::string bad : {"", "-1", "+7", " 7", "7 ", "18446744073709551616",
+                                "99999999999999999999999", "1e3", "0x10"}) {
+    EXPECT_FALSE(plan_sweep(mc_request({}, bad), plan, error)) << "'" << bad << "'";
+    EXPECT_EQ(error, "bad seed '" + bad +
+                         "' (want decimal digits, at most 18446744073709551615)");
+  }
+}
+
+TEST(SweepPlan, RequestDistReplacesNetlistCardAndNamesAreChecked) {
+  SweepPlan plan;
+  std::string error;
+  ASSERT_TRUE(plan_sweep(mc_request({"r=normal(1000,1)", "load=1,2"}), plan, error))
+      << error;
+  ASSERT_EQ(plan.dists.size(), 2u);
+  EXPECT_EQ(plan.dists[0].name, "r");  // replaced in place, card order kept
+  EXPECT_EQ(plan.dists[0].b, 1.0);
+  ASSERT_EQ(plan.axes.size(), 1u);
+  EXPECT_EQ(plan.axes[0].name, "load");
+  ASSERT_EQ(plan.measures.size(), 1u);
+
+  EXPECT_FALSE(plan_sweep(mc_request({"vd=1,2"}), plan, error));
+  EXPECT_EQ(error, "'vd' is both a sweep axis and a parameter distribution");
+  for (const std::string name : {"i", "i+1", "i-12"}) {
+    EXPECT_FALSE(plan_sweep(mc_request({name + "=5,6"}), plan, error)) << name;
+    EXPECT_EQ(error, "sweep parameter '" + name +
+                         "' collides with .array {i} placeholders; pick another name");
+  }
+  EXPECT_TRUE(plan_sweep(mc_request({"ix=5,6"}), plan, error)) << error;
+  EXPECT_FALSE(plan_sweep(mc_request({"r=cauchy(0,1)"}), plan, error));
+  EXPECT_EQ(error.rfind("bad sweep spec 'r=cauchy(0,1)': ", 0), 0u) << error;
+
+  SweepRequest bad_card = mc_request({});
+  bad_card.netlist += ".param q dist=normal(1,-1)\n";
+  EXPECT_FALSE(plan_sweep(bad_card, plan, error));
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(SweepPlan, PointCountIsExactBeforeTheGridExists) {
+  SweepPlan plan;
+  std::string error;
+  ASSERT_TRUE(plan_sweep(mc_request({"load=1,2,3", "t=corner(-40,25)"}, "9", 4), plan,
+                         error))
+      << error;
+  const auto grid = spice::mc_grid(plan.axes, plan.dists, plan.mc);
+  EXPECT_EQ(plan.point_count(), 24u);
+  EXPECT_EQ(plan.point_count(), grid.size());
+
+  // Three 1e6-value axes times 1e7 draws: the count saturates, no grid.
+  ASSERT_TRUE(plan_sweep(mc_request({"a=0:1:1000000", "b=0:1:1000000", "c=0:1:1000000"},
+                                    "0", 10'000'000),
+                         plan, error))
+      << error;
+  EXPECT_EQ(plan.point_count(), std::numeric_limits<std::size_t>::max());
+}
+
+TEST(SweepPlan, RunFoldsEveryExecutedPointIntoStats) {
+  SweepPlan plan;
+  std::string error;
+  ASSERT_TRUE(plan_sweep(mc_request({}, "007", 4), plan, error)) << error;
+  const SweepRun full = run_sweep(plan, 1, {}, {});
+  ASSERT_EQ(full.grid.size(), 4u);
+  ASSERT_EQ(full.outcomes.size(), 4u);
+  EXPECT_EQ(full.stats.seed_text, "7");
+  EXPECT_EQ(full.stats.total_points, 4);
+  EXPECT_EQ(full.stats.mc, 4);
+  EXPECT_EQ(full.stats.measures.size(), 1u);
+  EXPECT_EQ(full.stats.shard_count, 0);
+  EXPECT_EQ(full.stats.points.size(), 4u);
+  for (const auto& outcome : full.outcomes) EXPECT_TRUE(outcome.ok) << outcome.error;
+
+  spice::SweepOptions shard;
+  shard.shard_index = 2;
+  shard.shard_count = 2;
+  const SweepRun half = run_sweep(plan, 2, shard, {});
+  EXPECT_EQ(half.stats.shard_index, 2);
+  EXPECT_EQ(half.stats.shard_count, 2);
+  EXPECT_EQ(half.stats.total_points, 4);
+  ASSERT_EQ(half.stats.points.size(), 2u);  // odd indices only
+  EXPECT_EQ(half.stats.points.begin()->first, 1);
+  EXPECT_TRUE(half.outcomes[0].skipped);
+  EXPECT_EQ(half.outcomes[1].metrics, full.outcomes[1].metrics);
 }
 
 }  // namespace

@@ -720,6 +720,41 @@ TEST(Server, SweepBadSpecAndBadSeedAreExitTwo) {
   auto done2 = find_frame(submit(ts.server, bad_seed), "done");
   ASSERT_TRUE(done2.has_value());
   EXPECT_EQ(done2->get_number("exit_code"), 2.0);
+
+  // The server plans with usim's rules, so each rejection carries the text
+  // `usim` prints after "error: ".
+  const auto expect_rejected = [&](const Request& req, const std::string& message) {
+    const auto frames = submit(ts.server, req);
+    const auto err = find_frame(frames, "error");
+    ASSERT_TRUE(err.has_value()) << message;
+    EXPECT_EQ(err->get_number("code"), 2.0) << message;
+    EXPECT_EQ(err->get_string("kind"), "bad-request") << message;
+    EXPECT_EQ(err->get_string("message"), message);
+    const auto end = find_frame(frames, "done");
+    ASSERT_TRUE(end.has_value()) << message;
+    EXPECT_EQ(end->get_number("exit_code"), 2.0) << message;
+    EXPECT_FALSE(find_frame(frames, "sweep_stats").has_value()) << message;
+  };
+  // Signed, padded and overflowing seeds: strtoull would read the first
+  // three as 2^64-1, 7 and 7, and clamp the last to 2^64-1.
+  for (const std::string seed : {"-1", "+7", " 7", "99999999999999999999999"})
+    expect_rejected(sweep_request(kMcNetlist, 2, seed),
+                    "bad seed '" + seed +
+                        "' (want decimal digits, at most 18446744073709551615)");
+
+  // A sweep name that is an .array placeholder would rewrite {i} before the
+  // parser expands the array.
+  Request array_i = sweep_request("* array\nV1 n0 0 1\n.array 2 R{i} n{i} 0 1k\n.op\n.end\n",
+                                  1, "0");
+  array_i.sweep_specs = {"i=5,6"};
+  expect_rejected(array_i,
+                  "sweep parameter 'i' collides with .array {i} placeholders; "
+                  "pick another name");
+
+  // Only the server caps a job's size, on the plan's exact point count.
+  Request huge = sweep_request(kMcNetlist, 2, "0");
+  huge.sweep_specs = {"load=0:1:1000000"};
+  expect_rejected(huge, "sweep grid too large (2000000 points; server cap 1000000)");
 }
 
 TEST(Server, SweepDeadlineExpiryIsExitThree) {

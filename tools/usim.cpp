@@ -37,12 +37,13 @@
 // `.measure label metric min=.. max=..` cards declare yield bounds; draws
 // come from a counter-based RNG keyed on (--seed, global point index,
 // param-name hash), so results are bit-identical across thread counts,
-// --shard splits, and checkpoint resume (docs/sweeps.md). Points run in
-// parallel via SweepRunner on --threads workers (default: hardware
-// concurrency). When every {name} is a value placeholder (a whole R/C/L
-// value, V/I DC value or X-card key={name}), each worker parses the netlist
-// once and runs its points as parameter overrides on that warm session;
-// otherwise each point's substituted text gets a fresh session. Both give
+// --shard splits, and checkpoint resume (docs/sweeps.md). The job is
+// api::plan_sweep + api::run_sweep, which the server's sweep op runs too;
+// points run on --threads workers (default: hardware concurrency).
+// When every {name} is a value placeholder (a whole R/C/L value, V/I DC
+// value or X-card key={name}), each worker parses the netlist once and runs
+// its points as parameter overrides on that warm session; otherwise each
+// point's substituted text gets a fresh session. Both give
 // bit-identical results (api::run_sweep_point). The result table has one row per
 // point: global index, parameter values, summary metrics (op efforts /
 // final transient values / last AC magnitudes per node; min/max/mean
@@ -101,9 +102,6 @@
 // --lint: 0 = no findings at/above the threshold, 1 = findings, 2 = parse
 // errors. (--help prints the same contract and exits 0.)
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -349,41 +347,30 @@ int run_lint(const std::string& text, const std::string& hdl_mode,
 
 // --- sweep mode --------------------------------------------------------------
 //
-// Parsing ({name} substitution, dist specs) and per-point execution live in
-// the library now — api::substitute_params / api::run_sweep_point and
-// spice::parse_sweep_entry / mc_grid — shared verbatim with the server's
-// sweep op. This file only renders the result table and the stats summary.
+// The job — spec and seed rules, the grid, per-point execution and the stats
+// fold — is api::plan_sweep / api::run_sweep, shared with the server's sweep
+// op. This file only renders the result table and the stats summary.
 
-int run_sweep(const std::string& text, const std::vector<spice::SweepAxis>& axes,
-              const std::vector<spice::ParamDist>& dists,
-              const std::vector<spice::MeasureSpec>& measures,
-              const spice::McOptions& mc, int threads, const std::string& csv,
-              const std::string& stats_out, const std::string& hdl_mode,
-              double timeout_ms, const spice::SweepOptions& sweep_opts) {
-  const auto grid = spice::mc_grid(axes, dists, mc);
-  if (grid.empty()) {
-    std::cerr << "error: empty sweep grid\n";
-    return 2;
-  }
-  const bool statistical = mc.samples > 1 || !dists.empty() || !measures.empty();
-  spice::SweepRunner runner(threads);
-  std::cout << "=== sweep: " << grid.size() << " points x " << axes.size()
-            << " axes on " << runner.thread_count() << " threads";
+int run_sweep(const api::SweepPlan& plan, int threads, const std::string& csv,
+              const std::string& stats_out, double timeout_ms,
+              const spice::SweepOptions& sweep_opts) {
+  const spice::McOptions& mc = plan.mc;
+  const bool statistical =
+      mc.samples > 1 || !plan.dists.empty() || !plan.measures.empty();
+  std::cout << "=== sweep: " << plan.point_count() << " points x " << plan.axes.size()
+            << " axes on " << spice::SweepRunner(threads).thread_count() << " threads";
   if (statistical)
     std::cout << " (mc=" << mc.samples << ", seed=" << mc.seed << ", "
-              << dists.size() << " dists)";
+              << plan.dists.size() << " dists)";
   if (sweep_opts.shard_count > 1)
     std::cout << " (shard " << sweep_opts.shard_index << "/" << sweep_opts.shard_count
               << ")";
   std::cout << " ===\n";
-  const auto results = runner.run(
-      grid,
-      [&](const spice::SweepPoint& p, int attempt) {
-        api::JobOptions opts;
-        opts.timeout_ms = timeout_ms;
-        return api::run_sweep_point(text, p, hdl_mode, opts, attempt);
-      },
-      sweep_opts);
+  api::JobOptions job;
+  job.timeout_ms = timeout_ms;
+  const api::SweepRun run = api::run_sweep(plan, threads, sweep_opts, job);
+  const auto& grid = run.grid;
+  const auto& results = run.outcomes;
 
   // Tabulate: global index + parameter columns (every point carries the
   // same names: axes, corners, then drawn/constant params) + the union of
@@ -408,16 +395,7 @@ int run_sweep(const std::string& text, const std::vector<spice::SweepAxis>& axes
   headers.insert(headers.end(), metric_names.begin(), metric_names.end());
   headers.push_back("status");
 
-  spice::StatsRun stats;
-  stats.seed_text = std::to_string(mc.seed);
-  stats.total_points = static_cast<long>(grid.size());
-  stats.mc = std::max(1, mc.samples);
-  if (sweep_opts.shard_count > 1) {
-    stats.shard_index = sweep_opts.shard_index;
-    stats.shard_count = sweep_opts.shard_count;
-  }
-  stats.measures = measures;
-
+  const spice::StatsRun& stats = run.stats;
   AsciiTable t(headers);
   std::vector<std::vector<double>> csv_rows;
   int failures = 0;
@@ -425,7 +403,6 @@ int run_sweep(const std::string& text, const std::vector<spice::SweepAxis>& axes
   int skipped = 0;
   std::vector<std::pair<FailureKind, int>> failure_counts;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    stats.add_outcome(static_cast<long>(i), grid[i], results[i]);
     std::vector<std::string> cells;
     std::vector<double> row;
     cells.push_back(std::to_string(i));
@@ -700,12 +677,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> positionals;  // netlist, or --merge-stats inputs
   std::string csv;
   std::string hdl_mode;  // flag absent: the netlist (or bytecode) decides
-  std::vector<spice::SweepAxis> axes;
-  std::vector<spice::ParamDist> cli_dists;  // --sweep name=dist(...) entries
-  std::vector<std::string> sweep_raw;       // verbatim --sweep specs (--client)
+  std::vector<std::string> sweep_specs;  // verbatim --sweep specs
   int mc_samples = 1;
   bool mc_given = false;  // --mc alone (no axes/dists) still forces sweep mode
-  std::uint64_t seed = 0;
+  std::string seed = "0";
   std::string stats_out;
   std::string merge_out;  // --merge-stats=<out>: merge mode
   std::vector<std::string> set_specs;
@@ -717,8 +692,7 @@ int main(int argc, char** argv) {
   spice::SweepOptions sweep_opts;
   server::ServerOptions serve_opts;
   std::string client_path;
-  server::Request::Op client_op = server::Request::Op::run;
-  bool client_control = false;  // --stats / --ping / --shutdown given
+  server::Request::Op client_op = server::Request::Op::run;  // or a control op
   bool no_cache = false;
   for (int i = 1; i < argc; ++i) {
     if (argv[i][0] != '-') {
@@ -726,32 +700,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--csv=", 6) == 0) {
       csv = argv[i] + 6;
     } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      const std::string arg = argv[++i];
-      std::string why;
-      auto entry = spice::parse_sweep_entry(arg, &why);
-      if (!entry) {
-        std::cerr << "error: bad --sweep spec '" << arg << "': " << why << "\n";
-        return 2;
-      }
-      const std::string& pname = entry->is_dist ? entry->dist.name : entry->axis.name;
-      // {i}, {i+N}, {i-N} belong to the netlist's .array construct; a sweep
-      // parameter with one of those names would rewrite array placeholders
-      // before the parser ever sees them.
-      const bool array_like =
-          pname == "i" ||
-          ((pname.rfind("i+", 0) == 0 || pname.rfind("i-", 0) == 0) &&
-           pname.find_first_not_of("0123456789", 2) == std::string::npos);
-      if (array_like) {
-        std::cerr << "error: sweep parameter '" << pname
-                  << "' collides with .array {i} placeholders; pick another name\n";
-        return 2;
-      }
-      sweep_raw.push_back(arg);
-      if (entry->is_dist) {
-        cli_dists.push_back(std::move(entry->dist));
-      } else {
-        axes.push_back(std::move(entry->axis));
-      }
+      sweep_specs.emplace_back(argv[++i]);
     } else if (std::strncmp(argv[i], "--mc=", 5) == 0) {
       mc_samples = std::atoi(argv[i] + 5);
       if (mc_samples < 1 || mc_samples > 10'000'000) {
@@ -760,16 +709,7 @@ int main(int argc, char** argv) {
       }
       mc_given = true;
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      const char* s = argv[i] + 7;
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v = std::strtoull(s, &end, 10);
-      if (*s == '\0' || !std::isdigit(static_cast<unsigned char>(*s)) ||
-          *end != '\0' || errno == ERANGE) {
-        std::cerr << "error: --seed must be a decimal unsigned 64-bit integer\n";
-        return 2;
-      }
-      seed = static_cast<std::uint64_t>(v);
+      seed = argv[i] + 7;  // api::plan_sweep validates it
     } else if (std::strncmp(argv[i], "--stats-out=", 12) == 0) {
       stats_out = argv[i] + 12;
     } else if (std::strncmp(argv[i], "--merge-stats=", 14) == 0) {
@@ -874,13 +814,10 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       client_op = server::Request::Op::stats;
-      client_control = true;
     } else if (std::strcmp(argv[i], "--ping") == 0) {
       client_op = server::Request::Op::ping;
-      client_control = true;
     } else if (std::strcmp(argv[i], "--shutdown") == 0) {
       client_op = server::Request::Op::shutdown;
-      client_control = true;
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
       no_cache = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
@@ -917,52 +854,25 @@ int main(int argc, char** argv) {
     return server::serve_blocking(serve_opts);
   }
 
-  // --- client mode -----------------------------------------------------------
-  if (!client_path.empty()) {
-    server::Request req;
-    req.op = client_op;
-    if (!client_control) {
-      if (netlist_path.empty()) {
-        std::cerr << "error: --client needs a netlist (or --stats/--ping/--shutdown)\n";
-        return 2;
-      }
-      if (!read_file(netlist_path, req.netlist)) {
-        std::cerr << "error: cannot open '" << netlist_path << "'\n";
-        return 2;
-      }
-      req.hdl_mode = hdl_mode;
-      req.set_specs = set_specs;
-      req.timeout_ms = timeout_ms;
-      req.no_cache = no_cache;
-      // Any sweep/MC ingredient — a --sweep spec, --mc, or a netlist that
-      // declares .param distributions — upgrades the submission to the
-      // server's sweep op. Specs travel verbatim; the server re-parses them
-      // with the same spice::parse_sweep_entry grammar.
-      bool wants_sweep = !sweep_raw.empty() || mc_given;
-      if (!wants_sweep) {
-        try {
-          wants_sweep = !spice::parse_param_dists(req.netlist).empty();
-        } catch (const spice::NetlistError&) {
-          // Malformed .param cards: let the server produce the error frame.
-        }
-      }
-      if (wants_sweep) {
-        req.op = server::Request::Op::sweep;
-        req.sweep_specs = sweep_raw;
-        req.mc = mc_samples;
-        req.seed = std::to_string(seed);
-      }
-    }
-    return server::run_client(client_path, req, std::cout, std::cerr);
-  }
-  if (client_control || no_cache) {
+  // --- client control requests ---------------------------------------------
+  const bool client_control = client_op != server::Request::Op::run;
+  if (client_path.empty() && (client_control || no_cache)) {
     std::cerr << "error: --stats/--ping/--shutdown/--no-cache need --client=<socket>\n";
     return 2;
   }
+  if (client_control) {
+    server::Request req;
+    req.op = client_op;
+    return server::run_client(client_path, req, std::cout, std::cerr);
+  }
 
-  // --- local modes -----------------------------------------------------------
+  // --- netlist modes: client submission, lint, sweep, single run ------------
   if (netlist_path.empty()) {
-    print_usage(std::cerr);
+    if (client_path.empty()) {
+      print_usage(std::cerr);
+    } else {
+      std::cerr << "error: --client needs a netlist (or --stats/--ping/--shutdown)\n";
+    }
     return 2;
   }
   std::string text;
@@ -970,40 +880,40 @@ int main(int argc, char** argv) {
     std::cerr << "error: cannot open '" << netlist_path << "'\n";
     return 2;
   }
+  // Every netlist mode plans the sweep: the netlist's .param/.measure cards
+  // and the --sweep/--seed rules are checked even when no sweep runs.
+  api::SweepPlan plan;
+  std::string why;
+  if (!api::plan_sweep({text, sweep_specs, mc_samples, seed, hdl_mode}, plan, why)) {
+    std::cerr << "error: " << why << "\n";
+    return 2;
+  }
+  const bool sweep_mode = !plan.axes.empty() || !plan.dists.empty() || mc_given;
 
+  if (!client_path.empty()) {
+    // Any sweep/MC ingredient — a --sweep spec, --mc, or a netlist .param
+    // distribution — makes the submission the server's sweep op. Specs and
+    // seed travel verbatim; the server plans them with api::plan_sweep too.
+    server::Request req;
+    req.op = sweep_mode ? server::Request::Op::sweep : server::Request::Op::run;
+    req.netlist = std::move(text);
+    req.hdl_mode = hdl_mode;
+    req.set_specs = set_specs;
+    req.timeout_ms = timeout_ms;
+    req.no_cache = no_cache;
+    req.sweep_specs = sweep_specs;
+    req.mc = mc_samples;
+    req.seed = seed;
+    return server::run_client(client_path, req, std::cout, std::cerr);
+  }
   try {
-    // Statistical pre-passes over the RAW netlist text: .param declares
-    // per-point distributions, .measure declares yield bounds. A --sweep
-    // dist of the same name overrides the netlist card (CLI wins).
-    std::vector<spice::ParamDist> dists = spice::parse_param_dists(text);
-    const std::vector<spice::MeasureSpec> measures = spice::parse_measures(text);
-    for (const auto& d : cli_dists) {
-      const auto it = std::find_if(dists.begin(), dists.end(),
-                                   [&](const auto& x) { return x.name == d.name; });
-      if (it == dists.end()) {
-        dists.push_back(d);
-      } else {
-        *it = d;
-      }
-    }
-    for (const auto& axis : axes) {
-      for (const auto& d : dists) {
-        if (axis.name == d.name) {
-          std::cerr << "error: '" << axis.name
-                    << "' is both a sweep axis and a parameter distribution\n";
-          return 2;
-        }
-      }
-    }
-    const bool sweep_mode = !axes.empty() || !dists.empty() || mc_given;
     if (lint_mode) {
-      std::string ltext = text;
       if (sweep_mode) {
         // Parameterized netlists lint at the first grid point.
-        const auto grid = spice::mc_grid(axes, dists, {seed, 1});
-        if (!grid.empty()) ltext = api::substitute_params(ltext, grid[0]);
+        const auto grid = spice::mc_grid(plan.axes, plan.dists, {plan.mc.seed, 1});
+        text = api::substitute_params(text, grid[0]);
       }
-      return run_lint(ltext, hdl_mode, lint_warn, lint_json);
+      return run_lint(text, hdl_mode, lint_warn, lint_json);
     }
     if (sweep_mode) {
       if (!set_specs.empty())
@@ -1013,9 +923,8 @@ int main(int argc, char** argv) {
       // can itself be resumed; an explicit --checkpoint overrides.
       if (!sweep_opts.resume_path.empty() && sweep_opts.checkpoint_path.empty())
         sweep_opts.checkpoint_path = sweep_opts.resume_path;
-      return run_sweep(text, axes, dists, measures, {seed, mc_samples},
-                       threads < 0 ? 0 : threads, csv, stats_out, hdl_mode,
-                       timeout_ms, sweep_opts);
+      return run_sweep(plan, threads < 0 ? 0 : threads, csv, stats_out, timeout_ms,
+                       sweep_opts);
     }
     if (threads >= 0 || sweep_opts.retries > 0 || !sweep_opts.checkpoint_path.empty() ||
         !sweep_opts.resume_path.empty() || sweep_opts.shard_count > 0 ||
