@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,11 +86,11 @@ struct IterationHarness {
   spice::EvalCtx ctx;
   double a0 = 0.0;
 
-  IterationHarness(std::unique_ptr<spice::Circuit> circuit, spice::MatrixBackend backend)
+  IterationHarness(std::unique_ptr<spice::Circuit> circuit, bool sparse)
       : ckt(std::move(circuit)) {
     spice::NewtonOptions opts;
     opts.max_iters = 1;
-    opts.backend = backend;
+    opts.sparse_threshold = sparse ? 0 : std::numeric_limits<int>::max();
     ckt->bind_all();
     solver = std::make_unique<spice::NewtonSolver>(*ckt, opts);
     const auto n = static_cast<std::size_t>(ckt->unknown_count());
@@ -152,7 +153,7 @@ struct SparseSystem {
       : ckt(std::move(circuit)) {
     spice::NewtonOptions opts;
     opts.max_iters = 1;
-    opts.backend = spice::MatrixBackend::sparse;
+    opts.sparse_threshold = 0;
     ckt->bind_all();
     solver = std::make_unique<spice::NewtonSolver>(*ckt, opts);
     pattern = solver->pattern();
@@ -171,11 +172,9 @@ struct SparseSystem {
   }
 };
 
-void run_family(benchmark::State& state, const std::string& family,
-                spice::MatrixBackend backend) {
-  IterationHarness harness(build(family, static_cast<int>(state.range(0))),
-                           backend);
-  if ((backend == spice::MatrixBackend::sparse) != harness.solver->sparse_active()) {
+void run_family(benchmark::State& state, const std::string& family, bool sparse) {
+  IterationHarness harness(build(family, static_cast<int>(state.range(0))), sparse);
+  if (sparse != harness.solver->sparse_active()) {
     state.SkipWithError("backend selection failed");
     return;
   }
@@ -184,16 +183,16 @@ void run_family(benchmark::State& state, const std::string& family,
 }
 
 void BM_RcLadderDense(benchmark::State& state) {
-  run_family(state, "rc_ladder", spice::MatrixBackend::dense);
+  run_family(state, "rc_ladder", /*sparse=*/false);
 }
 void BM_RcLadderSparse(benchmark::State& state) {
-  run_family(state, "rc_ladder", spice::MatrixBackend::sparse);
+  run_family(state, "rc_ladder", /*sparse=*/true);
 }
 void BM_ResonatorArrayDense(benchmark::State& state) {
-  run_family(state, "resonator_array", spice::MatrixBackend::dense);
+  run_family(state, "resonator_array", /*sparse=*/false);
 }
 void BM_ResonatorArraySparse(benchmark::State& state) {
-  run_family(state, "resonator_array", spice::MatrixBackend::sparse);
+  run_family(state, "resonator_array", /*sparse=*/true);
 }
 
 // Dense stops at 1000 unknowns (a single O(n^3) iteration at 2000 takes
@@ -337,8 +336,8 @@ void print_summary() {
               "speedup");
   for (const std::string family : {"rc_ladder", "resonator_array"}) {
     for (int n : {100, 250, 500, 1000, 2000}) {
-      IterationHarness dense(build(family, n), spice::MatrixBackend::dense);
-      IterationHarness sparse(build(family, n), spice::MatrixBackend::sparse);
+      IterationHarness dense(build(family, n), /*sparse=*/false);
+      IterationHarness sparse(build(family, n), /*sparse=*/true);
       auto time_one = [&](IterationHarness& h, int reps) {
         h.run_one();  // warm-up (sparse: the one-time symbolic factorization)
         const auto t0 = clock::now();
@@ -399,7 +398,7 @@ void print_summary() {
       // compile) plus the LU symbolic analyze on that pattern.
       spice::NewtonOptions nopts;
       nopts.max_iters = 1;
-      nopts.backend = spice::MatrixBackend::sparse;
+      nopts.sparse_threshold = 0;
       auto t0 = clock2::now();
       double t_anl = 0.0;
       for (int r = 0; r < reps; ++r) {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace usys {
@@ -72,23 +73,39 @@ UnixConn UnixConn::connect_to(const std::string& path) {
 }
 
 bool UnixConn::read_line(std::string& line, int timeout_ms) {
-  if (fd_ < 0) return false;
+  return read_bounded_line(line, timeout_ms, std::string::npos) == ReadStatus::ok;
+}
+
+UnixConn::ReadStatus UnixConn::read_bounded_line(std::string& line, int timeout_ms,
+                                                 std::size_t max_bytes) {
+  using Clock = std::chrono::steady_clock;
+  if (fd_ < 0) return ReadStatus::failed;
+  const Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  std::size_t scanned = 0;  // rbuf_ prefix already known to hold no newline
   for (;;) {
-    const std::size_t nl = rbuf_.find('\n');
+    const std::size_t nl = rbuf_.find('\n', scanned);
     if (nl != std::string::npos) {
+      if (nl > max_bytes) return ReadStatus::too_large;
       line.assign(rbuf_, 0, nl);
       rbuf_.erase(0, nl + 1);
-      return true;
+      return ReadStatus::ok;
     }
-    const int ev = poll_one(fd_, POLLIN, timeout_ms);
-    if (ev <= 0) return false;  // timeout or poll error
+    if (rbuf_.size() > max_bytes) return ReadStatus::too_large;
+    scanned = rbuf_.size();
+    int wait_ms = -1;
+    if (timeout_ms >= 0) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+      if (left.count() <= 0) return ReadStatus::failed;
+      wait_ms = static_cast<int>(left.count());
+    }
+    if (poll_one(fd_, POLLIN, wait_ms) <= 0) return ReadStatus::failed;  // deadline or error
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return ReadStatus::failed;
     }
-    if (n == 0) return false;  // EOF with no complete line
+    if (n == 0) return ReadStatus::failed;  // EOF with no complete line
     rbuf_.append(chunk, static_cast<std::size_t>(n));
   }
 }

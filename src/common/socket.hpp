@@ -3,9 +3,11 @@
 // Two small RAII wrappers over AF_UNIX/SOCK_STREAM:
 //
 //   * UnixConn     — one connection: buffered line reads (the wire protocol
-//                    is newline-delimited JSON), full writes that never raise
-//                    SIGPIPE, and a non-blocking peer-hangup probe used to
-//                    cancel jobs when the client goes away mid-stream.
+//                    is newline-delimited JSON; the server reads requests
+//                    under a byte cap and a whole-line deadline), full
+//                    writes that never raise SIGPIPE, and a non-blocking
+//                    peer-hangup probe used to cancel jobs when the client
+//                    goes away mid-stream.
 //   * UnixListener — bind/listen/accept with a poll timeout so the accept
 //                    loop can wake up to observe shutdown; unlinks the
 //                    socket path it bound on close.
@@ -40,10 +42,18 @@ class UnixConn {
   bool valid() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
 
-  /// Reads one '\n'-terminated line (newline stripped) into `line`.
-  /// Blocks up to `timeout_ms` (-1 = forever) for each underlying read.
-  /// Returns false on EOF before a complete line, timeout, or error.
+  /// Reads one '\n'-terminated line (newline stripped) into `line`. The
+  /// whole line must arrive within `timeout_ms` (-1 = no deadline). Returns
+  /// false on EOF before a complete line, deadline, or error.
   bool read_line(std::string& line, int timeout_ms = -1);
+
+  enum class ReadStatus { ok, too_large, failed };
+
+  /// read_line for an untrusted peer: also stops with `too_large` once the
+  /// line holds more than `max_bytes` bytes (newline excluded), so a peer
+  /// can neither grow the buffer past the cap nor hold the caller past the
+  /// deadline by sending a byte at a time. `failed` is read_line's false.
+  ReadStatus read_bounded_line(std::string& line, int timeout_ms, std::size_t max_bytes);
 
   /// Writes the whole buffer; short writes are retried. SIGPIPE-safe: a
   /// closed peer yields `false`, never a signal.

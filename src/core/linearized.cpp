@@ -41,9 +41,8 @@ void LinearizedTransverseElectrostatic::accept(const spice::AcceptCtx& ctx) {
   xstate_.accept(ctx.v(c_) - ctx.v(d_), ctx);
 }
 
-bool LinearizedTransverseElectrostatic::stamp_footprint(std::vector<int>& out) const {
+void LinearizedTransverseElectrostatic::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, c_, d_});
-  return true;
 }
 
 void LinearizedTransverseElectrostatic::evaluate(spice::EvalCtx& ctx) {

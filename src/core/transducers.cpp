@@ -24,9 +24,8 @@ void TransducerBase::bind(Binder& binder) {
   binder.require_nature(d_, Nature::mechanical_translation, name());
 }
 
-bool TransducerBase::stamp_footprint(std::vector<int>& out) const {
+void TransducerBase::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, c_, d_});
-  return true;
 }
 
 void TransducerBase::start_transient(const DVector& x_dc) {
@@ -175,10 +174,9 @@ void ElectromagneticTransducer::bind(Binder& binder) {
   br_ = binder.alloc_branch(Nature::electrical);
 }
 
-bool ElectromagneticTransducer::stamp_footprint(std::vector<int>& out) const {
+void ElectromagneticTransducer::stamp_footprint(std::vector<int>& out) const {
   TransducerBase::stamp_footprint(out);
   out.push_back(br_);
-  return true;
 }
 
 void ElectromagneticTransducer::evaluate(EvalCtx& ctx) {
@@ -233,10 +231,9 @@ void ElectrodynamicTransducer::bind(Binder& binder) {
   br_ = binder.alloc_branch(Nature::electrical);
 }
 
-bool ElectrodynamicTransducer::stamp_footprint(std::vector<int>& out) const {
+void ElectrodynamicTransducer::stamp_footprint(std::vector<int>& out) const {
   TransducerBase::stamp_footprint(out);
   out.push_back(br_);
-  return true;
 }
 
 void ElectrodynamicTransducer::evaluate(EvalCtx& ctx) {

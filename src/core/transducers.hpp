@@ -39,7 +39,7 @@ class TransducerBase : public Device {
   void bind(Binder& binder) override;
   void start_transient(const DVector& x_dc) override;
   void accept(const AcceptCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
 
   /// Initial plate displacement (default 0 = rest position).
   void set_initial_displacement(double x0) noexcept { xstate_.set_initial(x0); }
@@ -100,7 +100,7 @@ class ElectromagneticTransducer final : public TransducerBase {
   using TransducerBase::TransducerBase;
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
 
   int branch() const noexcept { return br_; }
   double effective_gap(double x) const;
@@ -117,7 +117,7 @@ class ElectrodynamicTransducer final : public TransducerBase {
   using TransducerBase::TransducerBase;
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
 
   int branch() const noexcept { return br_; }
 

@@ -489,11 +489,10 @@ void HdlDevice::run_ast(spice::EvalCtx* ctx, Pass pass, const DVector& x,
   }
 }
 
-bool HdlDevice::stamp_footprint(std::vector<int>& out) const {
+void HdlDevice::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), nodes_.begin(), nodes_.end());
   out.insert(out.end(), branch_of_pair_.begin(), branch_of_pair_.end());
   out.insert(out.end(), seed_unknowns_.begin(), seed_unknowns_.end());
-  return true;
 }
 
 void HdlDevice::evaluate(spice::EvalCtx& ctx) {

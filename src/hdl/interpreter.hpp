@@ -75,7 +75,7 @@ class HdlDevice final : public spice::Device {
 
   void bind(spice::Binder& binder) override;
   void evaluate(spice::EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void start_transient(const DVector& x_dc) override;
   void accept(const spice::AcceptCtx& ctx) override;
   /// Default topology plus the bytecode verifier's warnings (hdl-* rules).

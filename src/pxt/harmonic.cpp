@@ -113,10 +113,9 @@ void TransferFunctionDevice::bind(spice::Binder& binder) {
   out_branch_ = binder.alloc_branch(Nature::electrical);
 }
 
-bool TransferFunctionDevice::stamp_footprint(std::vector<int>& out) const {
+void TransferFunctionDevice::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {in_p_, in_n_, out_p_, out_n_, out_branch_});
   out.insert(out.end(), z_.begin(), z_.end());
-  return true;
 }
 
 void TransferFunctionDevice::evaluate(spice::EvalCtx& ctx) {

@@ -58,7 +58,7 @@ class TransferFunctionDevice final : public spice::Device {
 
   void bind(spice::Binder& binder) override;
   void evaluate(spice::EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
 
  private:
   int in_p_, in_n_, out_p_, out_n_;

@@ -66,9 +66,8 @@ void PwlTransducer::accept(const spice::AcceptCtx& ctx) {
   xstate_.accept(ctx.v(c_) - ctx.v(d_), ctx);
 }
 
-bool PwlTransducer::stamp_footprint(std::vector<int>& out) const {
+void PwlTransducer::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, c_, d_});
-  return true;
 }
 
 void PwlTransducer::evaluate(spice::EvalCtx& ctx) {
@@ -197,9 +196,8 @@ void PwlForceTransducer::accept(const spice::AcceptCtx& ctx) {
   xstate_.accept(ctx.v(c_) - ctx.v(d_), ctx);
 }
 
-bool PwlForceTransducer::stamp_footprint(std::vector<int>& out) const {
+void PwlForceTransducer::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, c_, d_});
-  return true;
 }
 
 void PwlForceTransducer::evaluate(spice::EvalCtx& ctx) {

@@ -47,7 +47,7 @@ class PwlTransducer final : public spice::Device {
 
   void bind(spice::Binder& binder) override;
   void evaluate(spice::EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void start_transient(const DVector& x_dc) override;
   void accept(const spice::AcceptCtx& ctx) override;
 
@@ -103,7 +103,7 @@ class PwlForceTransducer final : public spice::Device {
 
   void bind(spice::Binder& binder) override;
   void evaluate(spice::EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void start_transient(const DVector& x_dc) override;
   void accept(const spice::AcceptCtx& ctx) override;
 

@@ -27,6 +27,14 @@ namespace usys::server {
 
 inline constexpr int kProtocolVersion = 1;
 
+/// Largest request line the server reads (newline excluded). A longer one
+/// gets a code-2 `too-large` error frame and the connection closes. The
+/// largest request in this repository, a sweep of
+/// examples/transducer_array.cir, is about 1 KB; 8 MiB still takes a
+/// flattened netlist of ~200,000 cards at ~40 bytes each, and the single
+/// accept thread holds at most one such buffer at a time.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{8} << 20;
+
 /// One parsed client request.
 struct Request {
   enum class Op { run, sweep, stats, ping, shutdown } op = Op::run;

@@ -8,6 +8,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -161,7 +162,17 @@ struct SimServer::Impl {
 
   void handle_connection(UnixConn conn) {
     std::string line;
-    if (!conn.read_line(line, opts.accept_timeout_ms)) return;  // slow/gone client
+    const auto read = conn.read_bounded_line(line, opts.accept_timeout_ms, kMaxRequestBytes);
+    if (read == UnixConn::ReadStatus::too_large) {
+      conn.write_all(error_frame(2, "too-large", "request exceeds " +
+                                                     std::to_string(kMaxRequestBytes) +
+                                                     " bytes") +
+                     "\n");
+      std::lock_guard<std::mutex> lock(mu);
+      ++counters.bad_requests;
+      return;
+    }
+    if (read != UnixConn::ReadStatus::ok) return;  // gone, or no line within the timeout
     Request req;
     std::string error;
     if (!parse_request(line, req, error)) {
@@ -586,7 +597,14 @@ struct SimServer::Impl {
     s.engines_warm = 0;
     for (const auto& [hash, entry] : engines) {
       (void)hash;
+      // A busy entry is running a job, so it is warm; reading its session
+      // would race the worker (the same try_lock rule as evict_engines).
+      if (!entry->run_mu.try_lock()) {
+        ++s.engines_warm;
+        continue;
+      }
       if (entry->session->warm()) ++s.engines_warm;
+      entry->run_mu.unlock();
     }
     s.uptime_s = ms_since(started_at) / 1000.0;
     s.jobs_per_s = s.uptime_s > 0.0 ? s.jobs_completed / s.uptime_s : 0.0;

@@ -80,18 +80,14 @@ class Device {
   /// of times per step (Newton re-evaluates).
   virtual void evaluate(EvalCtx& ctx) = 0;
 
-  /// Sparse-MNA registration, called once after bind: append every unknown
+  /// Stamp-pattern registration, called after bind: append every unknown
   /// index (node or branch; ground -1 entries are ignored) that evaluate()
-  /// may reference as a stamp row or column in *any* analysis mode, and
-  /// return true. The pattern compiler reserves the full footprint x
-  /// footprint Jacobian block, so a conservative superset is fine — but a
-  /// stamp landing outside the declared pattern is a hard error at
-  /// assembly time. Returning false (the default) marks the footprint
-  /// unknown and keeps the whole circuit on the dense path.
-  virtual bool stamp_footprint(std::vector<int>& out) const {
-    (void)out;
-    return false;
-  }
+  /// may reference as a stamp row or column in *any* analysis mode. Every
+  /// device must declare one. The pattern compiler reserves the full
+  /// footprint x footprint Jacobian block, so a conservative superset is
+  /// fine — but a Jacobian stamp outside the device's own footprint is a
+  /// hard error at assembly time, naming the device.
+  virtual void stamp_footprint(std::vector<int>& out) const = 0;
 
   /// Complex AC excitation (small-signal sources). Row indexing matches the
   /// real unknown vector. Default: no AC contribution.

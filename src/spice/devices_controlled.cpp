@@ -11,9 +11,8 @@ Vcvs::Vcvs(std::string name, int out_p, int out_n, int ctl_p, int ctl_n, double 
 
 void Vcvs::bind(Binder& binder) { br_ = binder.alloc_branch(binder.node_nature(a_)); }
 
-bool Vcvs::stamp_footprint(std::vector<int>& out) const {
+void Vcvs::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, c_, d_, br_});
-  return true;
 }
 
 // Output ports of voltage-defined controlled sources are vsource edges
@@ -39,9 +38,8 @@ Vccs::Vccs(std::string name, int out_p, int out_n, int ctl_p, int ctl_n, double 
 
 void Vccs::bind(Binder&) {}
 
-bool Vccs::stamp_footprint(std::vector<int>& out) const {
+void Vccs::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, c_, d_});
-  return true;
 }
 
 void Vccs::lint(LintSink& sink) const { sink.edge(a_, b_, LintEdgeKind::isource); }
@@ -77,9 +75,8 @@ void Cccs::bind(Binder&) {
                        sensed_ + "' before this device");
 }
 
-bool Cccs::stamp_footprint(std::vector<int>& out) const {
+void Cccs::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, sense_branch_});
-  return true;
 }
 
 void Cccs::lint(LintSink& sink) const { sink.edge(a_, b_, LintEdgeKind::isource); }
@@ -113,9 +110,8 @@ void Ccvs::bind(Binder& binder) {
   br_ = binder.alloc_branch(binder.node_nature(a_));
 }
 
-bool Ccvs::stamp_footprint(std::vector<int>& out) const {
+void Ccvs::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, sense_branch_, br_});
-  return true;
 }
 
 void Ccvs::lint(LintSink& sink) const { sink.edge(a_, b_, LintEdgeKind::vsource); }
@@ -140,9 +136,8 @@ void IdealTransformer::bind(Binder& binder) {
   br_ = binder.alloc_branch(binder.node_nature(a_));
 }
 
-bool IdealTransformer::stamp_footprint(std::vector<int>& out) const {
+void IdealTransformer::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, c_, d_, br_});
-  return true;
 }
 
 // Each winding is a galvanic current path between its own two pins, but the
@@ -178,9 +173,8 @@ Gyrator::Gyrator(std::string name, int a, int b, int c, int d, double g)
 
 void Gyrator::bind(Binder&) {}
 
-bool Gyrator::stamp_footprint(std::vector<int>& out) const {
+void Gyrator::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, c_, d_});
-  return true;
 }
 
 void Gyrator::evaluate(EvalCtx& ctx) {
@@ -211,9 +205,8 @@ void StateIntegrator::bind(Binder& binder) {
   br_ = binder.alloc_branch(binder.node_nature(out_));
 }
 
-bool StateIntegrator::stamp_footprint(std::vector<int>& out) const {
+void StateIntegrator::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {out_, in_, br_});
-  return true;
 }
 
 void StateIntegrator::evaluate(EvalCtx& ctx) {

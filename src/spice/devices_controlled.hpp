@@ -18,7 +18,7 @@ class Vcvs : public Device {
   Vcvs(std::string name, int out_p, int out_n, int ctl_p, int ctl_n, double gain);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   int branch() const noexcept { return br_; }
 
@@ -35,7 +35,7 @@ class Vccs : public Device {
   Vccs(std::string name, int out_p, int out_n, int ctl_p, int ctl_n, double gm);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   double gm() const noexcept { return gm_; }
 
@@ -52,7 +52,7 @@ class Cccs : public Device {
        Circuit& circuit);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
 
  private:
@@ -70,7 +70,7 @@ class Ccvs : public Device {
        Circuit& circuit);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
 
  private:
@@ -89,7 +89,7 @@ class IdealTransformer : public Device {
   IdealTransformer(std::string name, int a, int b, int c, int d, double ratio);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
 
  private:
@@ -106,7 +106,7 @@ class Gyrator : public Device {
   Gyrator(std::string name, int a, int b, int c, int d, double g);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
 
  private:
   int a_, b_, c_, d_;
@@ -122,7 +122,7 @@ class StateIntegrator : public Device {
   StateIntegrator(std::string name, int out, int in, double initial = 0.0);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
 
  private:
   int out_, in_;

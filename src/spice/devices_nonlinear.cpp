@@ -24,9 +24,8 @@ void JouleHeater::bind(Binder& binder) {
   binder.require_nature(t_, Nature::thermal, name());
 }
 
-bool JouleHeater::stamp_footprint(std::vector<int>& out) const {
+void JouleHeater::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, t_});
-  return true;
 }
 
 void JouleHeater::evaluate(EvalCtx& ctx) {
@@ -77,9 +76,8 @@ void Diode::bind(Binder& binder) {
   binder.require_nature(b_, Nature::electrical, name());
 }
 
-bool Diode::stamp_footprint(std::vector<int>& out) const {
+void Diode::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_});
-  return true;
 }
 
 void Diode::evaluate(EvalCtx& ctx) {

@@ -25,7 +25,7 @@ class JouleHeater : public Device {
 
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
 
  private:
   int a_, b_, t_;
@@ -43,7 +43,7 @@ class Diode : public Device {
 
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
 
   double i_sat() const noexcept { return is_; }
 

@@ -16,9 +16,8 @@ void Resistor::bind(Binder& binder) {
   binder.require_nature(b_, nature_, name());
 }
 
-bool Resistor::stamp_footprint(std::vector<int>& out) const {
+void Resistor::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_});
-  return true;
 }
 
 void Resistor::lint(LintSink& sink) const {
@@ -53,9 +52,8 @@ void Capacitor::bind(Binder& binder) {
   binder.require_nature(b_, nature_, name());
 }
 
-bool Capacitor::stamp_footprint(std::vector<int>& out) const {
+void Capacitor::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_});
-  return true;
 }
 
 void Capacitor::lint(LintSink& sink) const {
@@ -90,9 +88,8 @@ void Inductor::bind(Binder& binder) {
   br_ = binder.alloc_branch(nature_);
 }
 
-bool Inductor::stamp_footprint(std::vector<int>& out) const {
+void Inductor::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, br_});
-  return true;
 }
 
 void Inductor::lint(LintSink& sink) const {

@@ -20,7 +20,7 @@ class Resistor : public Device {
            Nature nature = Nature::electrical);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   double resistance() const noexcept { return r_; }
   /// The one value rule the constructor and set_param share: a resistance
@@ -56,7 +56,7 @@ class Capacitor : public Device {
             Nature nature = Nature::electrical);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   double capacitance() const noexcept { return c_; }
   /// Shared by the constructor and set_param (see Resistor::valid).
@@ -89,7 +89,7 @@ class Inductor : public Device {
            Nature nature = Nature::electrical);
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   double inductance() const noexcept { return l_; }
   /// Shared by the constructor and set_param (see Resistor::valid).

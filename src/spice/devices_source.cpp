@@ -27,9 +27,8 @@ void VSource::bind(Binder& binder) {
   br_ = binder.alloc_branch(nature_);
 }
 
-bool VSource::stamp_footprint(std::vector<int>& out) const {
+void VSource::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_, br_});
-  return true;
 }
 
 void VSource::lint(LintSink& sink) const { sink.edge(a_, b_, LintEdgeKind::vsource); }
@@ -75,9 +74,8 @@ void ISource::bind(Binder& binder) {
   binder.require_nature(b_, nature_, name());
 }
 
-bool ISource::stamp_footprint(std::vector<int>& out) const {
+void ISource::stamp_footprint(std::vector<int>& out) const {
   out.insert(out.end(), {a_, b_});
-  return true;
 }
 
 void ISource::lint(LintSink& sink) const { sink.edge(a_, b_, LintEdgeKind::isource); }

@@ -21,7 +21,7 @@ class VSource : public Device {
 
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   void ac_rhs(ZVector& rhs) const override;
   void breakpoints(std::vector<double>& out) const override;
@@ -55,7 +55,7 @@ class ISource : public Device {
 
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
-  bool stamp_footprint(std::vector<int>& out) const override;
+  void stamp_footprint(std::vector<int>& out) const override;
   void lint(LintSink& sink) const override;
   void ac_rhs(ZVector& rhs) const override;
   void breakpoints(std::vector<double>& out) const override;

@@ -20,13 +20,13 @@
 // engine per circuit and run many analyses against it.
 //
 // Reuse semantics: the solver backend is (re)built only when an analysis
-// asks for a different backend configuration (MatrixBackend /
-// sparse_threshold); convergence controls are re-tuned
-// in place. Per-run statistics (symbolic_factorizations) are reported as
-// deltas, so a reused engine reports 0 extra symbolic factorizations once
-// its pivot order is warm. After changing device PARAMETERS (values, not
-// circuit structure — structure is frozen at bind), call rebind() to drop
-// the warm solver state while keeping the compiled pattern.
+// asks for a different backend configuration (NewtonOptions::
+// sparse_threshold); convergence controls are re-tuned in place. Per-run
+// statistics (symbolic_factorizations) are reported as deltas, so a reused
+// engine reports 0 extra symbolic factorizations once its pivot order is
+// warm. After changing device PARAMETERS (values, not circuit structure —
+// structure is frozen at bind), call rebind() to drop the warm solver state
+// while keeping the compiled pattern.
 #pragma once
 
 #include <memory>

@@ -91,7 +91,7 @@ void LintSink::edge(int node_a, int node_b, LintEdgeKind kind) {
 void LintSink::footprint_clique(const Device& dev, LintEdgeKind kind) {
   if (!topology_) return;
   scratch_.clear();
-  if (!dev.stamp_footprint(scratch_)) return;
+  dev.stamp_footprint(scratch_);
   const int n_nodes = circuit_->node_count();
   std::vector<int> pins;
   for (const int u : scratch_) {
@@ -235,7 +235,7 @@ class LintDriver {
     std::vector<int> fp;
     for (const auto& dev : circuit_.devices()) {
       fp.clear();
-      if (!dev->stamp_footprint(fp)) continue;
+      dev->stamp_footprint(fp);
       for (std::size_t i = 1; i < fp.size(); ++i) {
         uf.unite(fp[i - 1] < 0 ? ground : fp[i - 1], fp[i] < 0 ? ground : fp[i]);
       }
@@ -389,7 +389,7 @@ class LintDriver {
     std::vector<int> fp;
     for (std::size_t i = 0; i < devs.size(); ++i) {
       fp.clear();
-      if (!devs[i]->stamp_footprint(fp)) continue;
+      devs[i]->stamp_footprint(fp);
       const long owner = owner_of[i];
       for (const int u : fp) {
         if (u < 0 || u >= circuit_.node_count()) continue;
@@ -436,10 +436,6 @@ class LintDriver {
     if (n == 0) return;
     const auto& devs = circuit_.devices();
     std::vector<int> fp;
-    for (const auto& dev : devs) {
-      fp.clear();
-      if (!dev->stamp_footprint(fp)) return;  // dense-only device: no pattern to probe
-    }
 
     std::vector<std::vector<int>> adj_dc(static_cast<std::size_t>(n));
     std::vector<std::vector<int>> adj_tr(static_cast<std::size_t>(n));
@@ -464,7 +460,7 @@ class LintDriver {
     std::vector<char> mq;
     for (std::size_t di = 0; di < devs.size(); ++di) {
       fp.clear();
-      (void)devs[di]->stamp_footprint(fp);
+      devs[di]->stamp_footprint(fp);
       std::sort(fp.begin(), fp.end());
       fp.erase(std::unique(fp.begin(), fp.end()), fp.end());
       if (!fp.empty() && fp.front() < 0) fp.erase(fp.begin());  // drop ground

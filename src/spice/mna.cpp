@@ -1,6 +1,7 @@
 #include "spice/mna.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace usys::spice {
 
@@ -10,15 +11,11 @@ MnaPattern::MnaPattern(const Circuit& circuit) {
   const auto n = static_cast<std::size_t>(n_);
   const auto& devices = circuit.devices();
 
-  complete_ = true;
   footprints_.resize(devices.size());
   std::vector<std::vector<int>> cols(n);
   for (std::size_t d = 0; d < devices.size(); ++d) {
     std::vector<int> u;
-    if (!devices[d]->stamp_footprint(u)) {
-      complete_ = false;
-      break;
-    }
+    devices[d]->stamp_footprint(u);
     // Ground pins (-1) stamp nowhere; drop them along with duplicates.
     u.erase(std::remove_if(u.begin(), u.end(), [this](int i) { return i < 0 || i >= n_; }),
             u.end());
@@ -29,10 +26,6 @@ MnaPattern::MnaPattern(const Circuit& circuit) {
       row.insert(row.end(), u.begin(), u.end());
     }
     footprints_[d].unknowns = std::move(u);
-  }
-  if (!complete_) {
-    footprints_.clear();
-    return;
   }
 
   // Always include the full diagonal: gmin lands on node rows, and a
@@ -75,14 +68,11 @@ int MnaPattern::slot(int r, int c) const noexcept {
 
 MnaAssembler::MnaAssembler(Circuit& circuit, const MnaPattern& pattern)
     : circuit_(circuit), pattern_(pattern) {
-  if (!pattern_.complete()) throw CircuitError("MnaAssembler: incomplete pattern");
   jf_vals_.assign(pattern_.nonzeros(), 0.0);
   jq_vals_.assign(pattern_.nonzeros(), 0.0);
   local_of_.assign(static_cast<std::size_t>(pattern_.size()), -1);
   sink_.jf_vals = jf_vals_.data();
   sink_.jq_vals = jq_vals_.data();
-  sink_.row_ptr = pattern_.row_ptr().data();
-  sink_.col_idx = pattern_.col_idx().data();
 }
 
 void MnaAssembler::assemble(const EvalCtx& ctx_proto, const DVector& x, DVector& f,
@@ -100,7 +90,7 @@ void MnaAssembler::assemble(const EvalCtx& ctx_proto, const DVector& x, DVector&
   ctx.jf = nullptr;
   ctx.jq = nullptr;
   ctx.sparse = &sink_;
-  sink_.missed = 0;
+  sink_.local_of = local_of_.data();
 
   const auto& devices = circuit_.devices();
   const auto& footprints = pattern_.footprints();
@@ -108,9 +98,9 @@ void MnaAssembler::assemble(const EvalCtx& ctx_proto, const DVector& x, DVector&
     const auto& fp = footprints[d];
     for (std::size_t i = 0; i < fp.unknowns.size(); ++i)
       local_of_[static_cast<std::size_t>(fp.unknowns[i])] = static_cast<int>(i);
-    sink_.local_of = local_of_.data();
     sink_.slots = fp.slots.data();
     sink_.k = static_cast<int>(fp.unknowns.size());
+    sink_.missed = 0;
     try {
       devices[d]->evaluate(ctx);
     } catch (...) {
@@ -120,10 +110,11 @@ void MnaAssembler::assemble(const EvalCtx& ctx_proto, const DVector& x, DVector&
       throw;
     }
     for (int u : fp.unknowns) local_of_[static_cast<std::size_t>(u)] = -1;
-  }
-  if (sink_.missed > 0) {
-    throw CircuitError("sparse MNA assembly: a device stamped outside the compiled "
-                       "pattern (stamp_footprint() declaration is not a superset)");
+    if (sink_.missed > 0) {
+      throw CircuitError("device '" + devices[d]->name() + "' stamped " +
+                         std::to_string(sink_.missed) +
+                         " Jacobian entries outside its stamp_footprint()");
+    }
   }
 }
 

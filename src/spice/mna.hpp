@@ -5,10 +5,10 @@
 // This layer exploits that once, up front:
 //
 //   * MnaPattern — at bind time each device registers its stamp footprint
-//     (Device::stamp_footprint); the union of all footprint x footprint
-//     blocks plus the gmin diagonal is compiled into a CSR layout, and each
-//     device gets a precomputed local-slot table mapping its (row, col)
-//     pairs to flat value indices.
+//     (Device::stamp_footprint, which every device must implement); the
+//     union of all footprint x footprint blocks plus the gmin diagonal is
+//     compiled into a CSR layout, and each device gets a precomputed
+//     local-slot table mapping its (row, col) pairs to flat value indices.
 //   * MnaAssembler — per-iteration assembly is then pure scatter writes
 //     into two flat value arrays (Jf, Jq): no n x n zero-fill, no
 //     reallocation, no search on the hot path. The values arrays share the
@@ -16,10 +16,9 @@
 //     directly — and the combined Newton matrix Jf + a0*Jq is a single
 //     O(nnz) vector fuse.
 //
-// Devices that cannot (or do not) declare a footprint mark the pattern
-// incomplete, which keeps the whole circuit on the dense fallback path —
-// correctness never depends on footprint declarations being present, only
-// the sparse speedup does.
+// The footprint is the whole contract: a device's Jacobian stamps must land
+// inside its own footprint block. A stamp outside it is not looked up in
+// the union pattern; the assembler throws a CircuitError naming the device.
 #pragma once
 
 #include <vector>
@@ -36,8 +35,9 @@ class MnaPattern {
   /// Requires a bound circuit (throws CircuitError otherwise).
   explicit MnaPattern(const Circuit& circuit);
 
-  /// True when every device declared a footprint; false disables sparse.
-  bool complete() const noexcept { return complete_; }
+  /// Always true: every device declares a footprint. perfbench's kernel
+  /// probe is the last caller; ROADMAP item 2 removes it.
+  bool complete() const noexcept { return true; }
   int size() const noexcept { return n_; }
   std::size_t nonzeros() const noexcept { return col_idx_.size(); }
   const std::vector<int>& row_ptr() const noexcept { return row_ptr_; }
@@ -57,7 +57,6 @@ class MnaPattern {
 
  private:
   int n_ = 0;
-  bool complete_ = false;
   std::vector<int> row_ptr_, col_idx_, diag_slot_;
   std::vector<DeviceFootprint> footprints_;
 };
@@ -67,12 +66,13 @@ class MnaPattern {
 /// storage is allocated once at construction.
 class MnaAssembler {
  public:
-  /// The pattern must be complete() and outlive the assembler.
+  /// The pattern must outlive the assembler.
   MnaAssembler(Circuit& circuit, const MnaPattern& pattern);
 
   /// One stamp pass at iterate `x`: fills f, q and the flat Jf/Jq values.
   /// Does NOT apply gmin (that is solver policy — see NewtonSolver).
-  /// Throws CircuitError if any device stamps outside the pattern.
+  /// Throws CircuitError, naming the device, when a device stamps outside
+  /// its own footprint.
   void assemble(const EvalCtx& ctx_proto, const DVector& x, DVector& f, DVector& q);
 
   const MnaPattern& pattern() const noexcept { return pattern_; }

@@ -18,19 +18,13 @@ NewtonSolver::NewtonSolver(Circuit& circuit, NewtonOptions opts)
   resid_.resize(n);
   dx_.resize(n);
 
-  bool want_sparse = opts_.backend == MatrixBackend::sparse;
-  if (opts_.backend == MatrixBackend::auto_select)
-    want_sparse = static_cast<int>(n) >= opts_.sparse_threshold;
-  if (want_sparse) {
+  if (static_cast<int>(n) >= opts_.sparse_threshold) {
     const MnaPattern& pattern = circuit_.mna_pattern();
-    if (pattern.complete()) {
-      assembler_ = std::make_unique<MnaAssembler>(circuit_, pattern);
-      lu_.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx());
-      jac_vals_.resize(pattern.nonzeros());
-    }
-  }
-  if (!assembler_) {
-    // Dense fallback: the n x n scratch lives only on this path.
+    assembler_ = std::make_unique<MnaAssembler>(circuit_, pattern);
+    lu_.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx());
+    jac_vals_.resize(pattern.nonzeros());
+  } else {
+    // Dense path: the n x n scratch lives only here.
     jf_.resize(n, n);
     jq_.resize(n, n);
     jacobian_.resize(n, n);

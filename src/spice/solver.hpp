@@ -6,14 +6,15 @@
 // nature-dependent abstol), step limiting, and — for hard DC points —
 // gmin stepping and source stepping continuation.
 //
-// Two matrix backends share the stamp contract:
-//   * sparse (default above a crossover size): pattern-cached MNA assembly
-//     (spice/mna.hpp) into flat CSR value arrays + SparseLu whose symbolic
-//     factorization is computed once and reused across all iterations and
-//     timesteps (the pattern is fixed after bind).
+// Two matrix backends share the stamp contract; the unknown count alone
+// picks one (n >= NewtonOptions::sparse_threshold selects sparse):
+//   * sparse: pattern-cached MNA assembly (spice/mna.hpp) into flat CSR
+//     value arrays + SparseLu whose symbolic factorization is computed once
+//     and reused across all iterations and timesteps (the pattern is fixed
+//     after bind).
 //   * dense: the original n x n path, kept for small systems (lower
 //     constant factors) and as the oracle the sparse path is tested
-//     against.
+//     against (sparse_threshold = INT_MAX forces it, 0 forces sparse).
 #pragma once
 
 #include <memory>
@@ -26,20 +27,13 @@
 
 namespace usys::spice {
 
-/// Jacobian storage / factorization backend selection.
-enum class MatrixBackend {
-  auto_select,  ///< sparse when the pattern is complete and n >= sparse_threshold
-  dense,        ///< force the dense path
-  sparse,       ///< force sparse (falls back to dense on incomplete patterns)
-};
-
 struct NewtonOptions {
   int max_iters = 100;
   double reltol = 1e-6;
   double gmin = 1e-12;        ///< always-on diagonal conductance on node rows
   double damping_limit = 0.0; ///< max |dx| per iteration per unknown; 0 = off
-  MatrixBackend backend = MatrixBackend::auto_select;
-  /// auto_select crossover (unknown count). Measured with
+  /// Backend crossover (unknown count): sparse when n >= sparse_threshold,
+  /// dense below. Measured with
   /// `bench_solver_scaling --benchmark_filter='/(8|12|20)$'` on both bench
   /// topologies: dense still wins at n=8 (lower constant factors), the two
   /// backends break even around n~10-14, and sparse is ahead by ~1.6x at
@@ -133,8 +127,8 @@ class NewtonSolver {
   /// damping_limit) without touching the allocated backend, so one solver —
   /// and its compiled pattern and symbolic factorization — can serve
   /// several analyses with different convergence settings. The caller must
-  /// keep the backend-selection fields (backend, sparse_threshold)
-  /// unchanged; compare with same_backend_config first.
+  /// keep the backend-selection field (sparse_threshold) unchanged;
+  /// compare with same_backend_config first.
   void retune(const NewtonOptions& opts) noexcept {
     opts_.max_iters = opts.max_iters;
     opts_.reltol = opts.reltol;
@@ -144,10 +138,10 @@ class NewtonSolver {
     opts_.cancel = opts.cancel;
   }
 
-  /// True when `a` and `b` would build the same solver backend (the fields
+  /// True when `a` and `b` would build the same solver backend (the field
   /// retune() cannot change).
   static bool same_backend_config(const NewtonOptions& a, const NewtonOptions& b) noexcept {
-    return a.backend == b.backend && a.sparse_threshold == b.sparse_threshold;
+    return a.sparse_threshold == b.sparse_threshold;
   }
 
  private:

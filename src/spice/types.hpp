@@ -30,51 +30,26 @@ enum class IntegMethod {
 
 /// Sparse accumulation target, wired by the MNA assembler (spice/mna.hpp)
 /// before each device's evaluate(). Holds only raw pointers into the
-/// assembler's compiled pattern so this header stays dependency-free; the
-/// fast path is a pure indexed write into a flat values array via the
-/// active device's precomputed slot table, with a CSR binary search backing
-/// up writes that cross device footprints. (Since the HDL jq extraction
-/// went seed-local, every in-tree device stays inside its footprint and the
-/// fallback is purely a safety net for out-of-tree devices.)
+/// assembler's compiled pattern so this header stays dependency-free. A
+/// stamp is one indexed write into a flat values array through the active
+/// device's precomputed slot table; a stamp outside that device's footprint
+/// is counted in `missed`, and the assembler turns it into an error.
 struct SparseStampSink {
   const int* local_of = nullptr;  ///< global unknown -> active device's local index (-1 = outside)
   const int* slots = nullptr;     ///< k*k local (row, col) -> flat value slot
   int k = 0;
   double* jf_vals = nullptr;
   double* jq_vals = nullptr;
-  const int* row_ptr = nullptr;   ///< union pattern in CSR (fallback lookup)
-  const int* col_idx = nullptr;
-  long missed = 0;                ///< stamps outside the pattern (fatal; checked per pass)
+  long missed = 0;                ///< stamps outside the active footprint (fatal)
 
   void add(double* vals, int r, int c, double v) noexcept {
-    if (local_of != nullptr) {
-      const int li = local_of[r];
-      const int lj = local_of[c];
-      if (li >= 0 && lj >= 0) {
-        vals[slots[li * k + lj]] += v;
-        return;
-      }
-    }
-    if (row_ptr == nullptr) {  // private k*k block (lint probe): no CSR fallback
+    const int li = local_of[r];
+    const int lj = local_of[c];
+    if (li >= 0 && lj >= 0) {
+      vals[slots[li * k + lj]] += v;
+    } else {
       ++missed;
-      return;
     }
-    // Binary search the CSR row for writes outside the active footprint.
-    int lo = row_ptr[r];
-    int hi = row_ptr[r + 1];
-    while (lo < hi) {
-      const int mid = lo + (hi - lo) / 2;
-      if (col_idx[mid] < c) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < row_ptr[r + 1] && col_idx[lo] == c) {
-      vals[lo] += v;
-      return;
-    }
-    ++missed;
   }
 };
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "api/api.hpp"
 #include "hdl/bytecode.hpp"
@@ -567,7 +568,7 @@ TEST(BytecodeValueOnly, StampValuesMatchesFullStamp) {
     DVector x(n);
     for (std::size_t i = 0; i < n; ++i) x[i] = 0.45 + 0.05 * static_cast<double>(i);
     spice::NewtonOptions nopts;
-    nopts.backend = spice::MatrixBackend::dense;
+    nopts.sparse_threshold = std::numeric_limits<int>::max();  // dense
     spice::NewtonSolver solver(*ckt, nopts);
     for (const auto mode : {spice::AnalysisMode::dc, spice::AnalysisMode::transient}) {
       spice::EvalCtx ctx;

@@ -7,9 +7,9 @@
 // the same hash, result-cache replay, the parameter-delta rebind path vs a
 // cold run of the edited netlist, queue saturation -> structured busy
 // rejection, client disconnect mid-stream cancelling via the job's
-// CancelToken, per-job deadlines (exit 3), bad-request handling, retired
-// wire keys ignored, engine cache eviction/cooling, and /stats
-// self-consistency.
+// CancelToken, per-job deadlines (exit 3), bad-request handling, request
+// size and read-time bounds, retired wire keys ignored, engine cache
+// eviction/cooling, and /stats self-consistency.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -223,6 +223,63 @@ TEST(Server, MalformedRequestsGetStructuredErrors) {
 
   EXPECT_TRUE(wait_for_stats(
       ts.server, [](const StatsSnapshot& s) { return s.bad_requests == 3 + 8; }));
+}
+
+TEST(Server, OversizedRequestIsTooLargeAndServerStaysUp) {
+  TestServer ts(small_server("big"));
+  ASSERT_TRUE(ts.started);
+
+  UnixConn conn = UnixConn::connect_to(ts.server.socket_path());
+  ASSERT_TRUE(conn.valid());
+  // Newline-free and past the cap: the server stops reading at the cap,
+  // answers and closes, so this write may end early with a closed pipe.
+  const std::string blob(kMaxRequestBytes + 65536, 'x');
+  (void)conn.write_all(blob);
+  std::string reply;
+  ASSERT_TRUE(conn.read_line(reply, 30000));
+  JsonValue e = parse_frame(reply);
+  EXPECT_EQ(e.get_string("frame"), "error");
+  EXPECT_EQ(e.get_number("code"), 2.0);
+  EXPECT_EQ(e.get_string("kind"), "too-large");
+
+  Request ping;
+  ping.op = Request::Op::ping;
+  const auto frames = submit(ts.server, ping);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(parse_frame(frames[0]).get_string("frame"), "pong");
+  EXPECT_EQ(ts.server.stats().bad_requests, 1);
+}
+
+TEST(Server, DribblingClientIsCutOffAfterAcceptTimeout) {
+  ServerOptions opts = small_server("drip");
+  opts.accept_timeout_ms = 300;
+  TestServer ts(opts);
+  ASSERT_TRUE(ts.started);
+
+  UnixConn conn = UnixConn::connect_to(ts.server.socket_path());
+  ASSERT_TRUE(conn.valid());
+  // One byte every 50 ms never lets a single poll wait 300 ms; only a
+  // deadline on the whole line ends this request.
+  const auto t0 = Clock::now();
+  bool cut_off = false;
+  while (Clock::now() - t0 < std::chrono::seconds(5)) {
+    if (conn.peer_hung_up() || !conn.write_all("x", 1)) {
+      cut_off = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  EXPECT_TRUE(cut_off);
+  EXPECT_GE(elapsed_ms, 300.0);
+  EXPECT_LT(elapsed_ms, 3000.0);
+
+  Request ping;
+  ping.op = Request::Op::ping;
+  const auto frames = submit(ts.server, ping);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(parse_frame(frames[0]).get_string("frame"), "pong");
 }
 
 // Wire integers ("v", "mc") are read through json_read_integer: an

@@ -176,7 +176,7 @@ TEST(AnalysisEngine, ReportsPerRunSymbolicFactorizations) {
   auto ckt = transducer_array(30);
   AnalysisEngine engine(*ckt);
   DcOptions opts;
-  opts.newton.backend = MatrixBackend::sparse;
+  opts.newton.sparse_threshold = 0;  // sparse
   const DcResult first = engine.run_dc(opts);
   ASSERT_TRUE(first.converged);
   EXPECT_TRUE(first.used_sparse);

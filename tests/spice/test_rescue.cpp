@@ -293,7 +293,7 @@ TEST_F(RescueTest, InjectedSparseSingularityReportsSingularMatrix) {
     ckt.add<Resistor>("R" + std::to_string(i), nodes[i], nodes[i + 1], 100.0);
   ckt.add<Resistor>("Rend", nodes.back(), Circuit::kGround, 100.0);
   DcOptions opts;
-  opts.newton.backend = MatrixBackend::sparse;
+  opts.newton.sparse_threshold = 0;  // sparse
   {
     // Sanity: this circuit really runs on the sparse path when unarmed.
     const OpResult probe = api::operating_point(ckt, opts);

@@ -142,7 +142,7 @@ void expect_independent_engines_identical(
     const std::function<std::unique_ptr<Circuit>()>& build, double tstop, double dt,
     bool with_ac) {
   DcOptions dc;
-  dc.newton.backend = MatrixBackend::sparse;
+  dc.newton.sparse_threshold = 0;  // sparse
   auto ckt_a = build();
   auto ckt_b = build();
   AnalysisEngine eng_a(*ckt_a);
@@ -156,7 +156,7 @@ void expect_independent_engines_identical(
   EXPECT_EQ(dc_a.x, dc_b.x);
 
   TranOptions topts = tran_opts(tstop, dt);
-  topts.newton.backend = MatrixBackend::sparse;
+  topts.newton.sparse_threshold = 0;
   topts.dc = dc;
   const TranResult tr_a = eng_a.run_tran(topts);
   const TranResult tr_b = eng_b.run_tran(topts);
@@ -197,11 +197,10 @@ TEST(SolverOrdering, ParityHdlListing1) {
 std::size_t amd_fill(Circuit& ckt) {
   ckt.bind_all();
   const MnaPattern& pattern = ckt.mna_pattern();
-  EXPECT_TRUE(pattern.complete());
   const auto n = static_cast<std::size_t>(ckt.unknown_count());
   NewtonOptions nopts;
   nopts.max_iters = 1;
-  nopts.backend = MatrixBackend::sparse;
+  nopts.sparse_threshold = 0;
   NewtonSolver solver(ckt, nopts);
   EXPECT_TRUE(solver.sparse_active());
   EvalCtx ctx;
@@ -242,7 +241,6 @@ TEST(SolverOrdering, AmdFillAtMostMinDegreeOnBenchTopologies) {
   const auto expect_amd_at_most_min_degree = [](Circuit& ckt) {
     ckt.bind_all();
     const MnaPattern& pattern = ckt.mna_pattern();
-    ASSERT_TRUE(pattern.complete());
     DSparseLu lu;
     lu.analyze(pattern.size(), pattern.row_ptr(), pattern.col_idx());
     const auto graph =
