@@ -8,6 +8,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "core/netlist_ext.hpp"
 
@@ -328,13 +329,12 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
 std::string substitute_params(std::string text, const spice::SweepPoint& point) {
   for (const auto& [name, value] : point.params) {
     const std::string key = "{" + name + "}";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    const std::size_t len = std::char_traits<char>::length(buf);
+    std::string digits;
+    append_g17(digits, value);
     for (std::size_t p = text.find(key); p != std::string::npos;
          p = text.find(key, p)) {
-      text.replace(p, key.size(), buf);
-      p += len;
+      text.replace(p, key.size(), digits);
+      p += digits.size();
     }
   }
   return text;

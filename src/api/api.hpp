@@ -173,9 +173,11 @@ class Session {
 };
 
 /// Substitutes every `{name}` placeholder in `text` with the point's value
-/// for `name`, printed %.17g so the substituted netlist round-trips the
-/// exact double. The text half of the sweep-point contract: the same point
-/// always produces the same netlist bytes.
+/// for `name`, printed with 17 significant digits through `std::to_chars`
+/// (append_g17, byte-identical to printf's `%g` at precision 17) so the
+/// substituted netlist round-trips the exact double. The text half of the
+/// sweep-point contract: the same point always produces the same netlist
+/// bytes.
 std::string substitute_params(std::string text, const spice::SweepPoint& point);
 
 /// The per-point sweep job shared by `usim --sweep` and the server's sweep

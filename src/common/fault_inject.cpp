@@ -1,6 +1,7 @@
 #include "common/fault_inject.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -54,24 +55,13 @@ State& state() {
   return s;
 }
 
-bool parse_long(std::string_view s, long& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string tmp(s);
-  const long v = std::strtol(tmp.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string tmp(s);
-  const double v = std::strtod(tmp.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  out = v;
-  return true;
+/// The whole of `s` as a decimal number (std::from_chars: no '+', no
+/// whitespace).
+template <typename T>
+bool parse_number(std::string_view s, T& out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 /// Parses one "site:nth[:count]" or "site~p@seed" entry into (name, site).
@@ -94,9 +84,10 @@ bool parse_entry(std::string_view entry, std::string& name, Site& site,
       return fail("want site~probability@seed");
     double p = 0.0;
     long seed = 0;
-    if (!parse_double(rest.substr(0, at), p) || p < 0.0 || p > 1.0)
+    // Written so that a NaN probability fails too.
+    if (!parse_number(rest.substr(0, at), p) || !(p >= 0.0 && p <= 1.0))
       return fail("probability must be in [0, 1]");
-    if (!parse_long(rest.substr(at + 1), seed) || seed < 0)
+    if (!parse_number(rest.substr(at + 1), seed) || seed < 0)
       return fail("seed must be a non-negative integer");
     site.random_mode = true;
     site.probability = p;
@@ -110,10 +101,10 @@ bool parse_entry(std::string_view entry, std::string& name, Site& site,
   if (colon == std::string_view::npos) return true;  // defaults: nth=1, count=1
   const std::string_view rest = entry.substr(colon + 1);
   const auto colon2 = rest.find(':');
-  if (!parse_long(rest.substr(0, colon2), site.nth) || site.nth < 1)
+  if (!parse_number(rest.substr(0, colon2), site.nth) || site.nth < 1)
     return fail("nth must be a positive integer");
   if (colon2 != std::string_view::npos &&
-      (!parse_long(rest.substr(colon2 + 1), site.count) || site.count == 0))
+      (!parse_number(rest.substr(colon2 + 1), site.count) || site.count == 0))
     return fail("count must be a non-zero integer (negative = forever)");
   return true;
 }

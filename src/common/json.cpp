@@ -1,10 +1,9 @@
 #include "common/json.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -132,8 +131,17 @@ void JsonValue::set(std::string key, JsonValue v) {
 // Writer
 // ---------------------------------------------------------------------------
 
-void json_append_escaped(std::string& out, const std::string& v) {
+void json_append_escaped(std::string& out, std::string_view v) {
+  // Names and labels rarely need escaping: append those in one piece.
+  const bool plain = std::none_of(v.begin(), v.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
   out += '"';
+  if (plain) {
+    out.append(v);
+    out += '"';
+    return;
+  }
   for (const char c : v) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -167,14 +175,25 @@ void json_append_utf8(std::string& out, unsigned code) {
   }
 }
 
+void append_g17(std::string& out, double v) {
+  // The longest output is "-2.2250738585072014e-308": 24 characters.
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
+}
+
 void json_append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  append_g17(out, v);
+}
+
+void json_append_integer(std::string& out, long v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, static_cast<std::size_t>(r.ptr - buf));
 }
 
 void json_append_exact(std::string& out, double v) {
@@ -361,15 +380,37 @@ class Parser {
     return false;  // unterminated string
   }
 
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  /// Advances `p` over one or more digits; false when there is none.
+  bool digits(const char*& p) const {
+    if (p == end_ || !is_digit(*p)) return false;
+    while (p != end_ && is_digit(*p)) ++p;
+    return true;
+  }
+
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, converted by
+  /// from_chars. Scanning first keeps out what from_chars alone would take
+  /// (a leading '.', "inf"/"nan") or stop short of ("0x10" as 0, "01").
   bool number_value(JsonValue& out) {
-    char* num_end = nullptr;
-    const double v = std::strtod(s_, &num_end);
-    if (num_end == s_) return false;
-    // strtod accepts "inf"/"nan" which JSON forbids; the switch in value()
-    // already routes 'n'/'t'/'f' away, but reject any non-finite result and
-    // hex forms defensively.
-    if (!std::isfinite(v)) return false;
-    s_ = num_end;
+    const char* p = s_;
+    if (p != end_ && *p == '-') ++p;
+    if (p != end_ && *p == '0') {
+      ++p;
+    } else if (!digits(p)) {
+      return false;
+    }
+    if (p != end_ && *p == '.' && !digits(++p)) return false;
+    if (p != end_ && (*p == 'e' || *p == 'E')) {
+      ++p;
+      if (p != end_ && (*p == '+' || *p == '-')) ++p;
+      if (!digits(p)) return false;
+    }
+    double v = 0.0;
+    const auto r = std::from_chars(s_, p, v);
+    // errc::result_out_of_range: a literal beyond double's range.
+    if (r.ec != std::errc() || r.ptr != p) return false;
+    s_ = p;
     out = JsonValue::make_number(v);
     return true;
   }

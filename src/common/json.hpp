@@ -12,10 +12,20 @@
 //     within the 2^53 exact range);
 //   * object key order is preserved on write but lookup is linear — request
 //     objects are a handful of keys, so a map would cost more than it saves.
+//
+// Numbers go through one codec in both directions. The writer prints 17
+// significant digits through std::to_chars (byte-identical to printf's %g
+// at precision 17 in the C locale), which every finite double survives bit
+// for bit. The reader scans the RFC 8259 number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and converts the span
+// with std::from_chars: hex, a leading '+' or '.', a trailing '.', leading
+// zeros and any literal outside double's range (1e999, 1e-400) are syntax
+// errors.
 #pragma once
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,15 +98,26 @@ std::optional<JsonValue> json_parse(const std::string& text);
 
 /// Appends `v` to `out` as a JSON string literal (quotes + escapes). Shared
 /// with the hand-rolled fast paths that build frames without a JsonValue.
-void json_append_escaped(std::string& out, const std::string& v);
+void json_append_escaped(std::string& out, std::string_view v);
 
 /// Appends the UTF-8 encoding of a `\uXXXX` escape's code point (BMP
 /// only: surrogate halves are encoded as-is, the wire schemas are ASCII).
 void json_append_utf8(std::string& out, unsigned code);
 
-/// Appends a double as a JSON number with round-trip (%.17g) precision;
+/// Appends `v` with 17 significant digits through std::to_chars: the bytes
+/// printf's %g at precision 17 writes in the C locale, the non-finite
+/// spellings ("inf", "-inf", "nan", "-nan") included. Not JSON for
+/// non-finite values; the paths that substitute numbers into netlist text
+/// use it directly.
+void append_g17(std::string& out, double v);
+
+/// Appends a double as a JSON number with round-trip precision (17
+/// significant digits through std::to_chars, as append_g17);
 /// NaN/inf append "null".
 void json_append_double(std::string& out, double v);
+
+/// Appends an integer in decimal (std::to_chars; no temporary string).
+void json_append_integer(std::string& out, long v);
 
 /// Appends a double so that every value survives json_parse + json_read_exact
 /// bit for bit: finite values as json_append_double does, NaN as null and

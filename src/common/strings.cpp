@@ -1,10 +1,10 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 namespace usys {
 
@@ -45,17 +45,26 @@ bool iequals(std::string_view a, std::string_view b) noexcept {
 }
 
 std::optional<double> parse_spice_number(std::string_view s) noexcept {
-  if (s.empty()) return std::nullopt;
-  std::string buf(s);
-  char* end = nullptr;
-  const double base = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str()) return std::nullopt;
-  // Overflow ("1e999") and the inf/nan literals strtod accepts are rejected:
-  // a netlist value that is not a finite number is a typo, not a quantity.
-  if (!std::isfinite(base)) return std::nullopt;
-  std::string_view rest = trim(std::string_view(end));
+  s = trim(s);
+  // from_chars takes a leading '-' only; an explicit '+' is skipped here,
+  // but not in front of another sign ("+-5").
+  if (!s.empty() && s.front() == '+') {
+    s.remove_prefix(1);
+    if (!s.empty() && s.front() == '-') return std::nullopt;
+  }
+  // Hex is not a SPICE number: from_chars would read the "0" of "0x10" and
+  // leave "x10" to pass as unit letters.
+  const std::string_view mantissa = s.substr(!s.empty() && s.front() == '-' ? 1 : 0);
+  if (mantissa.size() >= 2 && mantissa[0] == '0' && (mantissa[1] == 'x' || mantissa[1] == 'X'))
+    return std::nullopt;
+  double base = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), base);
+  // Out of range ("1e999", "1e-400") and the inf/nan spellings from_chars
+  // reads are rejected: a netlist value that is not a finite number is a
+  // typo, not a quantity.
+  if (ec != std::errc() || !std::isfinite(base)) return std::nullopt;
+  const std::string_view rest = trim(s.substr(static_cast<std::size_t>(end - s.data())));
   if (rest.empty()) return base;
-  const std::string suffix = to_lower(rest);
   // "meg" must be matched before "m".
   struct Suffix {
     std::string_view text;
@@ -66,10 +75,10 @@ std::optional<double> parse_spice_number(std::string_view s) noexcept {
       {"u", 1e-6},  {"n", 1e-9}, {"p", 1e-12}, {"f", 1e-15},
   };
   for (const auto& sfx : kSuffixes) {
-    if (suffix.rfind(sfx.text, 0) == 0) return base * sfx.scale;
+    if (iequals(rest.substr(0, sfx.text.size()), sfx.text)) return base * sfx.scale;
   }
   // Unit letters only (e.g. "10V"): accept as plain number.
-  for (char c : suffix) {
+  for (char c : rest) {
     if (!std::isalpha(static_cast<unsigned char>(c))) return std::nullopt;
   }
   return base;

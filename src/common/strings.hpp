@@ -24,7 +24,11 @@ bool iequals(std::string_view a, std::string_view b) noexcept;
 ///   1k = 1e3, 4.7meg = 4.7e6, 10u = 1e-5, 0.15m = 1.5e-4, 5p = 5e-12 ...
 /// Recognized suffixes (case-insensitive): t g meg k m u n p f.
 /// Trailing unit letters after the suffix are ignored (e.g. "10uF").
-/// Returns nullopt if the leading characters do not form a number.
+/// The number is decimal, read by std::from_chars: an optional sign ('+'
+/// or '-'), digits with an optional '.' on either side ("5.", ".5") and an
+/// optional exponent. Returns nullopt if the leading characters do not form
+/// one, for hex ("0x10"), for inf/nan, and for a value outside double's
+/// range ("1e999", "1e-400").
 std::optional<double> parse_spice_number(std::string_view s) noexcept;
 
 /// printf-style formatting into std::string.

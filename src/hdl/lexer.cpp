@@ -1,7 +1,7 @@
 #include "hdl/lexer.hpp"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 
 #include "common/strings.hpp"
 
@@ -52,9 +52,13 @@ std::vector<Token> lex(const std::string& src) {
     }
     if (std::isdigit(static_cast<unsigned char>(c)) != 0 ||
         (c == '.' && i + 1 < n && std::isdigit(static_cast<unsigned char>(src[i + 1])) != 0)) {
-      char* end = nullptr;
-      const double v = std::strtod(src.c_str() + i, &end);
-      const std::size_t j = static_cast<std::size_t>(end - src.c_str());
+      if (c == '0' && i + 1 < n && (src[i + 1] == 'x' || src[i + 1] == 'X'))
+        throw LexError(line, col, "hex literals are not supported");
+      double v = 0.0;
+      const auto [end, ec] = std::from_chars(src.data() + i, src.data() + n, v);
+      const std::size_t j = static_cast<std::size_t>(end - src.data());
+      if (ec == std::errc::result_out_of_range)
+        throw LexError(line, col, "number '" + src.substr(i, j - i) + "' is out of range");
       push(Tok::number, src.substr(i, j - i), v);
       col += static_cast<int>(j - i);
       i = j;

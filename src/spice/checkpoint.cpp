@@ -10,11 +10,11 @@ std::string checkpoint_line(long index, const SweepPoint& point,
   std::string s;
   s.reserve(128);
   s += "{\"i\":";
-  s += std::to_string(index);
+  json_append_integer(s, index);
   s += ",\"ok\":";
   s += outcome.ok ? "true" : "false";
   s += ",\"attempts\":";
-  s += std::to_string(outcome.attempts);
+  json_append_integer(s, outcome.attempts);
   s += ",\"params\":";
   append_named_values(s, point.params);
   s += ",\"metrics\":";

@@ -20,10 +20,12 @@
 //    "failure":{"kind":"<FailureKind name>","analysis":"...","time":<value>,
 //               "iteration":<int>,"rescue":<int>,"detail":"..."}}   // only when !ok
 //
-// A <value> is a %.17g number, null for NaN, or "inf"/"-inf" (the shared
-// per-point codec, spice/point_record.hpp), so every line is plain JSON and
-// a value restored from a checkpoint round-trips bit for bit — the basis of
-// the "--resume reproduces completed points bit-identically" guarantee.
+// A <value> is a number with 17 significant digits through std::to_chars
+// (byte-identical to printf's %g at precision 17), null for NaN, or
+// "inf"/"-inf" (the shared per-point codec, spice/point_record.hpp), so
+// every line is plain JSON and a value restored from a checkpoint
+// round-trips bit for bit — the basis of the "--resume reproduces completed
+// points bit-identically" guarantee.
 // Lines are read through json_parse; integer fields must be integral and in
 // range, or the line is rejected like a torn one. params are recorded so
 // resume can verify the checkpoint actually belongs to the grid being run.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "spice/devices_controlled.hpp"
 #include "spice/stats.hpp"
@@ -283,7 +284,11 @@ Netlist NetlistParser::parse(const std::string& text, const SweepPoint* point) {
     const auto& [name, value] = point->params[static_cast<std::size_t>(k)];
     // The text path prints the value and parses it back: only a non-finite
     // value differs (it is rejected), so let that text give the verdict.
-    if (!std::isfinite(value)) return parse_num(str_format("%.17g", value), lineno);
+    if (!std::isfinite(value)) {
+      std::string digits;
+      append_g17(digits, value);
+      return parse_num(digits, lineno);
+    }
     out.placeholders.push_back({device, key, name});
     return value;
   };

@@ -38,6 +38,9 @@
 // (register_string_param; usys::core registers `mode` for the HDL cards)
 // are passed to the factory verbatim (XDeviceArgs::sparams). Every other
 // parameter value must parse as a SPICE number — typos stay hard errors.
+// SPICE numbers are decimal, read by std::from_chars (parse_spice_number):
+// hex such as `0x10`, `inf`/`nan` and values outside double's range are
+// errors, not 16, infinity or 0.
 #pragma once
 
 #include <functional>
@@ -146,8 +149,9 @@ class NetlistParser {
   /// With `point`, a token that is exactly `{name}` for one of the point's
   /// names is a sweep placeholder. In a value position — the R/C/L value, a
   /// V/I DC value, an X-card `key={name}` — it resolves to the point's
-  /// value (the same double `%.17g` substitution would parse back to; a
-  /// non-finite value fails as its text would) and is recorded in
+  /// value (the same double that text substitution, 17 significant digits
+  /// through `std::to_chars`, byte-identical to printf's `%g` at precision
+  /// 17, would parse back to; a non-finite value fails as its text would) and is recorded in
   /// Netlist::placeholders. Any other occurrence sets
   /// Netlist::structural_placeholders.
   Netlist parse(const std::string& text, const SweepPoint* point = nullptr);

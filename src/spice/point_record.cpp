@@ -41,9 +41,9 @@ void append_failure(std::string& out, const FailureInfo& f) {
   out += ",\"time\":";
   json_append_exact(out, f.time);
   out += ",\"iteration\":";
-  out += std::to_string(f.iteration);
+  json_append_integer(out, f.iteration);
   out += ",\"rescue\":";
-  out += std::to_string(f.rescue_attempts);
+  json_append_integer(out, f.rescue_attempts);
   out += ",\"detail\":";
   json_append_escaped(out, f.detail);
   out += '}';

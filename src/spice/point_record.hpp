@@ -7,9 +7,11 @@
 // functions below; each file frames the fields itself (its own key order,
 // and the stats lines leave out attempts/error/failure on purpose).
 //
-// Values are written with json_append_exact: %.17g for finite doubles, null
-// for NaN, "inf"/"-inf" for the infinities — every line is plain JSON that
-// json_parse accepts, and every value restores bit for bit.
+// Values are written with json_append_exact: 17 significant digits through
+// std::to_chars for finite doubles (byte-identical to printf's %g at
+// precision 17), null for NaN, "inf"/"-inf" for the infinities — every line
+// is plain JSON that json_parse accepts, and every value restores bit for
+// bit.
 #pragma once
 
 #include <string>

@@ -116,7 +116,8 @@ const std::vector<double>& default_quantiles() {
 void StatsRun::add_outcome(long index, const SweepPoint& point,
                            const SweepOutcome& outcome) {
   if (outcome.skipped) return;
-  points[index] = PointRecord{index, point, outcome};
+  // Sweeps record in ascending index order, so the end is the usual hint.
+  points.insert_or_assign(points.end(), index, PointRecord{index, point, outcome});
 }
 
 std::vector<MetricSummary> StatsRun::metric_summaries() const {
@@ -169,7 +170,8 @@ YieldSummary StatsRun::yield() const {
 void append_metric_summary(std::string& out, const MetricSummary& s) {
   out += "\"name\":";
   json_append_escaped(out, s.name);
-  out += ",\"n\":" + std::to_string(s.n);
+  out += ",\"n\":";
+  json_append_integer(out, s.n);
   out += ",\"mean\":";
   json_append_double(out, s.mean);
   out += ",\"stddev\":";
@@ -197,29 +199,49 @@ void append_measure_failures(std::string& out, const YieldSummary& y) {
     out += '[';
     json_append_escaped(out, y.measure_failures[m].first);
     out += ',';
-    out += std::to_string(y.measure_failures[m].second);
+    json_append_integer(out, y.measure_failures[m].second);
     out += ']';
   }
   out += ']';
 }
 
+namespace {
+
+/// Bytes of one point line shaped like `rec`: the fixed keys plus, per
+/// value, its quoted name, brackets and up to 24 characters of number.
+std::size_t point_line_size(const PointRecord& rec) {
+  std::size_t n = 80;
+  for (const auto& [name, value] : rec.point.params) n += name.size() + 30;
+  for (const auto& [name, value] : rec.outcome.metrics) n += name.size() + 30;
+  return n;
+}
+
+}  // namespace
+
 std::string StatsRun::to_jsonl() const {
   std::string out;
-  out.reserve(128 + points.size() * 96);
+  // Every point of a sweep carries the same names, so the first point's
+  // line size stands for all of them; the header and summaries are small.
+  const std::size_t line = points.empty() ? 0 : point_line_size(points.begin()->second);
+  out.reserve(1024 + points.size() * line);
 
   // Header. The seed travels as a decimal string so the full uint64 range
   // survives the double-only JSON number model.
   out += "{\"v\":1,\"stats\":\"header\",\"seed\":";
   json_append_escaped(out, seed_text);
-  out += ",\"points\":" + std::to_string(total_points);
-  out += ",\"mc\":" + std::to_string(mc);
-  out += ",\"shard\":";
-  if (shard_count > 1)
-    json_append_escaped(out, std::to_string(shard_index) + "/" +
-                                 std::to_string(shard_count));
-  else
-    json_append_escaped(out, std::string("full"));
-  out += ",\"measures\":[";
+  out += ",\"points\":";
+  json_append_integer(out, total_points);
+  out += ",\"mc\":";
+  json_append_integer(out, mc);
+  out += ",\"shard\":\"";
+  if (shard_count > 1) {
+    json_append_integer(out, shard_index);
+    out += '/';
+    json_append_integer(out, shard_count);
+  } else {
+    out += "full";
+  }
+  out += "\",\"measures\":[";
   for (std::size_t m = 0; m < measures.size(); ++m) {
     if (m) out += ',';
     out += '[';
@@ -246,10 +268,11 @@ std::string StatsRun::to_jsonl() const {
   for (const auto& [index, rec] : points) {
     const bool ok = rec.outcome.ok;
     const bool pass = ok && measures_pass(rec.outcome.metrics, measures);
-    out += "{\"stats\":\"point\",\"i\":" + std::to_string(index);
-    out += ok ? ",\"ok\":true" : ",\"ok\":false";
-    out += pass ? ",\"pass\":true" : ",\"pass\":false";
-    out += ",\"params\":";
+    out += "{\"stats\":\"point\",\"i\":";
+    json_append_integer(out, index);
+    out += pass ? ",\"ok\":true,\"pass\":true,\"params\":"
+           : ok ? ",\"ok\":true,\"pass\":false,\"params\":"
+                : ",\"ok\":false,\"pass\":false,\"params\":";
     append_named_values(out, rec.point.params);
     out += ",\"metrics\":";
     append_named_values(out, rec.outcome.metrics);
@@ -264,9 +287,12 @@ std::string StatsRun::to_jsonl() const {
   }
 
   const YieldSummary y = yield();
-  out += "{\"stats\":\"yield\",\"n\":" + std::to_string(y.n);
-  out += ",\"ok\":" + std::to_string(y.ok);
-  out += ",\"pass\":" + std::to_string(y.pass);
+  out += "{\"stats\":\"yield\",\"n\":";
+  json_append_integer(out, y.n);
+  out += ",\"ok\":";
+  json_append_integer(out, y.ok);
+  out += ",\"pass\":";
+  json_append_integer(out, y.pass);
   out += ",\"yield\":";
   json_append_double(out, y.yield);
   out += ",\"measures\":";

@@ -8,10 +8,11 @@
 // values, ok/pass flags), and recomputed summary lines. Because summaries
 // and pass flags are always recomputed from the point records in
 // global-index order with a fixed algorithm, and values round-trip exactly
-// through the shared per-point codec (spice/point_record.hpp: %.17g, null
-// for NaN, "inf"/"-inf"), merging per-shard files (`usim --merge-stats`)
-// reproduces the single-process file byte for byte — the acceptance
-// contract the determinism tests pin.
+// through the shared per-point codec (spice/point_record.hpp: 17
+// significant digits through std::to_chars, byte-identical to printf's %g
+// at precision 17; null for NaN, "inf"/"-inf"), merging per-shard files
+// (`usim --merge-stats`) reproduces the single-process file byte for byte —
+// the acceptance contract the determinism tests pin.
 //
 // Point lines hold the same PointRecord as the checkpoint journal but leave
 // out attempts, error and failure on purpose: a resumed or retried run then

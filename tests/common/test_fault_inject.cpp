@@ -129,6 +129,8 @@ TEST_F(FaultInjectTest, MalformedSpecArmsNothing) {
   EXPECT_FALSE(arm_from_spec("t.cnt:1:0"));       // count must be non-zero
   EXPECT_FALSE(arm_from_spec(":3"));              // empty site name
   EXPECT_FALSE(arm_from_spec("t.p~1.5@1"));       // probability out of range
+  EXPECT_FALSE(arm_from_spec("t.p~nan@1"));       // ... or not a number
+  EXPECT_FALSE(arm_from_spec("t.p~0x1p-1@1"));    // no hex
   EXPECT_FALSE(arm_from_spec("t.p~0.5"));         // random mode needs @seed
   EXPECT_FALSE(arm_from_spec("t.p~0.5@-3"));      // seed must be >= 0
   EXPECT_TRUE(armed_sites().empty());

@@ -55,6 +55,29 @@ TEST(Strings, SpiceNumberRejectsGarbage) {
   EXPECT_FALSE(parse_spice_number("1.2.3x!").has_value());
 }
 
+// The netlist number grammar: decimal only, read by from_chars.
+TEST(Strings, SpiceNumberAcceptRejectTable) {
+  const struct {
+    const char* text;
+    double value;
+  } kAccepted[] = {
+      {"+5", 5.0},        {".5", 0.5},         {"5.", 5.0},          {"-.5", -0.5},
+      {"+1.5e3", 1500.0}, {"1k", 1e3},         {"-2.5meg", -2.5e6},  {"1e-3u", 1e-9},
+      {"10V", 10.0},      {"+10uF", 1e-5},     {"0", 0.0},           {"1e", 1.0},
+      {" 42 ", 42.0},     {"1e-300", 1e-300},
+  };
+  for (const auto& row : kAccepted) {
+    const auto v = parse_spice_number(row.text);
+    ASSERT_TRUE(v.has_value()) << row.text;
+    EXPECT_DOUBLE_EQ(*v, row.value) << row.text;
+  }
+  for (const char* bad : {"0x10", "0X10", "-0x10", "+0x10", "0x1p-3", "0xff", "inf", "-inf",
+                          "INF", "infinity", "nan", "1e999", "-1e999", "1e999k", "1e-400",
+                          "+-5", "++5", "+", "-", "+ 5"}) {
+    EXPECT_FALSE(parse_spice_number(bad).has_value()) << bad;
+  }
+}
+
 TEST(Strings, Format) {
   EXPECT_EQ(str_format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(str_format("%.3f", 1.5), "1.500");

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hdl/lexer.hpp"
 
 namespace usys::hdl {
@@ -23,6 +25,25 @@ TEST(Lexer, NumbersWithExponents) {
   EXPECT_DOUBLE_EQ(toks[1].value, 2.0);
   EXPECT_DOUBLE_EQ(toks[2].value, 42.0);
   EXPECT_DOUBLE_EQ(toks[3].value, 0.5);
+}
+
+TEST(Lexer, HexAndOutOfRangeLiteralsThrowWithPosition) {
+  try {
+    lex("x := 0x10;");
+    FAIL() << "0x10 lexed";
+  } catch (const LexError& e) {
+    EXPECT_NE(std::string(e.what()).find("at 1:6"), std::string::npos) << e.what();
+  }
+  try {
+    lex("a := 1;\n  x := 1e999;");
+    FAIL() << "1e999 lexed";
+  } catch (const LexError& e) {
+    EXPECT_NE(std::string(e.what()).find("at 2:8"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("1e999"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(lex("y := 0X1p-3;"), LexError);
+  EXPECT_THROW(lex("y := 1e-999;"), LexError);
+  EXPECT_DOUBLE_EQ(lex("y := 1.e3;")[2].value, 1000.0);
 }
 
 TEST(Lexer, IdentifiersKeepCase) {

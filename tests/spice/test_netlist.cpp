@@ -127,6 +127,15 @@ TEST(Netlist, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(Netlist, HexAndNonFiniteValuesThrow) {
+  NetlistParser parser;
+  EXPECT_THROW(parser.parse("R1 a 0 0x10\n"), NetlistError);
+  EXPECT_THROW(parser.parse("C1 a 0 0x1p-3\n"), NetlistError);
+  EXPECT_THROW(parser.parse("R1 a 0 inf\n"), NetlistError);
+  EXPECT_THROW(parser.parse("R1 a 0 1e999\n"), NetlistError);
+  EXPECT_NO_THROW(parser.parse("R1 a 0 +5\nR2 a 0 .5k\nR3 a 0 5.\n"));
+}
+
 TEST(Netlist, UnknownDirectiveThrows) {
   NetlistParser parser;
   EXPECT_THROW(parser.parse(".nonsense 1 2\n"), NetlistError);
