@@ -210,6 +210,14 @@ struct AppliedOverride {
   double baseline = 0.0;
 };
 
+/// Whether a DC solve under `a` also answers one under `b`: every option
+/// but the budget fields (timeout, cancel) must match.
+bool same_operating_point(spice::DcOptions a, spice::DcOptions b) {
+  a.newton.timeout_ms = b.newton.timeout_ms = 0.0;
+  a.newton.cancel = b.newton.cancel = nullptr;
+  return a == b;
+}
+
 /// Restores every applied override (newest first) and rebinds on every exit
 /// from Session::run, exceptions included.
 struct OverrideRestorer {
@@ -275,6 +283,16 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
       request.analyses.empty() ? impl_->net.analyses : request.analyses;
   if (cards.empty()) cards.push_back({});  // default .op
 
+  // The job's operating point: an .op card's converged solve, handed to the
+  // later .ac/.tran cards whose dc options match it, so a job solves each
+  // point once. A transient moves device state (start_transient/accept), so
+  // it ends the reuse; nothing outlives the job.
+  std::optional<spice::DcResult> point;
+  spice::DcOptions point_opts;
+  const auto reusable = [&](const spice::DcOptions& dc) -> const spice::DcResult* {
+    return point && same_operating_point(point_opts, dc) ? &*point : nullptr;
+  };
+
   result.ok = true;
   for (auto& card : cards) {
     AnalysisOutcome outcome;
@@ -283,9 +301,14 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
       case spice::AnalysisCard::Kind::op: {
         spice::DcOptions dc;
         apply_newton(dc.newton);
-        outcome.op = impl_->engine->run_op(dc);
+        spice::DcResult solved = impl_->engine->run_dc(dc);
+        outcome.op = spice::op_result(solved);
         outcome.ok = outcome.op.converged;
         result.symbolic_factorizations += outcome.op.symbolic_factorizations;
+        if (solved.converged) {
+          point = std::move(solved);
+          point_opts = dc;
+        }
         break;
       }
       case spice::AnalysisCard::Kind::tran: {
@@ -293,14 +316,15 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
         // copy carries the iteration-limit scale.
         apply_newton(card.tran.newton);
         apply_newton(card.tran.dc.newton);
-        outcome.tran = impl_->engine->run_tran(card.tran);
+        outcome.tran = impl_->engine->run_tran(card.tran, reusable(card.tran.dc));
+        point.reset();
         outcome.ok = outcome.tran.ok;
         result.symbolic_factorizations += outcome.tran.symbolic_factorizations;
         break;
       }
       case spice::AnalysisCard::Kind::ac: {
         apply_newton(card.ac.dc.newton);
-        outcome.ac = impl_->engine->run_ac(card.ac);
+        outcome.ac = impl_->engine->run_ac(card.ac, reusable(card.ac.dc));
         outcome.ok = outcome.ac.ok;
         result.symbolic_factorizations += outcome.ac.symbolic_factorizations;
         break;
@@ -408,7 +432,8 @@ spice::SweepOutcome distill(Session& session, const JobResult& result) {
 /// template built, plus where its placeholders landed. One per thread, so a
 /// sweep holds at most one extra Session per worker.
 struct WarmTemplate {
-  std::string key;                 ///< content_hash(text, hdl_mode)
+  std::string text;                ///< the template netlist, compared per point
+  std::string hdl_mode;
   std::vector<std::string> names;  ///< the point's parameter names, in order
   bool classified = false;         ///< a template parse has succeeded
   std::unique_ptr<Session> session;  ///< null: the template is structural
@@ -430,13 +455,15 @@ std::optional<spice::SweepOutcome> run_warm(const std::string& text,
     if (!std::isfinite(value)) return std::nullopt;
   }
   WarmTemplate& w = t_warm;
-  std::string key = content_hash(text, hdl_mode);
+  // A byte compare, not a hash: the template's identity is checked on every
+  // point, and content_hash runs only when a template session is built.
   const bool same_names =
       std::equal(w.names.begin(), w.names.end(), point.params.begin(), point.params.end(),
                  [](const std::string& n, const auto& p) { return n == p.first; });
-  if (w.key != key || !same_names) {
+  if (w.text != text || w.hdl_mode != hdl_mode || !same_names) {
     w = WarmTemplate{};
-    w.key = std::move(key);
+    w.text = text;
+    w.hdl_mode = hdl_mode;
     for (const auto& [name, value] : point.params) w.names.push_back(name);
   }
   if (!w.classified) {
@@ -446,7 +473,7 @@ std::optional<spice::SweepOutcome> run_warm(const std::string& text,
       spice::Netlist net = parse_netlist(text, hdl_mode, &point);
       if (!net.structural_placeholders) {
         sites = std::move(net.placeholders);
-        session = std::make_unique<Session>(std::move(net), w.key);
+        session = std::make_unique<Session>(std::move(net), content_hash(text, hdl_mode));
       }
     } catch (...) {
       return std::nullopt;  // e.g. a drawn value the constructor refuses
@@ -488,7 +515,7 @@ std::optional<spice::SweepOutcome> run_warm(const std::string& text,
 }  // namespace
 
 bool sweep_template_warm(const std::string& text, const std::string& hdl_mode) {
-  return t_warm.session != nullptr && t_warm.key == content_hash(text, hdl_mode);
+  return t_warm.session != nullptr && t_warm.text == text && t_warm.hdl_mode == hdl_mode;
 }
 
 spice::SweepOutcome run_sweep_point(const std::string& text,

@@ -7,14 +7,22 @@
 namespace usys {
 
 Deadline Deadline::after_ms(double ms, const CancelToken* cancel) {
+  using Clock = std::chrono::steady_clock;
   Deadline d;
   d.cancel_ = cancel;
-  if (ms > 0.0) {
-    d.limited_ = true;
-    d.end_ = std::chrono::steady_clock::now() +
-             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                 std::chrono::duration<double, std::milli>(ms));
-  }
+  if (!(ms > 0.0)) return d;
+  // A budget past the clock's range (its int64 tick count ends ~292 years
+  // from the epoch) cannot be represented — casting it would be undefined
+  // behaviour — and no run outlives it anyway: it means unlimited, as +inf
+  // does. Half the remaining range keeps the double -> tick rounding clear
+  // of the limit.
+  const Clock::time_point now = Clock::now();
+  const double room_ms =
+      std::chrono::duration<double, std::milli>(Clock::time_point::max() - now).count();
+  if (ms >= 0.5 * room_ms) return d;
+  d.limited_ = true;
+  d.end_ = now + std::chrono::duration_cast<Clock::duration>(
+                     std::chrono::duration<double, std::milli>(ms));
   return d;
 }
 

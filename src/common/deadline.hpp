@@ -52,8 +52,9 @@ class Deadline {
   /// No budget, no cancel: never expires, active() is false.
   Deadline() = default;
 
-  /// Budget of `ms` wall-clock milliseconds from now (ms <= 0 means no time
-  /// budget) plus an optional cancel token (null means none).
+  /// Budget of `ms` wall-clock milliseconds from now plus an optional cancel
+  /// token (null means none). ms <= 0, NaN, +inf and any budget too large
+  /// for steady_clock to represent (over ~146 years) mean no time budget.
   static Deadline after_ms(double ms, const CancelToken* cancel = nullptr);
 
   /// True when there is anything to poll (a time budget or a cancel token).

@@ -3,19 +3,70 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "common/fault_inject.hpp"
 
 namespace usys {
 namespace {
 
-template <typename T>
-double magnitude(const T& x) {
-  if constexpr (std::is_same_v<T, double>) {
-    return std::abs(x);
-  } else {
-    return std::abs(x);  // std::abs(complex) = modulus
+/// Partial pivoting: the row in [k, n) whose column-k entry has the largest
+/// modulus, the first such row on ties.
+std::size_t pivot_row(const DMatrix& a, std::size_t k) {
+  std::size_t pivot = k;
+  double best = std::abs(a(k, k));
+  for (std::size_t r = k + 1; r < a.rows(); ++r) {
+    const double m = std::abs(a(r, k));
+    if (m > best) {
+      best = m;
+      pivot = r;
+    }
   }
+  return pivot;
+}
+
+/// The complex search compares squared moduli, which skip hypot's scaling.
+/// |z|^2 computed as re*re + im*im is within ~2 ulps of the exact value
+/// while it stays a normal double, and std::abs is within ~1 ulp of |z|, so
+/// a gap of more than 16 ulps between two squares decides the comparison
+/// exactly as std::abs would. Anything closer, and any square that
+/// overflows or leaves the normal range, is decided by std::abs itself, so
+/// the pivot sequence is the one the std::abs search picks.
+std::size_t pivot_row(const ZMatrix& a, std::size_t k) {
+  constexpr double kMargin = 16 * std::numeric_limits<double>::epsilon();
+  const auto square = [](const std::complex<double>& z) {
+    return z.real() * z.real() + z.imag() * z.imag();
+  };
+  // A square the margin test may use: an exact zero's, or a normal double.
+  const auto trusted = [](const std::complex<double>& z, double m2) {
+    return m2 == 0.0 ? z == std::complex<double>{}
+                     : m2 >= std::numeric_limits<double>::min() &&
+                           m2 <= std::numeric_limits<double>::max();
+  };
+  std::size_t pivot = k;
+  double best2 = square(a(k, k));
+  bool best_trusted = trusted(a(k, k), best2);
+  for (std::size_t r = k + 1; r < a.rows(); ++r) {
+    const std::complex<double>& z = a(r, k);
+    const double m2 = square(z);
+    const bool m_trusted = trusted(z, m2);
+    bool wins;
+    if (m_trusted && m2 == 0.0) {
+      wins = false;  // an exact zero never beats anything
+    } else if (m_trusted && best_trusted && m2 > best2 * (1.0 + kMargin)) {
+      wins = true;
+    } else if (m_trusted && best_trusted && m2 < best2 * (1.0 - kMargin)) {
+      wins = false;
+    } else {
+      wins = std::abs(z) > std::abs(a(pivot, k));
+    }
+    if (wins) {
+      pivot = r;
+      best2 = m2;
+      best_trusted = m_trusted;
+    }
+  }
+  return pivot;
 }
 
 template <typename T>
@@ -25,16 +76,8 @@ void lu_solve_impl(Matrix<T>& a, std::vector<T>& b) {
   if (USYS_FAULT_POINT("dense_lu.singular")) throw SingularMatrixError(0);
 
   for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting: find the row with the largest magnitude in column k.
-    std::size_t pivot = k;
-    double best = magnitude(a(k, k));
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double m = magnitude(a(r, k));
-      if (m > best) {
-        best = m;
-        pivot = r;
-      }
-    }
+    const std::size_t pivot = pivot_row(a, k);
+    const double best = std::abs(a(pivot, k));
     if (best < 1e-300) throw SingularMatrixError(k);
     if (pivot != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(a(k, c), a(pivot, c));

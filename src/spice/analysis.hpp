@@ -38,6 +38,9 @@ struct OpResult {
   double at(int node) const { return node < 0 ? 0.0 : x.at(static_cast<std::size_t>(node)); }
 };
 
+/// A DC solve repackaged as the analysis-level result.
+OpResult op_result(const DcResult& dc);
+
 // ---------------------------------------------------------------------------
 // Transient
 // ---------------------------------------------------------------------------

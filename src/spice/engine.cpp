@@ -39,6 +39,14 @@ bool hard_stop(FailureKind k) noexcept {
   return k == FailureKind::timeout || k == FailureKind::cancelled;
 }
 
+/// The dc options of a transient or AC run with their own budget fields
+/// cleared: the caller's one deadline covers the operating point too.
+DcOptions budgetless(DcOptions dc) noexcept {
+  dc.newton.timeout_ms = 0.0;
+  dc.newton.cancel = nullptr;
+  return dc;
+}
+
 }  // namespace
 
 AnalysisEngine::AnalysisEngine(Circuit& circuit) : circuit_(circuit) {
@@ -221,19 +229,7 @@ DcResult AnalysisEngine::run_dc_under(const DcOptions& opts, const Deadline& dl)
   return out;
 }
 
-OpResult AnalysisEngine::run_op(const DcOptions& opts) {
-  const DcResult dc = run_dc(opts);
-  OpResult out;
-  out.converged = dc.converged;
-  out.x = dc.x;
-  out.newton_iterations = dc.total_newton_iters;
-  out.used_sparse = dc.used_sparse;
-  out.symbolic_factorizations = dc.symbolic_factorizations;
-  out.used_gmin_stepping = dc.used_gmin_stepping;
-  out.used_source_stepping = dc.used_source_stepping;
-  out.failure = dc.failure;
-  return out;
-}
+OpResult AnalysisEngine::run_op(const DcOptions& opts) { return op_result(run_dc(opts)); }
 
 // ---------------------------------------------------------------------------
 // Transient
@@ -275,7 +271,7 @@ StepCoeffs coeffs(IntegMethod m, double h, double h_prev) {
 
 }  // namespace
 
-TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
+TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op) {
   TranResult out;
   const std::size_t n = static_cast<std::size_t>(circuit_.unknown_count());
 
@@ -288,10 +284,9 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
   const Deadline dl = Deadline::after_ms(opts.newton.timeout_ms, opts.newton.cancel);
 
   // --- Initial operating point --------------------------------------------
-  DcOptions dc_opts = opts.dc;
-  dc_opts.newton.timeout_ms = 0.0;
-  dc_opts.newton.cancel = nullptr;
-  const DcResult dc = run_dc_under(dc_opts, dl);
+  DcResult solved;
+  if (op == nullptr) solved = run_dc_under(budgetless(opts.dc), dl);
+  const DcResult& dc = op != nullptr ? *op : solved;
   out.used_gmin_stepping = dc.used_gmin_stepping;
   out.used_source_stepping = dc.used_source_stepping;
   if (!dc.converged) {
@@ -561,7 +556,7 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts) {
 // AC
 // ---------------------------------------------------------------------------
 
-AcResult AnalysisEngine::run_ac(const AcOptions& opts) {
+AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
   AcResult out;
   const std::size_t n = static_cast<std::size_t>(circuit_.unknown_count());
 
@@ -573,10 +568,9 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts) {
     log_warn(out.error);
   };
 
-  DcOptions dc_opts = opts.dc;
-  dc_opts.newton.timeout_ms = 0.0;
-  dc_opts.newton.cancel = nullptr;
-  const DcResult dc = run_dc_under(dc_opts, dl);
+  DcResult solved;
+  if (op == nullptr) solved = run_dc_under(budgetless(opts.dc), dl);
+  const DcResult& dc = op != nullptr ? *op : solved;
   if (!dc.converged) {
     out.failure = dc.failure;
     out.failure.analysis = "ac";
@@ -617,6 +611,8 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts) {
                       std::pow(10.0, decades * static_cast<double>(i) / (total - 1)));
   }
 
+  out.freq.reserve(freqs.size());
+  out.x.reserve(freqs.size());
   if (solver.sparse_active()) {
     // Sparse sweep: (Jf + jw Jq) shares the real pattern, so the complex LU
     // runs its symbolic factorization once and numerically refactors per
@@ -654,13 +650,15 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts) {
     out.used_sparse = true;
     out.symbolic_factorizations = zlu.symbolic_factorizations();
   } else {
+    // One scratch matrix for the whole sweep: every entry is rewritten per
+    // frequency before lu_solve overwrites it.
+    ZMatrix a(n, n);
     for (double fr : freqs) {
       if (dl.active() && dl.expired()) {
         fail(dl.exceeded_kind(), "deadline expired in frequency sweep", fr);
         return out;
       }
       const std::complex<double> jw(0.0, 2.0 * kPi * fr);
-      ZMatrix a(n, n);
       for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t c = 0; c < n; ++c) {
           a(r, c) = std::complex<double>(jf(r, c), 0.0) + jw * jq(r, c);

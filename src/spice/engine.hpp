@@ -26,7 +26,9 @@
 // engine reports 0 extra symbolic factorizations once its pivot order is
 // warm. After changing device PARAMETERS (values, not circuit structure —
 // structure is frozen at bind), call rebind() to drop the warm solver state
-// while keeping the compiled pattern.
+// while keeping the compiled pattern. The engine keeps no operating point
+// between calls: run_tran / run_ac solve their own unless the caller hands
+// one over (api::Session::run passes its job's .op point).
 #pragma once
 
 #include <memory>
@@ -52,10 +54,17 @@ class AnalysisEngine {
   DcResult run_dc(const DcOptions& opts = {});
   /// run_dc repackaged as the analysis-level result.
   OpResult run_op(const DcOptions& opts = {});
-  /// Adaptive transient from a fresh operating point.
-  TranResult run_tran(const TranOptions& opts);
-  /// Small-signal sweep linearized at a fresh operating point.
-  AcResult run_ac(const AcOptions& opts);
+  /// Adaptive transient from an operating point: `op` when given, else one
+  /// solved here under opts.dc. A given `op` must be a converged run_dc
+  /// result of this circuit, solved under options equal to opts.dc apart
+  /// from the budget fields and with no transient run since — the engine
+  /// keeps no cache and cannot check; api::Session::run passes one only
+  /// within a job. The result's iteration count and rescue flags are `op`'s,
+  /// exactly as a fresh solve reports them.
+  TranResult run_tran(const TranOptions& opts, const DcResult* op = nullptr);
+  /// Small-signal sweep linearized at an operating point: `op` when given
+  /// (same contract as run_tran), else one solved here under opts.dc.
+  AcResult run_ac(const AcOptions& opts, const DcResult* op = nullptr);
 
   /// Re-arms the engine after external device-parameter changes: drops the
   /// warm solver (pivot order, value arrays) so the next run restamps and

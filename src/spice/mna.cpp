@@ -76,12 +76,13 @@ MnaAssembler::MnaAssembler(Circuit& circuit, const MnaPattern& pattern)
 }
 
 void MnaAssembler::assemble(const EvalCtx& ctx_proto, const DVector& x, DVector& f,
-                            DVector& q) {
+                            DVector& q, bool with_jq) {
   const auto n = static_cast<std::size_t>(pattern_.size());
   f.assign(n, 0.0);
   q.assign(n, 0.0);
   std::fill(jf_vals_.begin(), jf_vals_.end(), 0.0);
-  std::fill(jq_vals_.begin(), jq_vals_.end(), 0.0);
+  if (with_jq) std::fill(jq_vals_.begin(), jq_vals_.end(), 0.0);
+  sink_.jq_vals = with_jq ? jq_vals_.data() : nullptr;
 
   EvalCtx ctx = ctx_proto;
   ctx.x = &x;

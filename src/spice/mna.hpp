@@ -70,10 +70,13 @@ class MnaAssembler {
   MnaAssembler(Circuit& circuit, const MnaPattern& pattern);
 
   /// One stamp pass at iterate `x`: fills f, q and the flat Jf/Jq values.
+  /// With `with_jq` false (DC Newton) Jq stamps are discarded, still
+  /// footprint-checked, and jq_values() keeps its previous contents.
   /// Does NOT apply gmin (that is solver policy — see NewtonSolver).
   /// Throws CircuitError, naming the device, when a device stamps outside
   /// its own footprint.
-  void assemble(const EvalCtx& ctx_proto, const DVector& x, DVector& f, DVector& q);
+  void assemble(const EvalCtx& ctx_proto, const DVector& x, DVector& f, DVector& q,
+                bool with_jq = true);
 
   const MnaPattern& pattern() const noexcept { return pattern_; }
   const std::vector<double>& jf_values() const noexcept { return jf_vals_; }

@@ -31,27 +31,37 @@ NewtonSolver::NewtonSolver(Circuit& circuit, NewtonOptions opts)
   }
 }
 
+namespace {
+
+/// Sizes `m` to n x n, or zero-fills it when it already has that shape.
+void zero_square(DMatrix& m, std::size_t n) {
+  if (m.rows() != n || m.cols() != n) {
+    m.resize(n, n);
+  } else {
+    m.fill(0.0);
+  }
+}
+
+}  // namespace
+
 void NewtonSolver::stamp(EvalCtx ctx_proto, const DVector& x, DVector& f, DVector& q,
                          DMatrix& jf, DMatrix& jq) {
+  stamp_dense(ctx_proto, x, f, q, jf, &jq);
+}
+
+void NewtonSolver::stamp_dense(const EvalCtx& ctx_proto, const DVector& x, DVector& f,
+                               DVector& q, DMatrix& jf, DMatrix* jq) {
   const std::size_t n = x.size();
   f.assign(n, 0.0);
   q.assign(n, 0.0);
-  if (jf.rows() != n || jf.cols() != n) {
-    jf.resize(n, n);
-  } else {
-    jf.fill(0.0);
-  }
-  if (jq.rows() != n || jq.cols() != n) {
-    jq.resize(n, n);
-  } else {
-    jq.fill(0.0);
-  }
+  zero_square(jf, n);
+  if (jq != nullptr) zero_square(*jq, n);
   EvalCtx ctx = ctx_proto;
   ctx.x = &x;
   ctx.f = &f;
   ctx.q = &q;
   ctx.jf = &jf;
-  ctx.jq = &jq;
+  ctx.jq = jq;
   ctx.sparse = nullptr;
   for (const auto& dev : circuit_.devices()) dev->evaluate(ctx);
   // gmin ties every *node* row weakly to ground, keeping the Jacobian
@@ -86,8 +96,8 @@ void NewtonSolver::stamp_values(EvalCtx ctx_proto, const DVector& x, DVector& f,
 }
 
 void NewtonSolver::assemble_sparse(EvalCtx ctx_proto, const DVector& x, DVector& f,
-                                   DVector& q) {
-  assembler_->assemble(ctx_proto, x, f, q);
+                                   DVector& q, bool with_jq) {
+  assembler_->assemble(ctx_proto, x, f, q, with_jq);
   if (opts_.gmin > 0.0) {
     const auto nodes = static_cast<std::size_t>(circuit_.node_count());
     for (std::size_t i = 0; i < nodes; ++i) {
@@ -103,6 +113,9 @@ NewtonResult NewtonSolver::solve(EvalCtx ctx_proto, double a0, const DVector& hi
   result.used_sparse = sparse_active();
   const std::size_t n = x.size();
   const DVector& abstol = circuit_.abstol();
+  // J = Jf + a0*Jq: at a0 = 0 (DC) no pass extracts Jq, so devices that
+  // derive it indirectly (HDL dc_ddt capture) skip that work.
+  const bool with_jq = a0 != 0.0;
 
   // Injected Newton stall: the whole solve reports divergence immediately,
   // exactly as a real never-converging iteration would after max_iters —
@@ -124,19 +137,24 @@ NewtonResult NewtonSolver::solve(EvalCtx ctx_proto, double a0, const DVector& hi
     }
     bool singular = false;
     if (sparse_active()) {
-      assemble_sparse(ctx_proto, x, f_, q_);
+      assemble_sparse(ctx_proto, x, f_, q_, with_jq);
       // Combined Newton matrix Jf + a0*Jq: one O(nnz) fuse over the flat
-      // value arrays (they share the pattern's CSR layout).
-      const std::vector<double>& jfv = assembler_->jf_values();
-      const std::vector<double>& jqv = assembler_->jq_values();
-      for (std::size_t k = 0; k < jac_vals_.size(); ++k)
-        jac_vals_[k] = jfv[k] + a0 * jqv[k];
+      // value arrays (they share the pattern's CSR layout). DC factors Jf
+      // as assembled.
+      const std::vector<double>* jac = &assembler_->jf_values();
+      if (with_jq) {
+        const std::vector<double>& jfv = *jac;
+        const std::vector<double>& jqv = assembler_->jq_values();
+        for (std::size_t k = 0; k < jac_vals_.size(); ++k)
+          jac_vals_[k] = jfv[k] + a0 * jqv[k];
+        jac = &jac_vals_;
+      }
       for (std::size_t i = 0; i < n; ++i) {
         resid_[i] = f_[i] + a0 * q_[i] + (hist.empty() ? 0.0 : hist[i]);
         dx_[i] = -resid_[i];
       }
       try {
-        lu_.factor(jac_vals_);  // symbolic reused; numeric refactorization
+        lu_.factor(*jac);  // symbolic reused; numeric refactorization
         lu_.solve(dx_);
       } catch (const SingularMatrixError&) {
         singular = true;
@@ -146,18 +164,23 @@ NewtonResult NewtonSolver::solve(EvalCtx ctx_proto, double a0, const DVector& hi
         return result;
       }
     } else {
-      stamp(ctx_proto, x, f_, q_, jf_, jq_);
       // resid = f + a0*q + hist ; jacobian = Jf + a0*Jq. The combine writes
       // straight into the factorization scratch — LU may destroy it, it is
-      // rebuilt next iteration anyway (no deep copy).
+      // rebuilt next iteration anyway (no deep copy). DC stamps Jf there
+      // directly.
+      if (with_jq) {
+        stamp_dense(ctx_proto, x, f_, q_, jf_, &jq_);
+        for (std::size_t r = 0; r < n; ++r) {
+          for (std::size_t c = 0; c < n; ++c) {
+            jacobian_(r, c) = jf_(r, c) + a0 * jq_(r, c);
+          }
+        }
+      } else {
+        stamp_dense(ctx_proto, x, f_, q_, jacobian_, nullptr);
+      }
       for (std::size_t i = 0; i < n; ++i) {
         resid_[i] = f_[i] + a0 * q_[i] + (hist.empty() ? 0.0 : hist[i]);
         dx_[i] = -resid_[i];
-      }
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-          jacobian_(r, c) = jf_(r, c) + a0 * jq_(r, c);
-        }
       }
       try {
         lu_solve(jacobian_, dx_);

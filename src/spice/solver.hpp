@@ -1,7 +1,8 @@
 // Newton-Raphson kernel shared by the DC and transient analyses.
 //
 // Solves F(x) = f(x) + a0*q(x) + hist = 0 with J = Jf + a0*Jq, where the
-// caller chooses a0/hist (a0 = 0, hist = 0 recovers DC). Robustness aids:
+// caller chooses a0/hist (a0 = 0, hist = 0 recovers DC, where J = Jf and no
+// stamp pass asks devices for Jq). Robustness aids:
 // diagonal gmin on node rows, per-unknown weighted convergence (reltol +
 // nature-dependent abstol), step limiting, and — for hard DC points —
 // gmin stepping and source stepping continuation.
@@ -51,6 +52,8 @@ struct NewtonOptions {
   /// Polled at the same sites as the timeout; firing reports
   /// FailureKind::cancelled. This is the server-mode kill switch.
   const CancelToken* cancel = nullptr;
+
+  bool operator==(const NewtonOptions&) const = default;
 };
 
 struct NewtonResult {
@@ -92,8 +95,10 @@ class NewtonSolver {
 
   /// Sparse assembly at x (f, q, and the flat Jf/Jq values retrievable via
   /// sparse_jf/sparse_jq), including gmin. Requires sparse_active(); the AC
-  /// path linearizes through this.
-  void assemble_sparse(EvalCtx ctx_proto, const DVector& x, DVector& f, DVector& q);
+  /// path linearizes through this. `with_jq` false discards the Jq stamps
+  /// (see MnaAssembler::assemble).
+  void assemble_sparse(EvalCtx ctx_proto, const DVector& x, DVector& f, DVector& q,
+                       bool with_jq = true);
   const MnaPattern* pattern() const noexcept {
     return assembler_ ? &assembler_->pattern() : nullptr;
   }
@@ -145,6 +150,10 @@ class NewtonSolver {
   }
 
  private:
+  /// The dense stamp pass behind stamp(); a null `jq` discards Jq stamps.
+  void stamp_dense(const EvalCtx& ctx_proto, const DVector& x, DVector& f, DVector& q,
+                   DMatrix& jf, DMatrix* jq);
+
   Circuit& circuit_;
   NewtonOptions opts_;
   // Scratch, reused across iterations to avoid reallocations.
@@ -161,6 +170,8 @@ struct DcOptions {
   NewtonOptions newton;
   bool allow_gmin_stepping = true;
   bool allow_source_stepping = true;
+
+  bool operator==(const DcOptions&) const = default;
 };
 
 struct DcResult {

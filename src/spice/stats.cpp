@@ -1,10 +1,12 @@
 #include "spice/stats.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/json.hpp"
 
@@ -326,6 +328,26 @@ bool write_stats(const std::string& path, const StatsRun& run,
 
 namespace {
 
+/// A header's "k/n" shard as the writer emits it: two decimal numbers (no
+/// sign, prefix or spaces) with 2 <= n and 1 <= k <= n.
+bool parse_shard(std::string_view text, int& index, int& count) {
+  const auto number = [](std::string_view digits, int& out) {
+    if (digits.empty() || digits.front() < '0' || digits.front() > '9') return false;
+    const char* const end = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), end, out);
+    return ec == std::errc() && ptr == end;
+  };
+  const auto slash = text.find('/');
+  int k = 0;
+  int n = 0;
+  if (slash == std::string_view::npos || !number(text.substr(0, slash), k) ||
+      !number(text.substr(slash + 1), n) || n < 2 || k < 1 || k > n)
+    return false;
+  index = k;
+  count = n;
+  return true;
+}
+
 bool measures_equal(const std::vector<MeasureSpec>& a,
                     const std::vector<MeasureSpec>& b) {
   if (a.size() != b.size()) return false;
@@ -372,12 +394,8 @@ bool load_stats(const std::string& path, StatsRun& run, std::string* error) {
       const JsonValue* mc = doc->find("mc");
       if (mc && !read_int(*mc, 0, run.mc)) return fail("bad mc field");
       const std::string shard = doc->get_string("shard", "full");
-      if (shard != "full") {
-        const auto slash = shard.find('/');
-        if (slash == std::string::npos) return fail("bad shard field");
-        run.shard_index = std::atoi(shard.substr(0, slash).c_str());
-        run.shard_count = std::atoi(shard.substr(slash + 1).c_str());
-      }
+      if (shard != "full" && !parse_shard(shard, run.shard_index, run.shard_count))
+        return fail("bad shard field");
       if (const JsonValue* ms = doc->find("measures")) {
         if (!ms->is_array()) return fail("bad measures field");
         for (const auto& item : ms->items()) {

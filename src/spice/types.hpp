@@ -39,7 +39,7 @@ struct SparseStampSink {
   const int* slots = nullptr;     ///< k*k local (row, col) -> flat value slot
   int k = 0;
   double* jf_vals = nullptr;
-  double* jq_vals = nullptr;
+  double* jq_vals = nullptr;      ///< null: Jq stamps are discarded (DC Newton)
   long missed = 0;                ///< stamps outside the active footprint (fatal)
 
   void add(double* vals, int r, int c, double v) noexcept {
@@ -50,6 +50,10 @@ struct SparseStampSink {
     } else {
       ++missed;
     }
+  }
+  /// A discarded stamp still has to land inside the footprint.
+  void check(int r, int c) noexcept {
+    if (local_of[r] < 0 || local_of[c] < 0) ++missed;
   }
 };
 
@@ -77,8 +81,11 @@ struct EvalCtx {
 
   /// True when this pass accumulates Jq (devices deriving Jq indirectly,
   /// like the HDL interpreter's two-pass extraction, gate on it). False on
-  /// value-only passes where all Jacobian stamps are discarded.
-  bool wants_jq() const noexcept { return sparse != nullptr || jq != nullptr; }
+  /// value-only passes and on DC Newton passes, whose matrix Jf + 0*Jq never
+  /// reads Jq; the AC linearization and the transient keep it.
+  bool wants_jq() const noexcept {
+    return (sparse != nullptr && sparse->jq_vals != nullptr) || jq != nullptr;
+  }
 
   /// True when this pass keeps any Jacobian stamp. False on value-only
   /// passes (NewtonSolver::stamp_values), where devices may skip computing
@@ -104,7 +111,11 @@ struct EvalCtx {
   void jq_add(int row, int col, double val) noexcept {
     if (row < 0 || col < 0) return;
     if (sparse != nullptr) {
-      sparse->add(sparse->jq_vals, row, col, val);
+      if (sparse->jq_vals != nullptr) {
+        sparse->add(sparse->jq_vals, row, col, val);
+      } else {
+        sparse->check(row, col);
+      }
     } else if (jq != nullptr) {
       (*jq)(static_cast<std::size_t>(row), static_cast<std::size_t>(col)) += val;
     }

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "common/deadline.hpp"
@@ -42,6 +43,30 @@ TEST_F(DeadlineTest, GenerousBudgetIsActiveButNotExpired) {
   EXPECT_FALSE(d.expired());
   EXPECT_GT(d.remaining_ms(), 0.0);
   EXPECT_NO_THROW(d.check("test"));
+}
+
+TEST_F(DeadlineTest, LongestRepresentableBudgetStaysLimited) {
+  const Deadline d = Deadline::after_ms(1e12);  // ~32 years
+  EXPECT_TRUE(d.active());
+  EXPECT_TRUE(d.limited());
+  EXPECT_FALSE(d.expired());
+  EXPECT_GT(d.remaining_ms(), 0.99e12);
+}
+
+TEST_F(DeadlineTest, BudgetPastTheClockRangeMeansUnlimited) {
+  // steady_clock's int64 nanoseconds end ~9.2e12 ms out: these budgets
+  // cannot be represented, and an unchecked cast of them is undefined
+  // behaviour that used to yield an already-expired deadline.
+  for (const double ms : {1e15, 1e300, std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(ms);
+    const Deadline d = Deadline::after_ms(ms);
+    EXPECT_FALSE(d.active());
+    EXPECT_FALSE(d.limited());
+    EXPECT_FALSE(d.expired());
+    EXPECT_TRUE(std::isinf(d.remaining_ms()));
+    EXPECT_NO_THROW(d.check("test"));
+  }
 }
 
 TEST_F(DeadlineTest, TinyBudgetExpires) {

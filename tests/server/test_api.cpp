@@ -135,6 +135,20 @@ TEST(Session, DefaultOpWhenNetlistHasNoCards) {
   EXPECT_NEAR(r.analyses[0].op.at(0), 2.0, 1e-9);
 }
 
+TEST(Session, UnrepresentableTimeoutRunsUnbudgeted) {
+  // usim --timeout and JobOptions::timeout_ms reach Deadline::after_ms: a
+  // budget past steady_clock's range must run, not time out at once.
+  for (const double ms : {1e15, 1e300, std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::infinity()}) {
+    Session session(kRcNetlist);
+    JobRequest req;
+    req.options.timeout_ms = ms;
+    const JobResult r = session.run(req);
+    EXPECT_TRUE(r.ok) << ms << ": " << r.error;
+    EXPECT_EQ(r.exit_code, 0) << ms;
+  }
+}
+
 TEST(Session, MalformedNetlistThrowsNetlistError) {
   EXPECT_THROW(Session("V1 in 0 not_a_number\n.end\n"), spice::NetlistError);
 }

@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -581,6 +582,22 @@ TEST(Server, DeadlineExpiryIsExitThree) {
   EXPECT_EQ(done->get_number("exit_code"), 3.0);
   EXPECT_TRUE(wait_for_stats(
       ts.server, [](const StatsSnapshot& s) { return s.jobs_cancelled == 1; }));
+}
+
+TEST(Server, UnrepresentableDeadlineMeansUnlimited) {
+  TestServer ts(small_server("hugedeadline"));
+  ASSERT_TRUE(ts.started);
+
+  // Budgets past steady_clock's range run unbudgeted instead of timing out
+  // at once.
+  for (const double ms : {1e300, std::numeric_limits<double>::max()}) {
+    Request req = run_request(kRcNetlist);
+    req.timeout_ms = ms;
+    auto done = find_frame(submit(ts.server, req), "done");
+    ASSERT_TRUE(done.has_value());
+    EXPECT_TRUE(done->get_bool("ok")) << ms;
+    EXPECT_EQ(done->get_number("exit_code"), 0.0) << ms;
+  }
 }
 
 // --- eviction and stats ------------------------------------------------------

@@ -214,5 +214,22 @@ TEST(SweepWarm, DifferentParameterNamesRebuildTheTemplate) {
   expect_same(second, run_sweep_point(substitute_params(text, both), {}, "", {}, 0), 0);
 }
 
+TEST(SweepWarm, ChangedTextWithSameNamesRebuildsTheTemplate) {
+  // Same parameter names, different fixed values: the cache compares the
+  // template text, so the second template must not run on the first's
+  // session (its op:out would read 2 instead of 1).
+  const std::string a = "* t\nV1 in 0 {v}\nR1 in out 1k\nR2 out 0 1k\n.op\n.end\n";
+  const std::string b = "* t\nV1 in 0 {v}\nR1 in out 3k\nR2 out 0 1k\n.op\n.end\n";
+  spice::SweepPoint p;
+  p.params = {{"v", 4.0}};
+  const auto first = run_sweep_point(a, p, "", {}, 0);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_TRUE(sweep_template_warm(a));
+  const auto second = run_sweep_point(b, p, "", {}, 0);
+  EXPECT_TRUE(sweep_template_warm(b));
+  EXPECT_FALSE(sweep_template_warm(a));
+  expect_same(second, run_sweep_point(substitute_params(b, p), {}, "", {}, 0), 0);
+}
+
 }  // namespace
 }  // namespace usys::api

@@ -345,6 +345,43 @@ TEST_F(StatsFileTest, LoadRejectsUntrustedIntegersAndValuesWithLineNumber) {
   EXPECT_EQ(run.points.at(0).outcome.metrics[0].second, 2.0);
 }
 
+TEST_F(StatsFileTest, ShardHeaderAcceptsOnlyWhatTheWriterEmits) {
+  const auto header = [](const std::string& shard) {
+    return "{\"v\":1,\"stats\":\"header\",\"seed\":\"1\",\"points\":4,\"mc\":4,"
+           "\"shard\":\"" + shard + "\",\"measures\":[]}\n";
+  };
+  struct Case {
+    const char* shard;
+    bool ok;
+    int index;
+    int count;
+  };
+  const std::vector<Case> cases = {
+      {"full", true, 0, 0},   {"1/2", true, 1, 2},    {"2/2", true, 2, 2},
+      {"3/7", true, 3, 7},    {"0/2", false, 0, 0},   {"3/2", false, 0, 0},
+      {"1/1", false, 0, 0},   {"x1/2", false, 0, 0},  {"1/-2", false, 0, 0},
+      {"-1/2", false, 0, 0},  {"+1/2", false, 0, 0},  {"0x1/2", false, 0, 0},
+      {"1/2x", false, 0, 0},  {" 1/2", false, 0, 0},  {"1/ 2", false, 0, 0},
+      {"1/", false, 0, 0},    {"/2", false, 0, 0},    {"1", false, 0, 0},
+      {"1/2/3", false, 0, 0}, {"1.0/2", false, 0, 0}, {"99999999999/2", false, 0, 0},
+      {"1/99999999999", false, 0, 0},
+  };
+  const std::string path = temp_path("shard");
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.shard);
+    std::ofstream(path, std::ios::trunc) << header(c.shard);
+    StatsRun run;
+    std::string err;
+    EXPECT_EQ(load_stats(path, run, &err), c.ok) << err;
+    if (c.ok) {
+      EXPECT_EQ(run.shard_index, c.index);
+      EXPECT_EQ(run.shard_count, c.count);
+    } else {
+      EXPECT_NE(err.find(path + ":1: bad shard field"), std::string::npos) << err;
+    }
+  }
+}
+
 TEST_F(StatsFileTest, LoadRejectsMissingAndMalformedFiles) {
   StatsRun out;
   std::string err;
