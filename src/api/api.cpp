@@ -1,7 +1,6 @@
 #include "api/api.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -143,24 +142,16 @@ struct Session::Impl {
   long jobs = 0;
 };
 
-namespace {
-
-/// The full-device-set parse every netlist session starts from. `point`
-/// resolves value placeholders in place (spice::NetlistParser::parse).
 spice::Netlist parse_netlist(const std::string& text, const std::string& hdl_mode,
-                             const spice::SweepPoint* point = nullptr) {
+                             const spice::SweepPoint* point) {
   auto parser = core::make_full_parser();
   if (!hdl_mode.empty()) parser.set_option("hdl", hdl_mode);
   try {
     return parser.parse(text, point);
   } catch (const spice::CircuitError& e) {
-    // Circuit-construction conflicts during parse are netlist problems
-    // (usim exit 2), same as malformed cards.
     throw spice::NetlistError(0, e.what());
   }
 }
-
-}  // namespace
 
 Session::Session(const std::string& netlist_text, const std::string& hdl_mode)
     : Session(parse_netlist(netlist_text, hdl_mode), content_hash(netlist_text, hdl_mode)) {}
@@ -594,15 +585,13 @@ bool plan_sweep(const SweepRequest& request, SweepPlan& plan, std::string& error
       }
     }
   }
-  // from_chars on an unsigned type takes digits only: no sign, no
-  // whitespace, and out-of-range values fail instead of wrapping.
-  const char* const end = request.seed.data() + request.seed.size();
-  const auto [ptr, ec] = std::from_chars(request.seed.data(), end, plan.mc.seed);
-  if (ec != std::errc() || ptr != end) {
+  const auto seed = parse_bounded<std::uint64_t>(request.seed, 0, UINT64_MAX);
+  if (!seed) {
     error = "bad seed '" + request.seed +
             "' (want decimal digits, at most 18446744073709551615)";
     return false;
   }
+  plan.mc.seed = *seed;
   plan.mc.samples = std::max(1, request.mc);
   if (plan.point_count() == 0) {
     error = "empty sweep grid";

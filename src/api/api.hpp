@@ -38,6 +38,13 @@ namespace usys::api {
 /// warm-engine cache on this.
 std::string content_hash(const std::string& netlist_text, const std::string& hdl_mode = "");
 
+/// The full-device-set parse every netlist session starts from. `point`
+/// resolves value placeholders in place (spice::NetlistParser::parse). A
+/// circuit-construction conflict during the parse (a duplicate device name)
+/// is a netlist problem like a malformed card: it throws NetlistError.
+spice::Netlist parse_netlist(const std::string& text, const std::string& hdl_mode,
+                             const spice::SweepPoint* point = nullptr);
+
 /// One device-parameter delta applied to a bound circuit via
 /// Device::set_param — the warm path for "same circuit, new value" jobs.
 struct ParamOverride {
@@ -212,11 +219,15 @@ spice::SweepOutcome run_sweep_point(const std::string& text,
 /// for (text, hdl_mode) — i.e. whether its points take the override path.
 bool sweep_template_warm(const std::string& text, const std::string& hdl_mode = "");
 
+/// The most Monte Carlo draws per grid combination `usim --mc` and the
+/// wire's "mc" accept.
+inline constexpr int kMaxMcSamples = 10'000'000;
+
 /// A sweep job as `usim --sweep/--mc` and the server's sweep op receive it.
 struct SweepRequest {
   std::string netlist;
   std::vector<std::string> specs;  ///< "name=spec" (spice::parse_sweep_entry)
-  int mc = 1;                      ///< Monte Carlo draws per grid combination
+  int mc = 1;                      ///< draws per grid combination, <= kMaxMcSamples
   std::string seed = "0";          ///< decimal digits, at most 2^64-1
   std::string hdl_mode;
 };

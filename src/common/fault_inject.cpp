@@ -1,10 +1,12 @@
 #include "common/fault_inject.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <climits>
 #include <cstdlib>
 #include <map>
 #include <mutex>
+
+#include "common/strings.hpp"
 
 namespace usys::fault {
 
@@ -55,15 +57,6 @@ State& state() {
   return s;
 }
 
-/// The whole of `s` as a decimal number (std::from_chars: no '+', no
-/// whitespace).
-template <typename T>
-bool parse_number(std::string_view s, T& out) {
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
 /// Parses one "site:nth[:count]" or "site~p@seed" entry into (name, site).
 bool parse_entry(std::string_view entry, std::string& name, Site& site,
                  std::string* err) {
@@ -82,16 +75,13 @@ bool parse_entry(std::string_view entry, std::string& name, Site& site,
     const auto at = rest.find('@');
     if (name.empty() || at == std::string_view::npos)
       return fail("want site~probability@seed");
-    double p = 0.0;
-    long seed = 0;
-    // Written so that a NaN probability fails too.
-    if (!parse_number(rest.substr(0, at), p) || !(p >= 0.0 && p <= 1.0))
-      return fail("probability must be in [0, 1]");
-    if (!parse_number(rest.substr(at + 1), seed) || seed < 0)
-      return fail("seed must be a non-negative integer");
+    const auto p = parse_bounded(rest.substr(0, at), 0.0, 1.0);
+    if (!p) return fail("probability must be in [0, 1]");
+    const auto seed = parse_bounded(rest.substr(at + 1), 0L, LONG_MAX);
+    if (!seed) return fail("seed must be a non-negative integer");
     site.random_mode = true;
-    site.probability = p;
-    site.seed = static_cast<std::uint64_t>(seed);
+    site.probability = *p;
+    site.seed = static_cast<std::uint64_t>(*seed);
     return true;
   }
   const auto colon = entry.find(':');
@@ -101,11 +91,14 @@ bool parse_entry(std::string_view entry, std::string& name, Site& site,
   if (colon == std::string_view::npos) return true;  // defaults: nth=1, count=1
   const std::string_view rest = entry.substr(colon + 1);
   const auto colon2 = rest.find(':');
-  if (!parse_number(rest.substr(0, colon2), site.nth) || site.nth < 1)
-    return fail("nth must be a positive integer");
-  if (colon2 != std::string_view::npos &&
-      (!parse_number(rest.substr(colon2 + 1), site.count) || site.count == 0))
+  const auto nth = parse_bounded(rest.substr(0, colon2), 1L, LONG_MAX);
+  if (!nth) return fail("nth must be a positive integer");
+  site.nth = *nth;
+  if (colon2 == std::string_view::npos) return true;
+  const auto count = parse_bounded(rest.substr(colon2 + 1), LONG_MIN, LONG_MAX);
+  if (!count || *count == 0)
     return fail("count must be a non-zero integer (negative = forever)");
+  site.count = *count;
   return true;
 }
 

@@ -1,6 +1,7 @@
 // String utilities shared by the netlist and HDL-AT front ends.
 #pragma once
 
+#include <charconv>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +31,22 @@ bool iequals(std::string_view a, std::string_view b) noexcept;
 /// one, for hex ("0x10"), for inf/nan, and for a value outside double's
 /// range ("1e999", "1e-400").
 std::optional<double> parse_spice_number(std::string_view s) noexcept;
+
+/// The whole of `s` as a decimal number in the inclusive range [lo, hi],
+/// read by std::from_chars: for an integer T, ASCII digits with a leading
+/// '-' only where T is signed; for double, from_chars' general grammar.
+/// No '+', whitespace, hex prefix or trailing characters, and for an integer
+/// no fraction or exponent ("1e3"). Returns nullopt for anything else, for
+/// a value outside [lo, hi]: overflow, NaN, and inf unless a bound is
+/// infinite.
+template <typename T>
+std::optional<T> parse_bounded(std::string_view s, T lo, T hi) noexcept {
+  T v{};
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) return std::nullopt;
+  return v;
+}
 
 /// printf-style formatting into std::string.
 std::string str_format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -1,5 +1,6 @@
 #include "core/netlist_ext.hpp"
 
+#include <climits>
 #include <cmath>
 
 #include "core/linearized.hpp"
@@ -12,6 +13,7 @@ namespace usys::core {
 
 using spice::NetlistError;
 using spice::param_or;
+using spice::require_int;
 using spice::require_param;
 using spice::sparam_or;
 using spice::XDeviceArgs;
@@ -114,7 +116,7 @@ void register_transducer_devices(spice::NetlistParser& parser) {
     TransducerGeometry g;
     g.area = require_param(a, "a");
     g.gap = require_param(a, "d");
-    g.turns = static_cast<int>(require_param(a, "n"));
+    g.turns = require_int(a, "n", 1, INT_MAX);
     auto& dev =
         a.circuit->add<ElectromagneticTransducer>(a.name, p.ea, p.eb, p.mc, p.md, g);
     dev.set_initial_displacement(param_or(a, "x0", 0.0));
@@ -123,7 +125,7 @@ void register_transducer_devices(spice::NetlistParser& parser) {
   parser.register_xdevice("EDYN", [](XDeviceArgs& a) {
     const Pins p = transducer_pins(a);
     TransducerGeometry g;
-    g.turns = static_cast<int>(require_param(a, "n"));
+    g.turns = require_int(a, "n", 1, INT_MAX);
     g.radius = require_param(a, "r");
     g.b_field = require_param(a, "b");
     a.circuit->add<ElectrodynamicTransducer>(a.name, p.ea, p.eb, p.mc, p.md, g);
@@ -132,10 +134,7 @@ void register_transducer_devices(spice::NetlistParser& parser) {
   parser.register_xdevice("TRANSARRAY", [](XDeviceArgs& a) {
     if (a.pins.size() != 2)
       throw NetlistError(a.line, "TRANSARRAY takes 2 pins: e+ e- (shared bus)");
-    const double nv = require_param(a, "n");
-    const int count = static_cast<int>(nv);
-    if (nv != count || count < 1 || count > 10'000'000)
-      throw NetlistError(a.line, "TRANSARRAY n must be an integer in [1, 1e7]");
+    const int count = require_int(a, "n", 1, spice::kMaxArrayCount);
     const int ea = a.node(a.pins[0], Nature::electrical);
     const int eb = a.node(a.pins[1], Nature::electrical);
     TransducerGeometry g;

@@ -2,7 +2,7 @@
 //
 // The AST interpreter (hdl/interpreter.cpp) re-walks the statement trees of a
 // model on every Newton iteration: recursive eval_expr calls, string dispatch
-// on operator/function names, std::stoi on encoded pin fields, a linear
+// on operator/function names, integer parsing of encoded pin fields, a linear
 // seed_of() scan inside every port read, and a freshly allocated Dual frame
 // per run. The paper attributes its ~10x interpreted-model penalty to exactly
 // this kind of overhead. This module removes it:

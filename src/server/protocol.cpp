@@ -61,7 +61,7 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
   if (out.op == Request::Op::sweep) {
     long mc = 1;
     if (const JsonValue* m = doc->find("mc");
-        m != nullptr && !json_read_integer(*m, 1, 10'000'000, mc)) {
+        m != nullptr && !json_read_integer(*m, 1, api::kMaxMcSamples, mc)) {
       error = "\"mc\" must be an integer in [1, 1e7]";
       return false;
     }

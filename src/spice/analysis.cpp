@@ -51,6 +51,13 @@ double TranResult::sample(double t, int unknown) const {
   return (1.0 - w) * at(k - 1, unknown) + w * at(k, unknown);
 }
 
+double AcOptions::frequency_count() const noexcept {
+  const double n = sweep == SweepKind::linear
+                       ? points
+                       : std::ceil(std::log10(f_stop / f_start) * points) + 1.0;
+  return std::max(2.0, n);
+}
+
 double AcResult::magnitude_db(std::size_t k, int unknown) const {
   return 20.0 * std::log10(std::abs(at(k, unknown)));
 }

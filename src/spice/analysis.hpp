@@ -122,7 +122,16 @@ struct AcOptions {
   double f_stop = 1e6;
   int points = 100;        ///< total (linear) or per decade (decade)
   DcOptions dc;
+
+  /// Frequencies the sweep visits: max(2, points) linear, or
+  /// max(2, ceil(decades * points) + 1) per decade. A double, so a card can
+  /// be held against kMaxAcPoints before any integer stores the count.
+  double frequency_count() const noexcept;
 };
+
+/// The most frequencies one .ac sweep visits; a longer card is a netlist
+/// error, and run_ac refuses a longer AcOptions before it allocates.
+inline constexpr int kMaxAcPoints = 1'000'000;
 
 struct AcResult {
   bool ok = false;

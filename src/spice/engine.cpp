@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <stdexcept>
 
 #include "common/constants.hpp"
 #include "common/deadline.hpp"
@@ -557,6 +558,10 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
 // ---------------------------------------------------------------------------
 
 AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
+  const double count = opts.frequency_count();
+  if (!(count <= kMaxAcPoints))
+    throw std::invalid_argument(str_format("ac sweep exceeds the cap of %d frequencies",
+                                           kMaxAcPoints));
   AcResult out;
   const std::size_t n = static_cast<std::size_t>(circuit_.unknown_count());
 
@@ -571,6 +576,8 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
   DcResult solved;
   if (op == nullptr) solved = run_dc_under(budgetless(opts.dc), dl);
   const DcResult& dc = op != nullptr ? *op : solved;
+  // Only a point this card solved itself is this card's work.
+  out.symbolic_factorizations = solved.symbolic_factorizations;
   if (!dc.converged) {
     out.failure = dc.failure;
     out.failure.analysis = "ac";
@@ -597,18 +604,15 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
   for (const auto& dev : circuit_.devices()) dev->ac_rhs(rhs);
 
   // Frequency grid.
+  const int total = static_cast<int>(count);
   std::vector<double> freqs;
-  if (opts.sweep == SweepKind::linear) {
-    const int m = std::max(2, opts.points);
-    for (int i = 0; i < m; ++i)
-      freqs.push_back(opts.f_start +
-                      (opts.f_stop - opts.f_start) * static_cast<double>(i) / (m - 1));
-  } else {
-    const double decades = std::log10(opts.f_stop / opts.f_start);
-    const int total = std::max(2, static_cast<int>(std::ceil(decades * opts.points)) + 1);
-    for (int i = 0; i < total; ++i)
-      freqs.push_back(opts.f_start *
-                      std::pow(10.0, decades * static_cast<double>(i) / (total - 1)));
+  freqs.reserve(static_cast<std::size_t>(total));
+  const double decades = std::log10(opts.f_stop / opts.f_start);
+  for (int i = 0; i < total; ++i) {
+    const double di = static_cast<double>(i);
+    freqs.push_back(opts.sweep == SweepKind::linear
+                        ? opts.f_start + (opts.f_stop - opts.f_start) * di / (total - 1)
+                        : opts.f_start * std::pow(10.0, decades * di / (total - 1)));
   }
 
   out.freq.reserve(freqs.size());
@@ -648,7 +652,7 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
       out.x.push_back(std::move(b));
     }
     out.used_sparse = true;
-    out.symbolic_factorizations = zlu.symbolic_factorizations();
+    out.symbolic_factorizations += zlu.symbolic_factorizations();
   } else {
     // One scratch matrix for the whole sweep: every entry is rewritten per
     // frequency before lu_solve overwrites it.

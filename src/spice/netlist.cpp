@@ -161,16 +161,12 @@ std::string expand_array_token(const std::string& tok, int i, int lineno) {
     long val = i;
     bool ok = !expr.empty() && expr[0] == 'i';
     if (ok && expr.size() > 1) {
-      const char op = expr[1];
-      std::size_t digits = 0;
-      long n = 0;
-      try {
-        n = std::stol(expr.substr(2), &digits);
-      } catch (const std::exception&) {
+      const auto n = parse_bounded(std::string_view(expr).substr(2), 0L, long{kMaxArrayCount});
+      if (n && (expr[1] == '+' || expr[1] == '-')) {
+        val += expr[1] == '+' ? *n : -*n;
+      } else {
         ok = false;
       }
-      ok = ok && digits == expr.size() - 2 && n >= 0 && (op == '+' || op == '-');
-      if (ok) val += op == '+' ? n : -n;
     }
     if (!ok)
       throw NetlistError(lineno, "array placeholder '{" + expr +
@@ -190,6 +186,16 @@ double require_param(const XDeviceArgs& args, const std::string& key) {
   return it->second;
 }
 
+int require_int(const XDeviceArgs& args, const std::string& key, int lo, int hi) {
+  require_param(args, key);
+  const auto v = parse_bounded(args.texts.at(key), lo, hi);
+  if (!v)
+    throw NetlistError(args.line, "device '" + args.name + "': '" + key +
+                                      "' must be an integer in [" + std::to_string(lo) +
+                                      ", " + std::to_string(hi) + "]");
+  return *v;
+}
+
 double param_or(const XDeviceArgs& args, const std::string& key, double fallback) {
   const auto it = args.params.find(key);
   return it == args.params.end() ? fallback : it->second;
@@ -197,7 +203,7 @@ double param_or(const XDeviceArgs& args, const std::string& key, double fallback
 
 std::string sparam_or(const XDeviceArgs& args, const std::string& key,
                       const std::string& fallback) {
-  if (const auto it = args.sparams.find(key); it != args.sparams.end()) return it->second;
+  if (const auto it = args.texts.find(key); it != args.texts.end()) return it->second;
   if (args.options != nullptr) {
     if (const auto it = args.options->find(key); it != args.options->end())
       return it->second;
@@ -444,11 +450,9 @@ Netlist NetlistParser::parse(const std::string& text, const SweepPoint* point) {
             // silently falling through to a factory default.
             const std::string key = to_lower(toks[i].substr(0, eq));
             const std::string val = toks[i].substr(eq + 1);
-            if (string_param_keys_.count(key) != 0U) {
-              args.sparams[key] = val;
-            } else {
+            if (string_param_keys_.count(key) == 0U)
               args.params[key] = value_of(val, name, key, lineno);
-            }
+            args.texts[key] = val;
           } else if (xdevices_.count(to_lower(toks[i])) != 0U) {
             type = to_lower(toks[i]);
           } else {
@@ -576,14 +580,14 @@ Netlist NetlistParser::parse(const std::string& text, const SweepPoint* point) {
         } else {
           throw NetlistError(lineno, "unknown sweep kind '" + toks[1] + "'");
         }
-        const double pts = parse_num(toks[2], lineno);
-        card.ac.points = static_cast<int>(pts);
-        if (pts != card.ac.points || card.ac.points < 1)
-          throw NetlistError(lineno, ".ac point count must be a positive integer");
         card.ac.f_start = parse_num(toks[3], lineno);
         card.ac.f_stop = parse_num(toks[4], lineno);
         if (card.ac.f_start <= 0.0 || card.ac.f_stop < card.ac.f_start)
           throw NetlistError(lineno, ".ac needs 0 < f_start <= f_stop");
+        card.ac.points = parse_bounded(toks[2], 1, kMaxAcPoints).value_or(0);
+        if (card.ac.points == 0 || !(card.ac.frequency_count() <= kMaxAcPoints))
+          throw NetlistError(lineno, ".ac point count must be an integer >= 1 and the sweep at "
+                                     "most " + std::to_string(kMaxAcPoints) + " frequencies");
         out.analyses.push_back(card);
         continue;
       }
@@ -593,14 +597,13 @@ Netlist NetlistParser::parse(const std::string& text, const SweepPoint* point) {
         // thousand-transducer array is one line of netlist.
         if (toks.size() < 3)
           throw NetlistError(lineno, ".array needs <count> <device card...>");
-        const double countv = parse_num(toks[1], lineno);
-        const int count = static_cast<int>(countv);
-        if (countv != count || count < 1 || count > 10'000'000)
+        const auto count = parse_bounded(toks[1], 1, kMaxArrayCount);
+        if (!count)
           throw NetlistError(lineno, ".array count must be an integer in [1, 1e7]");
         if (toks[2][0] == '.')
           throw NetlistError(lineno, ".array repeats device cards, not directives");
         std::vector<std::string> inst(toks.size() - 2);
-        for (int i = 0; i < count; ++i) {
+        for (int i = 0; i < *count; ++i) {
           for (std::size_t k = 2; k < toks.size(); ++k)
             inst[k - 2] = expand_array_token(toks[k], i, lineno);
           try {

@@ -36,7 +36,7 @@
 //
 // X-card parameters whose key is registered as string-valued
 // (register_string_param; usys::core registers `mode` for the HDL cards)
-// are passed to the factory verbatim (XDeviceArgs::sparams). Every other
+// are passed to the factory verbatim (XDeviceArgs::texts). Every other
 // parameter value must parse as a SPICE number — typos stay hard errors.
 // SPICE numbers are decimal, read by std::from_chars (parse_spice_number):
 // hex such as `0x10`, `inf`/`nan` and values outside double's range are
@@ -56,6 +56,9 @@
 #include "spice/waveform.hpp"
 
 namespace usys::spice {
+
+/// The most cells an `.array` card or a TRANSARRAY X card builds.
+inline constexpr int kMaxArrayCount = 10'000'000;
 
 class NetlistError : public std::runtime_error {
  public:
@@ -108,8 +111,8 @@ using StringMap = std::map<std::string, std::string>;
 struct XDeviceArgs {
   std::string name;                 ///< full device name ("XT1")
   std::vector<std::string> pins;    ///< pin node *names* in card order
-  ParamMap params;
-  StringMap sparams;                ///< non-numeric k=v card parameters
+  ParamMap params;                  ///< k=v values, keys not registered as strings
+  StringMap texts;                  ///< every k=v value as written
   Circuit* circuit = nullptr;
   int line = 0;
   /// String `.options` in effect at this card (registered keys only; parser
@@ -165,6 +168,10 @@ class NetlistParser {
 
 /// Helper for factories/tests: fetch a required parameter.
 double require_param(const XDeviceArgs& args, const std::string& key);
+/// An integer parameter in [lo, hi], read from its text by parse_bounded:
+/// 2.5, 1e3, 1k or a sweep placeholder is a NetlistError naming the line,
+/// not a truncated count.
+int require_int(const XDeviceArgs& args, const std::string& key, int lo, int hi);
 /// Fetch with default.
 double param_or(const XDeviceArgs& args, const std::string& key, double fallback);
 /// String parameter with default: the card's own `key=value` wins, then the

@@ -1,7 +1,7 @@
 #include "spice/stats.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "common/json.hpp"
+#include "common/strings.hpp"
 
 namespace usys::spice {
 
@@ -326,27 +327,19 @@ bool write_stats(const std::string& path, const StatsRun& run,
   return true;
 }
 
-namespace {
-
-/// A header's "k/n" shard as the writer emits it: two decimal numbers (no
-/// sign, prefix or spaces) with 2 <= n and 1 <= k <= n.
-bool parse_shard(std::string_view text, int& index, int& count) {
-  const auto number = [](std::string_view digits, int& out) {
-    if (digits.empty() || digits.front() < '0' || digits.front() > '9') return false;
-    const char* const end = digits.data() + digits.size();
-    const auto [ptr, ec] = std::from_chars(digits.data(), end, out);
-    return ec == std::errc() && ptr == end;
-  };
+bool parse_shard(std::string_view text, int min_count, int& index, int& count) {
   const auto slash = text.find('/');
-  int k = 0;
-  int n = 0;
-  if (slash == std::string_view::npos || !number(text.substr(0, slash), k) ||
-      !number(text.substr(slash + 1), n) || n < 2 || k < 1 || k > n)
-    return false;
-  index = k;
-  count = n;
+  if (slash == std::string_view::npos) return false;
+  const auto n = parse_bounded(text.substr(slash + 1), min_count, INT_MAX);
+  if (!n) return false;
+  const auto k = parse_bounded(text.substr(0, slash), 1, *n);
+  if (!k) return false;
+  index = *k;
+  count = *n;
   return true;
 }
+
+namespace {
 
 bool measures_equal(const std::vector<MeasureSpec>& a,
                     const std::vector<MeasureSpec>& b) {
@@ -394,7 +387,7 @@ bool load_stats(const std::string& path, StatsRun& run, std::string* error) {
       const JsonValue* mc = doc->find("mc");
       if (mc && !read_int(*mc, 0, run.mc)) return fail("bad mc field");
       const std::string shard = doc->get_string("shard", "full");
-      if (shard != "full" && !parse_shard(shard, run.shard_index, run.shard_count))
+      if (shard != "full" && !parse_shard(shard, 2, run.shard_index, run.shard_count))
         return fail("bad shard field");
       if (const JsonValue* ms = doc->find("measures")) {
         if (!ms->is_array()) return fail("bad measures field");

@@ -24,6 +24,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -142,6 +143,11 @@ void append_metric_summary(std::string& out, const MetricSummary& s);
 
 /// Appends `[["label",failures],...]` in measure order.
 void append_measure_failures(std::string& out, const YieldSummary& y);
+
+/// A "k/n" shard as `usim --shard` and a stats header spell it: two decimal
+/// numbers (parse_bounded: no sign, prefix or spaces) with
+/// min_count <= n and 1 <= k <= n. False, outputs untouched, otherwise.
+bool parse_shard(std::string_view text, int min_count, int& index, int& count);
 
 /// Writes run.to_jsonl() atomically (tmp + rename).
 bool write_stats(const std::string& path, const StatsRun& run,

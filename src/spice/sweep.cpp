@@ -181,13 +181,12 @@ std::optional<SweepEntry> parse_sweep_entry(const std::string& arg,
     }
     const auto lo = parse_spice_number(pieces[0]);
     const auto hi = parse_spice_number(pieces[1]);
-    const auto nv = parse_spice_number(pieces[2]);
-    const int n = nv ? static_cast<int>(*nv) : 0;
-    if (!lo || !hi || !nv || *nv != n || n < 1 || n > 1'000'000) {
+    const auto n = parse_bounded(trim(pieces[2]), 1, 1'000'000);
+    if (!lo || !hi || !n) {
       fail_spec(error, "range spec wants lo:hi:n with 1 <= n <= 1e6");
       return std::nullopt;
     }
-    entry.axis.values = SweepAxis::linspace(name, *lo, *hi, n).values;
+    entry.axis.values = SweepAxis::linspace(name, *lo, *hi, *n).values;
     return entry;
   }
   for (const auto piece : split(spec, ",")) {

@@ -117,8 +117,10 @@ std::string latex(const Expr& e, int parent_prec) {
         if (epos == std::string::npos) {
           out = s;
         } else {
-          out = s.substr(0, epos) + " \\times 10^{" +
-                std::to_string(std::stoi(s.substr(epos + 1))) + "}";
+          // %g writes the exponent as a sign and at least two digits.
+          const std::string_view digits = std::string_view(s).substr(epos + 2);
+          out = s.substr(0, epos) + " \\times 10^{" + (s[epos + 1] == '-' ? "-" : "") +
+                std::to_string(parse_bounded(digits, 0, 9999).value_or(0)) + "}";
         }
       }
       break;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+#include <limits>
+
 #include "common/strings.hpp"
 
 namespace usys {
@@ -76,6 +80,35 @@ TEST(Strings, SpiceNumberAcceptRejectTable) {
                           "+-5", "++5", "+", "-", "+ 5"}) {
     EXPECT_FALSE(parse_spice_number(bad).has_value()) << bad;
   }
+}
+
+TEST(Strings, ParseBoundedTakesWholeDecimalsInRange) {
+  EXPECT_EQ(parse_bounded("42", 0, 100), 42);
+  EXPECT_EQ(parse_bounded("007", 0, 100), 7);
+  EXPECT_EQ(parse_bounded("-3", -5, 5), -3);
+  EXPECT_EQ(parse_bounded("0", 0, 0), 0);
+  EXPECT_EQ(parse_bounded("2147483647", 0, INT_MAX), INT_MAX);
+  EXPECT_EQ(parse_bounded<std::uint64_t>("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(parse_bounded("-9223372036854775808", LONG_MIN, LONG_MAX), LONG_MIN);
+  for (const char* bad : {"", " 1", "1 ", "+1", "0x10", "1e3", "1.0", "1.", "2x", "abc",
+                          "--1", "-", "nan", "inf", "101", "-1", "2147483648",
+                          "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(parse_bounded(bad, 0, 100), std::nullopt);
+  }
+  EXPECT_EQ(parse_bounded<std::uint64_t>("18446744073709551616", 0, UINT64_MAX), std::nullopt);
+  EXPECT_EQ(parse_bounded<std::uint64_t>("-1", 0, UINT64_MAX), std::nullopt);
+
+  constexpr double kMax = std::numeric_limits<double>::max();
+  EXPECT_EQ(parse_bounded("1e3", 0.0, kMax), 1e3);
+  EXPECT_EQ(parse_bounded("0.5", 0.0, 1.0), 0.5);
+  EXPECT_EQ(parse_bounded("-0", 0.0, 1.0), 0.0);
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity", "1e999", "0x10", "+1",
+                          "1.5x", "", " 1", "-1", "1e-999x"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(parse_bounded(bad, 0.0, kMax), std::nullopt);
+  }
+  EXPECT_EQ(parse_bounded("1.5", 0.0, 1.0), std::nullopt);
 }
 
 TEST(Strings, Format) {

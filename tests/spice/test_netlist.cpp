@@ -10,6 +10,7 @@
 #include "api/api.hpp"
 #include "core/netlist_ext.hpp"
 #include "spice/analysis.hpp"
+#include "spice/engine.hpp"
 #include "spice/devices_passive.hpp"
 #include "spice/netlist.hpp"
 
@@ -359,6 +360,92 @@ TEST(NetlistPlaceholders, UnsweptNamesAndNonFiniteValuesFailAsText) {
   } catch (const NetlistError& e) {
     EXPECT_NE(std::string(e.what()).find("got 'inf'"), std::string::npos) << e.what();
   }
+}
+
+// Integer fields read through parse_bounded: each bad card is a NetlistError
+// naming its line. The 1e12 counts were undefined double -> int casts.
+TEST(NetlistIntegers, BadCountsAreErrorsOnTheirLine) {
+  auto parser = core::make_full_parser();
+  const char* const kTa = " a=1e-8 d=2e-6 m=1e-9 k=25";
+  const std::string cards[] = {
+      ".ac dec 1e12 1 10",
+      ".ac dec 2.5 1 10",
+      ".ac dec 0 1 10",
+      ".ac dec -3 1 10",
+      ".ac dec 1k 1 10",
+      ".ac dec 0x10 1 10",
+      ".ac dec +5 1 10",
+      ".ac lin 1000001 1 2",
+      ".ac lin 2000000000 1 2",
+      ".ac dec 99999999999999999999 1 10",
+      ".array 1e12 R{i} a{i} 0 1k",
+      ".array 2.5 R{i} a{i} 0 1k",
+      ".array 10000001 R{i} a{i} 0 1k",
+      ".array 1k R{i} a{i} 0 1k",
+      ".array 2 R{i++5} a{i} 0 1k",
+      ".array 2 R{i-+3} a{i} 0 1k",
+      ".array 2 R{i+-3} a{i} 0 1k",
+      ".array 2 R{i+0x5} a{i} 0 1k",
+      ".array 2 R{i+1.0} a{i} 0 1k",
+      ".array 2 R{i+99999999999999999999} a{i} 0 1k",
+      ".array 2 V{i} a{i} 0 PULSE(0 {i+ 5} 0 1u 1u 1m)",
+      std::string("X1 a 0 TRANSARRAY n=1e12") + kTa,
+      std::string("X1 a 0 TRANSARRAY n=2.5") + kTa,
+      std::string("X1 a 0 TRANSARRAY n=0") + kTa,
+      std::string("X1 a 0 TRANSARRAY n=1k") + kTa,
+      std::string("X1 a 0 TRANSARRAY n=10000001") + kTa,
+      "X1 a 0 b 0 EMAG a=1e-4 d=1e-3 n=1e12",
+      "X1 a 0 b 0 EMAG a=1e-4 d=1e-3 n=2.5",
+      "X1 a 0 b 0 EMAG a=1e-4 d=1e-3 n=-4",
+      "X1 a 0 b 0 EDYN n=1e12 r=0.01 b=1",
+      "X1 a 0 b 0 EDYN n=0 r=0.01 b=1",
+      "X1 a 0 b 0 EDYN n=3x r=0.01 b=1",
+  };
+  for (const std::string& card : cards) {
+    SCOPED_TRACE(card);
+    try {
+      parser.parse("* integer fields\n" + card + "\n");
+      ADD_FAILURE() << "accepted";
+    } catch (const NetlistError& e) {
+      EXPECT_EQ(e.line(), 2);
+    }
+  }
+  // The forms the writers emit still parse.
+  for (const std::string card : {".ac dec 5 10 10k", ".ac lin 1000000 1 2",
+                                  ".array 3 C{i+10} a{i-0} 0 1n",
+                                  ".array 10 R{i} a{i} 0 1k",
+                                  "X1 a 0 TRANSARRAY n=6 a=1e-8 d=2e-6 m=1e-9 k=25",
+                                  "X1 a 0 b 0 EMAG a=1e-4 d=1e-3 n=100",
+                                  "X1 a 0 b 0 EDYN n=100 r=0.01 b=1"}) {
+    SCOPED_TRACE(card);
+    EXPECT_NO_THROW(parser.parse("* integer fields\n" + card + "\n"));
+  }
+}
+
+TEST(NetlistIntegers, AcFrequencyCountIsCappedAtParse) {
+  auto parser = core::make_full_parser();
+  const std::string cap = std::to_string(kMaxAcPoints);
+  for (const char* card : {".ac dec 10000000 1e-300 1e300", ".ac dec 1000000 1 1e3",
+                           ".ac dec 1000 1e-300 1e300"}) {
+    SCOPED_TRACE(card);
+    try {
+      parser.parse(card);
+      ADD_FAILURE() << "accepted";
+    } catch (const NetlistError& e) {
+      EXPECT_NE(std::string(e.what()).find(cap), std::string::npos) << e.what();
+    }
+  }
+  // 1e6 frequencies exactly: 9 decades at 111111 points, plus the endpoint.
+  const Netlist net = parser.parse(".ac dec 111111 1 1e9\n");
+  ASSERT_EQ(net.analyses.size(), 1u);
+  EXPECT_EQ(net.analyses[0].ac.frequency_count(), 999'999 + 1.0);
+  // An AcOptions built past the parser is refused before any allocation.
+  Circuit ckt;
+  AnalysisEngine engine(ckt);
+  AcOptions huge;
+  huge.sweep = SweepKind::linear;
+  huge.points = 2'000'000'000;
+  EXPECT_THROW(engine.run_ac(huge), std::invalid_argument);
 }
 
 }  // namespace

@@ -87,6 +87,14 @@ TEST(SweepEntry, ParsesAxesAndDists) {
   EXPECT_FALSE(why.empty());
   EXPECT_FALSE(parse_sweep_entry("x=1:2", &why));      // lo:hi:n arity
   EXPECT_FALSE(parse_sweep_entry("x=1,abc", &why));    // bad list value
+  // The point count is a decimal integer in [1, 1e6], read before any cast.
+  for (const char* n : {"1e12", "2.5", "0", "-3", "1k", "0x10", "1000001", "+5", "8x"}) {
+    SCOPED_TRACE(n);
+    EXPECT_FALSE(parse_sweep_entry(std::string("x=0:1:") + n, &why));
+    EXPECT_EQ(why, "range spec wants lo:hi:n with 1 <= n <= 1e6");
+  }
+  EXPECT_EQ(parse_sweep_entry("x=0:1: 8")->axis.values.size(), 8u);
+  EXPECT_EQ(parse_sweep_entry("x=0:1:1000000")->axis.values.size(), 1'000'000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,115 +1,19 @@
 // usim — command-line netlist simulator (the "SPICE" of this repository).
 //
-//   usim <netlist.cir> [--csv=<path>] [--sweep <name>=<spec>]... [--mc=N]
-//        [--seed=S] [--stats-out=<path>] [--threads=N]
-//        [--set <DEV.PARAM=value>]... [--hdl-mode=<mode>] [--quiet] [--help]
-//   usim --merge-stats=<out.jsonl> <shard.jsonl>...
-//   usim --serve=<socket> [--serve-workers=N] [--serve-queue=N] [--serve-cache=N]
-//   usim --client=<socket> <netlist.cir> [--set ...] [--timeout=<ms>] [--no-cache]
-//   usim --client=<socket> --stats | --ping | --shutdown
-//
-// Reads a SPICE-style netlist (including the transducer X-cards and the
-// ARRAY constructs registered by usys::core — see spice/netlist.hpp:
-// `.array <count> <card>` repeats a device card with {i} placeholders, and
-// the TRANSARRAY X card emits a whole transducer/mass/spring/damper array),
-// runs every analysis card in order, and prints results:
-//   .op    node efforts and branch count
-//   .tran  decimated node-effort table (full resolution to --csv)
-//   .ac    decimated |H| dB / phase table (full resolution to --csv)
-// .tran and .ac share one writer path (AsciiTable preview + CSV series);
-// when several analyses write CSV, later files get a .2/.3/... suffix. CSV
-// files are written to a temp file and renamed into place, so concurrent
-// usim processes targeting the same path never interleave partial output.
-//
-// All execution — single run, sweep points, and the server — dispatches
-// through the usys::api facade (api/api.hpp): one Session per circuit, one
-// JobRequest per submission. usim itself holds no analysis dispatch logic.
-//
-// Batch sweep mode: every --sweep flag adds one grid axis or one
-// statistical parameter,
-//   --sweep gap=1e-6:2e-6:8      8 evenly spaced values (lo:hi:n)
-//   --sweep vdrive=2,5,10        an explicit value list
-//   --sweep gap=normal(2u,50n)   a per-point Monte Carlo draw
-//   --sweep temp=corner(-40,25,125)  a corner axis (cartesian with the rest)
-// and every `{name}` occurrence in the netlist text is substituted per grid
-// point (cartesian product of axes and corners, x --mc MC draws). Netlist
-// `.param name dist=...` cards declare the same distributions inline and
-// `.measure label metric min=.. max=..` cards declare yield bounds; draws
-// come from a counter-based RNG keyed on (--seed, global point index,
-// param-name hash), so results are bit-identical across thread counts,
-// --shard splits, and checkpoint resume (docs/sweeps.md). The job is
-// api::plan_sweep + api::run_sweep, which the server's sweep op runs too;
-// points run on --threads workers (default: hardware concurrency).
-// When every {name} is a value placeholder (a whole R/C/L value, V/I DC
-// value or X-card key={name}), each worker parses the netlist once and runs
-// its points as parameter overrides on that warm session; otherwise each
-// point's substituted text gets a fresh session. Both give
-// bit-identical results (api::run_sweep_point). The result table has one row per
-// point: global index, parameter values, summary metrics (op efforts /
-// final transient values / last AC magnitudes per node; min/max/mean
-// aggregates over 16 nodes). --stats-out distills the run into a mergeable
-// stats JSONL (quantiles + yield); `usim --merge-stats` fuses per-shard
-// files into the byte-identical single-run document. Example netlist with
-// a sweepable gap: examples/transducer_array.cir.
-//
-// --threads applies to sweep mode only: every single run, sweep point, and
-// server job solves on the serial solver.
-//
-// --set DEV.PARAM=value overrides one device parameter against the BOUND
-// circuit (no netlist edit, no re-parse): the facade's delta path. Values
-// use SPICE number syntax; parameters are the lower-case netlist keys
-// (R1.r, C3.c, XK2.k, V1.dc, ...). Repeatable. Also accepted by --client
-// submissions, where a matching cached engine takes the rebind() fast path.
-//
-// --hdl-mode=ast|bytecode|codegen presets the execution mode for HDL
-// behavioral cards (HDLTRANSV & co.): the paper's interpreted tree walk, the
-// bytecode VM (default), or natively compiled models. Equivalent to a
-// leading `.options hdl=<mode>`; the netlist's own `.options hdl=` and
-// per-card `mode=` still override. codegen falls back to the VM (with a
-// warning) when no host compiler is available.
-//
-// Fault tolerance: --timeout=<ms> puts a wall-clock budget on every
-// analysis (per sweep point in sweep mode; whole job in server mode); a
-// budgeted run that expires stops at the next solver poll and exits 3
-// instead of hanging. In sweep mode --retries=N re-runs failed points with
-// escalated Newton limits, --checkpoint=<path> journals each finished point
-// (JSONL, flushed per point), --resume=<path> restores completed points
-// bit-identically and re-runs only unfinished ones, and --shard=k/n runs
-// the k-th of n deterministic grid partitions (shard checkpoint files merge
-// by plain concatenation). See docs/robustness.md for the full contract.
-//
-// Static diagnostics: --lint runs the two-level analyzer (spice/lint.hpp:
-// circuit structure; hdl/verify.hpp: compiled bytecode) INSTEAD of the
-// analysis cards and prints every finding. --lint=error (the default) exits
-// nonzero only on error-severity findings; --lint=warn makes warnings fail
-// too. --lint-format=json emits the machine-readable form documented in
-// docs/diagnostics.md. With --sweep axes, the first grid point's values are
-// substituted so parameterized netlists ({gap}, {vdrive}) lint as written.
-//
-// Server mode: --serve=<socket> turns usim into a long-lived daemon that
-// accepts jobs as line-delimited JSON over a local Unix socket and keeps a
-// warm-engine cache keyed by netlist content hash, so repeat submissions
-// skip parse/bind/symbolic factorization (docs/server.md has the wire
-// protocol). --client=<socket> submits the given netlist to such a daemon
-// and streams the response frames to stdout; --stats / --ping / --shutdown
-// send the corresponding control requests instead.
-//
-// Exit codes: 0 = all analyses (all sweep points) succeeded;
-//             1 = an analysis failed to converge / a sweep point failed /
-//                 the server queue was full (busy);
-//             2 = usage, file, netlist, or request errors;
-//             3 = stopped by the --timeout deadline (or a cancel request).
-// --lint: 0 = no findings at/above the threshold, 1 = findings, 2 = parse
-// errors. (--help prints the same contract and exits 0.)
+// Runs a SPICE-style netlist's analysis cards (spice/netlist.hpp), a sweep
+// or Monte Carlo study of it (docs/sweeps.md), its static lint
+// (docs/diagnostics.md), the simulation daemon or a client of it
+// (docs/server.md), or a merge of per-shard stats files. Every flag, its
+// grammar and the modes it acts in are declared once in usim_flags.cpp;
+// `usim --help` and README.md list them with the exit codes. All execution
+// dispatches through the usys::api facade: this file only renders results.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -117,14 +21,12 @@
 
 #include "api/api.hpp"
 #include "common/log.hpp"
-#include "common/strings.hpp"
 #include "common/table.hpp"
-#include "core/netlist_ext.hpp"
-#include "hdl/interpreter.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "spice/stats.hpp"
 #include "spice/sweep.hpp"
+#include "usim_flags.hpp"
 
 using namespace usys;
 
@@ -301,26 +203,12 @@ int run_single(const std::string& text, const std::string& csv,
 
 // --- lint mode ---------------------------------------------------------------
 
-/// Parse errors — malformed cards (NetlistError) and circuit-construction
-/// conflicts like duplicate device names (CircuitError) — are netlist
-/// problems: exit 2. A CircuitError thrown later, during an ANALYSIS, is a
-/// runtime failure and keeps exit code 1.
-spice::Netlist parse_netlist(const std::string& text, const std::string& hdl_mode) {
-  auto parser = core::make_full_parser();
-  if (!hdl_mode.empty()) parser.set_option("hdl", hdl_mode);
-  try {
-    return parser.parse(text);
-  } catch (const spice::CircuitError& e) {
-    throw spice::NetlistError(0, e.what());
-  }
-}
-
 /// `usim --lint`: parse, bind, run the full static analyzer, print findings,
 /// and report via the exit code. Analyses never run. `warn_threshold` makes
 /// warnings count as failures (--lint=warn).
 int run_lint(const std::string& text, const std::string& hdl_mode,
              bool warn_threshold, bool json) {
-  spice::Netlist net = parse_netlist(text, hdl_mode);
+  spice::Netlist net = api::parse_netlist(text, hdl_mode);
   spice::LintReport report;
   try {
     report = spice::lint_circuit(*net.circuit);
@@ -544,394 +432,76 @@ int run_merge_stats(const std::vector<std::string>& inputs,
   return 0;
 }
 
-void print_usage(std::ostream& os) {
-  os << "usage: usim <netlist.cir> [--csv=<path>] "
-        "[--sweep <name>=<spec>]... [--mc=N] [--seed=S] [--stats-out=<path>] "
-        "[--set <DEV.PARAM=value>]... "
-        "[--threads=N] [--hdl-mode=<mode>] [--timeout=<ms>] "
-        "[--retries=N] [--checkpoint=<path>] [--resume=<path>] [--shard=k/n] "
-        "[--lint[=error|warn]] [--lint-format=text|json] [--quiet]\n"
-        "       usim --merge-stats=<out.jsonl> <shard.jsonl>...\n"
-        "       usim --serve=<socket> [--serve-workers=N] [--serve-queue=N] "
-        "[--serve-cache=N]\n"
-        "       usim --client=<socket> <netlist.cir> [--sweep ...] [--mc=N] "
-        "[--seed=S] [--set ...] [--timeout=<ms>] [--no-cache]\n"
-        "       usim --client=<socket> --stats | --ping | --shutdown\n"
-        "\n"
-        "  --lint[=error|warn] run the static diagnostics pass instead of the\n"
-        "                      analysis cards: circuit structure (floating nodes,\n"
-        "                      V-loops, structural singularity, parameter sanity,\n"
-        "                      unconnected array cells) plus the HDL bytecode\n"
-        "                      verifier. Exits 1 when findings reach the threshold\n"
-        "                      (error = default; warn also fails on warnings), 0\n"
-        "                      otherwise, 2 on parse errors. With --sweep axes the\n"
-        "                      first grid point is substituted for {name} markers\n"
-        "  --lint-format=F     lint output format: text (default) or json (schema\n"
-        "                      in docs/diagnostics.md)\n"
-        "  --csv=<path>        write full .tran/.ac series (or the sweep table) as\n"
-        "                      CSV; written via temp file + rename, so concurrent\n"
-        "                      jobs targeting one path never interleave output\n"
-        "  --sweep name=spec   add one grid axis (lo:hi:n or v1,v2,...) or one\n"
-        "                      statistical parameter (normal(mu,sigma),\n"
-        "                      uniform(lo,hi), corner(v1,...), or a constant);\n"
-        "                      every {name} in the netlist is substituted per\n"
-        "                      point. Netlist '.param name dist=...' cards declare\n"
-        "                      the same thing inline; a --sweep dist of the same\n"
-        "                      name overrides the card (docs/sweeps.md)\n"
-        "  --mc=N              sweep mode: N Monte Carlo draws per grid/corner\n"
-        "                      combination (default 1); normal/uniform params are\n"
-        "                      redrawn per point, the MC index runs fastest\n"
-        "  --seed=S            sweep mode: RNG seed, decimal uint64 (default 0).\n"
-        "                      Draws are keyed on (seed, global point index, param\n"
-        "                      name hash), so any point is reproducible in\n"
-        "                      isolation and streams are bit-identical across\n"
-        "                      --threads counts, --shard splits, and --resume\n"
-        "  --stats-out=<path>  sweep mode: write the stats JSONL document (header,\n"
-        "                      per-point params/metrics/pass, quantile + yield\n"
-        "                      summaries; schema in docs/sweeps.md). Sharded runs\n"
-        "                      write <path>.shardKofN instead of clobbering\n"
-        "  --merge-stats=<out> merge per-shard stats JSONL files (given as\n"
-        "                      positional arguments) into <out>; the merged file\n"
-        "                      is byte-identical to the same run unsharded. Exits\n"
-        "                      0 on success, 2 on unreadable/incompatible inputs\n"
-        "  --set DEV.PARAM=V   override one device parameter on the bound circuit\n"
-        "                      (no re-parse; lower-case netlist keys: R1.r, C3.c,\n"
-        "                      XK2.k, V1.dc, ...). Repeatable; SPICE number syntax.\n"
-        "                      Works in single-run and --client modes\n"
-        "  --threads=N         sweep mode: N parallel grid workers (0 = auto, the\n"
-        "                      default); results never depend on N\n"
-        "  --hdl-mode=<mode>   execution mode for HDL behavioral cards: ast (the\n"
-        "                      paper's interpreted walk), bytecode (VM, default), or\n"
-        "                      codegen (natively compiled; falls back to the VM when\n"
-        "                      no host compiler is available). Same as a leading\n"
-        "                      '.options hdl=<mode>'; per-card 'mode=' overrides\n"
-        "  --timeout=<ms>      wall-clock budget per analysis card (per sweep point\n"
-        "                      in sweep mode; whole job in --client mode); an\n"
-        "                      expired run stops at the next solver poll and reports\n"
-        "                      a timeout failure (exit 3 in single-run mode).\n"
-        "                      0 = unlimited (default)\n"
-        "  --retries=N         sweep mode: re-run a failed point up to N extra times\n"
-        "                      with doubled Newton iteration limits per attempt\n"
-        "  --checkpoint=<path> sweep mode: journal each finished point to a JSONL\n"
-        "                      checkpoint (appended + flushed per point)\n"
-        "  --resume=<path>     sweep mode: restore completed points from a previous\n"
-        "                      checkpoint (bit-identical) and re-run only unfinished\n"
-        "                      ones; keeps journaling to the same file unless\n"
-        "                      --checkpoint overrides\n"
-        "  --shard=k/n         sweep mode: run only the k-th of n deterministic grid\n"
-        "                      partitions (k is 1-based; point i belongs to shard\n"
-        "                      (i mod n)+1). Shard checkpoint files merge by plain\n"
-        "                      concatenation\n"
-        "  --serve=<socket>    run as a long-lived daemon on a Unix socket: jobs\n"
-        "                      arrive as line-delimited JSON (docs/server.md) and\n"
-        "                      repeat submissions of the same netlist hit a warm\n"
-        "                      engine cache (skip parse/bind/symbolic). Blocks until\n"
-        "                      a shutdown request\n"
-        "  --serve-workers=N   server mode: worker threads executing jobs (default 2)\n"
-        "  --serve-queue=N     server mode: queued-job capacity before submissions\n"
-        "                      are rejected with a busy frame (default 16)\n"
-        "  --serve-cache=N     server mode: warm engine cache capacity; up to 2xN\n"
-        "                      sessions are kept in a cooled state (default 8)\n"
-        "  --client=<socket>   submit the netlist to a --serve daemon and stream the\n"
-        "                      response frames (line-delimited JSON) to stdout; the\n"
-        "                      exit code comes from the done frame\n"
-        "  --stats             with --client: request the server's /stats snapshot\n"
-        "                      (jobs/s, cache hit rates, queue depth, p50/p99)\n"
-        "  --ping              with --client: liveness probe (pong)\n"
-        "  --shutdown          with --client: ask the daemon to exit cleanly\n"
-        "  --no-cache          with --client: bypass the server's result cache\n"
-        "                      (benchmarking; the engine cache still applies)\n"
-        "  --quiet             suppress info/warn chatter (keeps errors)\n"
-        "  --help              print this and exit 0\n"
-        "\n"
-        "exit codes: 0 = all analyses (all sweep points) succeeded\n"
-        "            1 = an analysis failed to converge / a sweep point failed /\n"
-        "                the server queue was full (busy)\n"
-        "            2 = usage, file, netlist, or request errors\n"
-        "            3 = stopped by the --timeout deadline (or a cancel request)\n";
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream file(path);
-  if (!file) return false;
-  std::stringstream buf;
-  buf << file.rdbuf();
-  out = buf.str();
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
-      print_usage(std::cout);
-      return 0;
-    }
-  }
-  if (argc < 2) {
-    print_usage(std::cerr);
-    return 2;
-  }
-  std::string netlist_path;
-  std::vector<std::string> positionals;  // netlist, or --merge-stats inputs
-  std::string csv;
-  std::string hdl_mode;  // flag absent: the netlist (or bytecode) decides
-  std::vector<std::string> sweep_specs;  // verbatim --sweep specs
-  int mc_samples = 1;
-  bool mc_given = false;  // --mc alone (no axes/dists) still forces sweep mode
-  std::string seed = "0";
-  std::string stats_out;
-  std::string merge_out;  // --merge-stats=<out>: merge mode
-  std::vector<std::string> set_specs;
-  int threads = -1;  // flag absent: auto sweep workers
-  double timeout_ms = 0.0;
-  bool lint_mode = false;
-  bool lint_warn = false;   // --lint=warn: warnings fail too
-  bool lint_json = false;   // --lint-format=json
-  spice::SweepOptions sweep_opts;
-  server::ServerOptions serve_opts;
-  std::string client_path;
-  server::Request::Op client_op = server::Request::Op::run;  // or a control op
-  bool no_cache = false;
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-') {
-      positionals.emplace_back(argv[i]);
-    } else if (std::strncmp(argv[i], "--csv=", 6) == 0) {
-      csv = argv[i] + 6;
-    } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
-      sweep_specs.emplace_back(argv[++i]);
-    } else if (std::strncmp(argv[i], "--mc=", 5) == 0) {
-      mc_samples = std::atoi(argv[i] + 5);
-      if (mc_samples < 1 || mc_samples > 10'000'000) {
-        std::cerr << "error: --mc must be in [1, 1e7]\n";
-        return 2;
-      }
-      mc_given = true;
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = argv[i] + 7;  // api::plan_sweep validates it
-    } else if (std::strncmp(argv[i], "--stats-out=", 12) == 0) {
-      stats_out = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--merge-stats=", 14) == 0) {
-      merge_out = argv[i] + 14;
-      if (merge_out.empty()) {
-        std::cerr << "error: --merge-stats needs an output path\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--set") == 0 && i + 1 < argc) {
-      set_specs.emplace_back(argv[++i]);
-    } else if (std::strncmp(argv[i], "--set=", 6) == 0) {
-      set_specs.emplace_back(argv[i] + 6);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-      if (threads < 0) {
-        std::cerr << "error: --threads must be >= 0 (0 = auto)\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--hdl-mode=", 11) == 0) {
-      hdl_mode = argv[i] + 11;
-      hdl::HdlExecMode parsed{};
-      if (!hdl::parse_exec_mode(hdl_mode, parsed)) {
-        std::cerr << "error: bad --hdl-mode '" << hdl_mode
-                  << "' (ast|bytecode|codegen)\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
-      timeout_ms = std::atof(argv[i] + 10);
-      if (timeout_ms < 0.0) {
-        std::cerr << "error: --timeout must be >= 0 milliseconds (0 = unlimited)\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--retries=", 10) == 0) {
-      sweep_opts.retries = std::atoi(argv[i] + 10);
-      if (sweep_opts.retries < 0) {
-        std::cerr << "error: --retries must be >= 0\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--checkpoint=", 13) == 0) {
-      sweep_opts.checkpoint_path = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-      sweep_opts.resume_path = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--shard=", 8) == 0) {
-      const std::string spec = argv[i] + 8;
-      const auto slash = spec.find('/');
-      const int k = slash == std::string::npos ? 0 : std::atoi(spec.substr(0, slash).c_str());
-      const int n = slash == std::string::npos ? 0 : std::atoi(spec.substr(slash + 1).c_str());
-      if (slash == std::string::npos || n < 1 || k < 1 || k > n) {
-        std::cerr << "error: bad --shard '" << spec << "' (want k/n with 1 <= k <= n)\n";
-        return 2;
-      }
-      sweep_opts.shard_index = k;
-      sweep_opts.shard_count = n;
-    } else if (std::strncmp(argv[i], "--lint-format=", 14) == 0) {
-      const std::string fmt = argv[i] + 14;
-      if (fmt == "json") {
-        lint_json = true;
-      } else if (fmt != "text") {
-        std::cerr << "error: bad --lint-format '" << fmt << "' (text|json)\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--lint") == 0) {
-      lint_mode = true;
-    } else if (std::strncmp(argv[i], "--lint=", 7) == 0) {
-      const std::string level = argv[i] + 7;
-      if (level == "warn") {
-        lint_warn = true;
-      } else if (level != "error") {
-        std::cerr << "error: bad --lint level '" << level << "' (error|warn)\n";
-        return 2;
-      }
-      lint_mode = true;
-    } else if (std::strncmp(argv[i], "--serve=", 8) == 0) {
-      serve_opts.socket_path = argv[i] + 8;
-      if (serve_opts.socket_path.empty()) {
-        std::cerr << "error: --serve needs a socket path\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--serve-workers=", 16) == 0) {
-      serve_opts.workers = std::atoi(argv[i] + 16);
-      if (serve_opts.workers < 1) {
-        std::cerr << "error: --serve-workers must be >= 1\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--serve-queue=", 14) == 0) {
-      serve_opts.queue_capacity = std::atoi(argv[i] + 14);
-      if (serve_opts.queue_capacity < 1) {
-        std::cerr << "error: --serve-queue must be >= 1\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--serve-cache=", 14) == 0) {
-      serve_opts.engine_cache_capacity = std::atoi(argv[i] + 14);
-      if (serve_opts.engine_cache_capacity < 1) {
-        std::cerr << "error: --serve-cache must be >= 1\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--client=", 9) == 0) {
-      client_path = argv[i] + 9;
-      if (client_path.empty()) {
-        std::cerr << "error: --client needs a socket path\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      client_op = server::Request::Op::stats;
-    } else if (std::strcmp(argv[i], "--ping") == 0) {
-      client_op = server::Request::Op::ping;
-    } else if (std::strcmp(argv[i], "--shutdown") == 0) {
-      client_op = server::Request::Op::shutdown;
-    } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-      no_cache = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      // Long-documented flag: suppress info/warn chatter (keeps errors).
-      set_log_level(LogLevel::error);
-    } else {
-      std::cerr << "error: unknown flag '" << argv[i] << "'\n";
-      return 2;
-    }
-  }
-
-  // --- merge-stats mode ------------------------------------------------------
-  // Positional arguments are the per-shard input files, not a netlist.
-  if (!merge_out.empty()) {
-    if (!serve_opts.socket_path.empty() || !client_path.empty()) {
-      std::cerr << "error: --merge-stats is a local mode (no --serve/--client)\n";
-      return 2;
-    }
-    return run_merge_stats(positionals, merge_out);
-  }
-  if (positionals.size() > 1) {
-    std::cerr << "error: more than one netlist ('" << positionals[0] << "', '"
-              << positionals[1] << "')\n";
-    return 2;
-  }
-  if (!positionals.empty()) netlist_path = positionals[0];
-
-  // --- server mode -----------------------------------------------------------
-  if (!serve_opts.socket_path.empty()) {
-    if (!client_path.empty()) {
-      std::cerr << "error: --serve and --client are mutually exclusive\n";
-      return 2;
-    }
-    return server::serve_blocking(serve_opts);
-  }
-
-  // --- client control requests ---------------------------------------------
-  const bool client_control = client_op != server::Request::Op::run;
-  if (client_path.empty() && (client_control || no_cache)) {
-    std::cerr << "error: --stats/--ping/--shutdown/--no-cache need --client=<socket>\n";
-    return 2;
-  }
-  if (client_control) {
-    server::Request req;
-    req.op = client_op;
-    return server::run_client(client_path, req, std::cout, std::cerr);
-  }
+  usim::Args args;
+  if (const auto rc = usim::parse_args(argc, argv, args, std::cout, std::cerr)) return *rc;
+  if (args.quiet) set_log_level(LogLevel::error);
+  const auto fixed = usim::flag_mode(args, std::cerr);
+  if (!fixed) return 2;
+  if (*fixed != 0) usim::note_ignored(args, static_cast<usim::Mode>(*fixed), std::cerr);
+  if (*fixed == usim::kMerge) return run_merge_stats(args.positionals, args.merge_out);
+  if (*fixed == usim::kServe) return server::serve_blocking(args.serve);
+  const bool client = !args.client_path.empty();
+  server::Request& job = args.job;
+  if (*fixed == usim::kClientControl)
+    return server::run_client(args.client_path, job, std::cout, std::cerr);
 
   // --- netlist modes: client submission, lint, sweep, single run ------------
-  if (netlist_path.empty()) {
-    if (client_path.empty()) {
-      print_usage(std::cerr);
-    } else {
+  if (args.positionals.empty()) {
+    if (client) {
       std::cerr << "error: --client needs a netlist (or --stats/--ping/--shutdown)\n";
+    } else {
+      usim::print_help(std::cerr);
     }
     return 2;
   }
-  std::string text;
-  if (!read_file(netlist_path, text)) {
-    std::cerr << "error: cannot open '" << netlist_path << "'\n";
+  std::ifstream file(args.positionals[0]);
+  std::string text(std::istreambuf_iterator<char>(file), {});
+  if (!file) {
+    std::cerr << "error: cannot open '" << args.positionals[0] << "'\n";
     return 2;
   }
   // Every netlist mode plans the sweep: the netlist's .param/.measure cards
   // and the --sweep/--seed rules are checked even when no sweep runs.
   api::SweepPlan plan;
   std::string why;
-  if (!api::plan_sweep({text, sweep_specs, mc_samples, seed, hdl_mode}, plan, why)) {
+  if (!api::plan_sweep({text, job.sweep_specs, job.mc, job.seed, job.hdl_mode}, plan, why)) {
     std::cerr << "error: " << why << "\n";
     return 2;
   }
-  const bool sweep_mode = !plan.axes.empty() || !plan.dists.empty() || mc_given;
+  const bool sweep_mode = !plan.axes.empty() || !plan.dists.empty() || args.has("--mc");
+  const usim::Mode mode = client          ? usim::kClientJob
+                          : args.lint     ? usim::kLint
+                          : sweep_mode    ? usim::kSweep
+                                          : usim::kSingle;
+  usim::note_ignored(args, mode, std::cerr);
 
-  if (!client_path.empty()) {
+  if (client) {
     // Any sweep/MC ingredient — a --sweep spec, --mc, or a netlist .param
     // distribution — makes the submission the server's sweep op. Specs and
     // seed travel verbatim; the server plans them with api::plan_sweep too.
-    server::Request req;
-    req.op = sweep_mode ? server::Request::Op::sweep : server::Request::Op::run;
-    req.netlist = std::move(text);
-    req.hdl_mode = hdl_mode;
-    req.set_specs = set_specs;
-    req.timeout_ms = timeout_ms;
-    req.no_cache = no_cache;
-    req.sweep_specs = sweep_specs;
-    req.mc = mc_samples;
-    req.seed = seed;
-    return server::run_client(client_path, req, std::cout, std::cerr);
+    job.op = sweep_mode ? server::Request::Op::sweep : server::Request::Op::run;
+    job.netlist = std::move(text);
+    return server::run_client(args.client_path, job, std::cout, std::cerr);
   }
   try {
-    if (lint_mode) {
+    if (mode == usim::kLint) {
       if (sweep_mode) {
         // Parameterized netlists lint at the first grid point.
         const auto grid = spice::mc_grid(plan.axes, plan.dists, {plan.mc.seed, 1});
         text = api::substitute_params(text, grid[0]);
       }
-      return run_lint(text, hdl_mode, lint_warn, lint_json);
+      return run_lint(text, job.hdl_mode, args.lint_warn, args.lint_json);
     }
-    if (sweep_mode) {
-      if (!set_specs.empty())
-        std::cerr << "note: --set applies to single-run and --client modes only "
-                     "(use a --sweep axis with one value instead)\n";
+    if (mode == usim::kSweep) {
       // --resume keeps journaling to the same file, so an interrupted resume
       // can itself be resumed; an explicit --checkpoint overrides.
-      if (!sweep_opts.resume_path.empty() && sweep_opts.checkpoint_path.empty())
-        sweep_opts.checkpoint_path = sweep_opts.resume_path;
-      return run_sweep(plan, threads < 0 ? 0 : threads, csv, stats_out, timeout_ms,
-                       sweep_opts);
+      if (args.sweep.checkpoint_path.empty()) args.sweep.checkpoint_path = args.sweep.resume_path;
+      return run_sweep(plan, args.threads, args.csv, args.stats_out, job.timeout_ms, args.sweep);
     }
-    if (threads >= 0 || sweep_opts.retries > 0 || !sweep_opts.checkpoint_path.empty() ||
-        !sweep_opts.resume_path.empty() || sweep_opts.shard_count > 0 ||
-        !stats_out.empty())
-      std::cerr << "note: --threads/--retries/--checkpoint/--resume/--shard/--stats-out "
-                   "apply to sweep mode only (no --sweep axis given)\n";
-    return run_single(text, csv, hdl_mode, timeout_ms, set_specs);
+    return run_single(text, args.csv, job.hdl_mode, job.timeout_ms, job.set_specs);
   } catch (const spice::NetlistError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
