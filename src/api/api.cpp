@@ -419,6 +419,22 @@ spice::SweepOutcome distill(Session& session, const JobResult& result) {
   return out;
 }
 
+/// The cards a sweep point runs: `cards` with every .ac card cut to its
+/// last grid frequency, the only row distill reads — one complex solve
+/// instead of the whole grid, at the same double. Empty when no card is .ac:
+/// the session's own cards run then.
+std::vector<spice::AnalysisCard> point_cards(const std::vector<spice::AnalysisCard>& cards) {
+  const auto is_ac = [](const spice::AnalysisCard& c) {
+    return c.kind == spice::AnalysisCard::Kind::ac;
+  };
+  if (std::none_of(cards.begin(), cards.end(), is_ac)) return {};
+  std::vector<spice::AnalysisCard> out = cards;
+  for (auto& card : out) {
+    if (is_ac(card)) card.ac.f_start = card.ac.f_stop = card.ac.frequencies().back();
+  }
+  return out;
+}
+
 /// A worker thread's warm template: the session the last value-only
 /// template built, plus where its placeholders landed. One per thread, so a
 /// sweep holds at most one extra Session per worker.
@@ -429,6 +445,7 @@ struct WarmTemplate {
   bool classified = false;         ///< a template parse has succeeded
   std::unique_ptr<Session> session;  ///< null: the template is structural
   std::vector<spice::PlaceholderSite> sites;
+  std::vector<spice::AnalysisCard> cards;  ///< point_cards(session->cards())
 };
 
 thread_local WarmTemplate t_warm;
@@ -481,6 +498,7 @@ std::optional<spice::SweepOutcome> run_warm(const std::string& text,
         break;
       }
     }
+    if (session) w.cards = point_cards(session->cards());
     w.session = std::move(session);
     w.sites = std::move(sites);
   }
@@ -488,6 +506,7 @@ std::optional<spice::SweepOutcome> run_warm(const std::string& text,
 
   JobRequest jr;
   jr.options = options;
+  jr.analyses = w.cards;
   jr.overrides.reserve(w.sites.size());
   for (const auto& site : w.sites)
     jr.overrides.push_back({site.device, site.param, point.value(site.name)});
@@ -519,6 +538,7 @@ spice::SweepOutcome run_sweep_point(const std::string& text,
   Session session(substitute_params(text, point), hdl_mode);
   JobRequest jr;
   jr.options = opts;
+  jr.analyses = point_cards(session.cards());
   return distill(session, session.run(jr));
 }
 

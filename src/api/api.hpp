@@ -192,7 +192,11 @@ std::string substitute_params(std::string text, const spice::SweepPoint& point);
 /// metrics (per-node op efforts / final transient values / last-point AC
 /// magnitudes; min/max/mean aggregates above 16 nodes). `attempt` > 0 is a
 /// retry of a failed point — Newton iteration limits double per attempt so
-/// a marginal point gets a genuinely stronger solve, not a replay.
+/// a marginal point gets a genuinely stronger solve, not a replay. An .ac
+/// card runs as a one-frequency card at its last grid frequency, the only
+/// row a metric reads: the dense backend gives that row's exact bits, the
+/// sparse one (which pivots there instead of at f_start) may differ in the
+/// last bits, and a system singular only at an earlier frequency passes.
 ///
 /// Two paths, one outcome. When every `{name}` in `text` is a value
 /// placeholder — a whole R/C/L value, V/I DC value or X-card `key={name}`

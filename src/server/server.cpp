@@ -128,7 +128,7 @@ struct SimServer::Impl {
   long next_job_id = 1;
 
   // Engine cache: hash -> entry, plus MRU-first recency list. Entries past
-  // the warm capacity are cooled (engine rebind(): solver state shed); past
+  // the warm capacity are cooled (engine cool(): solver state shed); past
   // 2x they are evicted outright.
   std::unordered_map<std::string, std::shared_ptr<EngineEntry>> engines;
   std::list<std::string> engine_lru;  ///< front = most recently used
@@ -291,7 +291,7 @@ struct SimServer::Impl {
       }
       if (rank <= total_cap) {
         if (entry->session->warm()) {
-          entry->session->engine().rebind();
+          entry->session->engine().cool();
           ++counters.cooled;
         }
         entry->run_mu.unlock();

@@ -9,7 +9,7 @@
 //     compile / symbolic factorization); a hit with parameter overrides
 //     takes the rebind() delta path instead of a fresh bind. Eviction is
 //     two-tier: entries pushed past the warm capacity are cooled first
-//     (engine rebind(): solver state shed, parse/bind kept), then fully
+//     (engine cool(): solver state shed, parse/bind kept), then fully
 //     evicted at 2x.
 //   * result LRU cache of rendered frames: a byte-identical request replays
 //     the stream without touching the engine at all — trivially

@@ -52,10 +52,29 @@ double TranResult::sample(double t, int unknown) const {
 }
 
 double AcOptions::frequency_count() const noexcept {
+  if (f_start == f_stop) return 1.0;
   const double n = sweep == SweepKind::linear
                        ? points
                        : std::ceil(std::log10(f_stop / f_start) * points) + 1.0;
   return std::max(2.0, n);
+}
+
+std::vector<double> AcOptions::frequencies() const {
+  const int total = static_cast<int>(frequency_count());
+  std::vector<double> freqs;
+  freqs.reserve(static_cast<std::size_t>(total));
+  if (total == 1) {
+    freqs.push_back(f_start);
+    return freqs;
+  }
+  const double decades = std::log10(f_stop / f_start);
+  for (int i = 0; i < total; ++i) {
+    const double di = static_cast<double>(i);
+    freqs.push_back(sweep == SweepKind::linear
+                        ? f_start + (f_stop - f_start) * di / (total - 1)
+                        : f_start * std::pow(10.0, decades * di / (total - 1)));
+  }
+  return freqs;
 }
 
 double AcResult::magnitude_db(std::size_t k, int unknown) const {

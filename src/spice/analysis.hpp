@@ -88,9 +88,10 @@ struct TranResult {
   bool used_source_stepping = false;  ///< initial OP needed the source ramp
   bool used_sparse = false;
   /// Full (pivot-searching) sparse factorizations of the transient's own
-  /// Newton iterations across ALL timesteps (the initial operating point
-  /// counts separately) — 1 in the steady state, since the pattern (and
-  /// normally the pivot order) is fixed for the whole run.
+  /// Newton iterations across ALL timesteps — 1 in the steady state, since
+  /// the pattern (and normally the pivot order) is fixed for the whole run —
+  /// plus those of the initial operating point when the run solved it
+  /// itself (a handed-over point counts toward the card that solved it).
   int symbolic_factorizations = 0;
 
   // Accessor contract (all three): a negative `unknown` is the ground
@@ -123,10 +124,18 @@ struct AcOptions {
   int points = 100;        ///< total (linear) or per decade (decade)
   DcOptions dc;
 
-  /// Frequencies the sweep visits: max(2, points) linear, or
-  /// max(2, ceil(decades * points) + 1) per decade. A double, so a card can
-  /// be held against kMaxAcPoints before any integer stores the count.
+  /// How many frequencies the sweep visits: 1 when f_start == f_stop, else
+  /// max(2, points) linear or max(2, ceil(decades * points) + 1) per decade.
+  /// A double, so a card can be held against kMaxAcPoints before any
+  /// integer stores the count.
   double frequency_count() const noexcept;
+
+  /// The frequencies themselves, f_start first and f_stop's grid point
+  /// last. run_ac visits exactly these, so a card with
+  /// f_start == f_stop == frequencies().back() solves the same double as
+  /// this card's last row (how a sweep point runs only that row). Call it
+  /// only on a card within kMaxAcPoints.
+  std::vector<double> frequencies() const;
 };
 
 /// The most frequencies one .ac sweep visits; a longer card is a netlist
@@ -143,8 +152,9 @@ struct AcResult {
   std::vector<double> freq;
   std::vector<ZVector> x;  ///< complex solution per frequency
   bool used_sparse = false;
-  /// Full complex symbolic factorizations across the whole sweep; the
-  /// frequency loop refactors numerically on the fixed pattern.
+  /// Full complex symbolic factorizations across the whole sweep (the
+  /// frequency loop refactors numerically on the fixed pattern), plus the
+  /// real ones of an operating point the sweep solved itself.
   int symbolic_factorizations = 0;
 
   std::complex<double> at(std::size_t k, int unknown) const {

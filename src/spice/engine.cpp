@@ -70,8 +70,14 @@ AnalysisEngine::~AnalysisEngine() = default;
 
 void AnalysisEngine::rebind() {
   circuit_.bind_all();  // idempotent; structure is frozen after the first bind
-  solver_.reset();      // drop warm pivot order / value arrays; pattern survives
+  // A fresh solver's first solve pivots afresh; so does this one. Its
+  // buffers are rewritten by every stamp pass and are kept.
+  if (solver_) solver_->refresh_pivot_order();
   params_stale_ = true;
+}
+
+void AnalysisEngine::cool() {
+  solver_.reset();  // pivot order, value arrays, scratch; the pattern survives
 }
 
 void AnalysisEngine::recheck_parameters() {
@@ -288,6 +294,8 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
   DcResult solved;
   if (op == nullptr) solved = run_dc_under(budgetless(opts.dc), dl);
   const DcResult& dc = op != nullptr ? *op : solved;
+  // Only a point this card solved itself is this card's work.
+  out.symbolic_factorizations = solved.symbolic_factorizations;
   out.used_gmin_stepping = dc.used_gmin_stepping;
   out.used_source_stepping = dc.used_source_stepping;
   if (!dc.converged) {
@@ -323,7 +331,8 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
   const int sym0 = solver.symbolic_factorizations();
   const auto harvest_stats = [&] {
     out.used_sparse = solver.sparse_active();
-    out.symbolic_factorizations = solver.symbolic_factorizations() - sym0;
+    out.symbolic_factorizations =
+        solved.symbolic_factorizations + solver.symbolic_factorizations() - sym0;
   };
   // Every early exit below carries a structured verdict; fail() renders the
   // legacy error string from it so existing log consumers see one line.
@@ -558,8 +567,7 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
 // ---------------------------------------------------------------------------
 
 AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
-  const double count = opts.frequency_count();
-  if (!(count <= kMaxAcPoints))
+  if (!(opts.frequency_count() <= kMaxAcPoints))
     throw std::invalid_argument(str_format("ac sweep exceeds the cap of %d frequencies",
                                            kMaxAcPoints));
   AcResult out;
@@ -603,18 +611,7 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
   ZVector rhs(n, {0.0, 0.0});
   for (const auto& dev : circuit_.devices()) dev->ac_rhs(rhs);
 
-  // Frequency grid.
-  const int total = static_cast<int>(count);
-  std::vector<double> freqs;
-  freqs.reserve(static_cast<std::size_t>(total));
-  const double decades = std::log10(opts.f_stop / opts.f_start);
-  for (int i = 0; i < total; ++i) {
-    const double di = static_cast<double>(i);
-    freqs.push_back(opts.sweep == SweepKind::linear
-                        ? opts.f_start + (opts.f_stop - opts.f_start) * di / (total - 1)
-                        : opts.f_start * std::pow(10.0, decades * di / (total - 1)));
-  }
-
+  const std::vector<double> freqs = opts.frequencies();
   out.freq.reserve(freqs.size());
   out.x.reserve(freqs.size());
   if (solver.sparse_active()) {

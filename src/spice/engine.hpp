@@ -25,8 +25,9 @@
 // statistics (symbolic_factorizations) are reported as deltas, so a reused
 // engine reports 0 extra symbolic factorizations once its pivot order is
 // warm. After changing device PARAMETERS (values, not circuit structure —
-// structure is frozen at bind), call rebind() to drop the warm solver state
-// while keeping the compiled pattern. The engine keeps no operating point
+// structure is frozen at bind), call rebind() to drop the recorded pivot
+// order while keeping the solver and the compiled pattern; cool() sheds the
+// solver itself. The engine keeps no operating point
 // between calls: run_tran / run_ac solve their own unless the caller hands
 // one over (api::Session::run passes its job's .op point).
 #pragma once
@@ -67,18 +68,22 @@ class AnalysisEngine {
   AcResult run_ac(const AcOptions& opts, const DcResult* op = nullptr);
 
   /// Re-arms the engine after external device-parameter changes: drops the
-  /// warm solver (pivot order, value arrays) so the next run restamps and
-  /// refactors from scratch, while the circuit's compiled MNA pattern —
-  /// which depends only on structure — is reused as-is. The next run_*
-  /// re-checks the parameter-sanity lint rules against the new values; the
-  /// structural verdict is kept, since parameters never change structure.
-  /// The server's engine cache calls it to shed that memory-heavy state on
-  /// eviction.
+  /// solver's recorded pivot order, so the next run restamps and pivots
+  /// afresh exactly as a fresh solver would, while the solver's buffers and
+  /// the circuit's compiled MNA pattern — which depend only on structure —
+  /// are reused as-is. The next run_* re-checks the parameter-sanity lint
+  /// rules against the new values; the structural verdict is kept, since
+  /// parameters never change structure.
   void rebind();
 
-  /// True while the engine holds warm solver state (LU factors, recorded
-  /// pivot order, value arrays) from a previous run. The server's engine
-  /// cache reports this in /stats and uses it to pick eviction victims.
+  /// Sheds the solver (LU factors, value arrays, scratch) and keeps the
+  /// bind, pattern and preflight; the next run builds a new solver. The
+  /// server's engine cache calls it to cool an entry past its warm capacity.
+  void cool();
+
+  /// True while the engine holds solver state (LU factors, value arrays)
+  /// from a previous run; false after cool(). The server's engine cache
+  /// reports this in /stats and uses it to pick eviction victims.
   bool warm() const noexcept { return solver_ != nullptr; }
 
   /// The construction-time static diagnostics pass (errors-only options:

@@ -158,7 +158,7 @@ TEST(Session, CoolShedsWarmSolverState) {
   const JobResult cold = session.run();
   ASSERT_TRUE(cold.ok);
   EXPECT_TRUE(session.warm());
-  session.engine().rebind();  // the server's eviction hook
+  session.engine().cool();  // the server's cooling step
   EXPECT_FALSE(session.warm());
   // A cooled session re-warms transparently — and still bit-identically.
   const JobResult rewarmed = session.run();

@@ -70,7 +70,9 @@ void expect_same(const spice::AcResult& a, const spice::AcResult& b, int b_dc_sy
   }
 }
 
-void expect_same(const spice::TranResult& a, const spice::TranResult& b) {
+/// `b_dc_symbolic` as for the AcResult overload.
+void expect_same(const spice::TranResult& a, const spice::TranResult& b,
+                 int b_dc_symbolic = 0) {
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.error, b.error);
   EXPECT_EQ(a.total_newton_iters, b.total_newton_iters);
@@ -78,7 +80,7 @@ void expect_same(const spice::TranResult& a, const spice::TranResult& b) {
   EXPECT_EQ(a.used_gmin_stepping, b.used_gmin_stepping);
   EXPECT_EQ(a.used_source_stepping, b.used_source_stepping);
   EXPECT_EQ(a.used_sparse, b.used_sparse);
-  EXPECT_EQ(a.symbolic_factorizations, b.symbolic_factorizations);
+  EXPECT_EQ(a.symbolic_factorizations + b_dc_symbolic, b.symbolic_factorizations);
   ASSERT_EQ(a.time.size(), b.time.size());
   for (std::size_t k = 0; k < a.time.size(); ++k) {
     SCOPED_TRACE(a.time[k]);
@@ -145,7 +147,19 @@ TEST_P(JobPointTest, OpThenTranMatchesSeparateJobs) {
   const JobResult tran_only = run_fresh(body, tran);
   ASSERT_EQ(both.analyses.size(), 2u);
   expect_same(both.analyses[0].op, op_only.analyses[0].op);
-  expect_same(both.analyses[1].tran, tran_only.analyses[0].tran);
+  expect_same(both.analyses[1].tran, tran_only.analyses[0].tran,
+              op_only.analyses[0].op.symbolic_factorizations);
+}
+
+TEST(JobPoint, TranOnlyJobCountsItsOwnOperatingPoint) {
+  // A .tran card that solves its own point reports that solve's pivot
+  // search: the same work reports the same total whichever card did it.
+  const std::string tran = ".tran 20u 2m\n";
+  const JobResult both = run_fresh(kArray, ".op\n" + tran);
+  const JobResult tran_only = run_fresh(kArray, tran);
+  EXPECT_TRUE(tran_only.analyses[0].tran.used_sparse);
+  EXPECT_EQ(both.symbolic_factorizations, 2);
+  EXPECT_EQ(tran_only.symbolic_factorizations, both.symbolic_factorizations);
 }
 
 TEST_P(JobPointTest, WarmRerunOfOpAcJobIsUnchanged) {

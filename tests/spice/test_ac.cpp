@@ -118,5 +118,55 @@ TEST(Ac, DecadeSweepCoversRange) {
   EXPECT_GE(res.freq.size(), 30u);
 }
 
+TEST(Ac, EqualEndsVisitTheFrequencyOnce) {
+  Circuit ckt;
+  const int in = ckt.add_node("in", Nature::electrical);
+  ckt.add<VSource>("V1", in, Circuit::kGround, std::make_unique<DcWave>(0.0),
+                   Nature::electrical, 1.0, 0.0);
+  ckt.add<Resistor>("R1", in, Circuit::kGround, 1.0);
+  for (const SweepKind kind : {SweepKind::linear, SweepKind::decade}) {
+    AcOptions opts;
+    opts.sweep = kind;
+    opts.f_start = 123.0;
+    opts.f_stop = 123.0;
+    opts.points = 5;
+    EXPECT_EQ(opts.frequency_count(), 1.0);
+    const AcResult res = api::ac_sweep(ckt, opts);
+    ASSERT_TRUE(res.ok) << res.error;
+    ASSERT_EQ(res.freq.size(), 1u);
+    ASSERT_EQ(res.x.size(), 1u);
+    EXPECT_EQ(res.freq[0], 123.0);
+  }
+}
+
+TEST(Ac, GridEndsOnTheCardsLastFrequency) {
+  // run_ac visits AcOptions::frequencies() exactly; a one-frequency card at
+  // its back() reproduces the full sweep's last row bit for bit (dense).
+  Circuit ckt;
+  const int in = ckt.add_node("in", Nature::electrical);
+  const int out = ckt.add_node("out", Nature::electrical);
+  ckt.add<VSource>("V1", in, Circuit::kGround, std::make_unique<DcWave>(0.0),
+                   Nature::electrical, 1.0, 0.0);
+  ckt.add<Resistor>("R1", in, out, 1e3);
+  ckt.add<Capacitor>("C1", out, Circuit::kGround, 1e-6);
+  AcOptions opts;
+  opts.f_start = 10.0;
+  opts.f_stop = 1e4;
+  opts.points = 5;
+  const std::vector<double> grid = opts.frequencies();
+  ASSERT_EQ(static_cast<double>(grid.size()), opts.frequency_count());
+  const AcResult full = api::ac_sweep(ckt, opts);
+  ASSERT_TRUE(full.ok) << full.error;
+  ASSERT_EQ(full.freq, grid);
+
+  AcOptions one = opts;
+  one.f_start = one.f_stop = grid.back();
+  const AcResult last = api::ac_sweep(ckt, one);
+  ASSERT_TRUE(last.ok) << last.error;
+  ASSERT_EQ(last.freq.size(), 1u);
+  EXPECT_EQ(last.freq[0], full.freq.back());
+  EXPECT_EQ(last.at(0, out), full.at(full.freq.size() - 1, out));
+}
+
 }  // namespace
 }  // namespace usys::spice

@@ -211,6 +211,49 @@ TEST(AnalysisEngine, RebindPicksUpParameterChanges) {
   EXPECT_LT(rel_diff(changed.x, ref.x), 1e-12);
 }
 
+TEST(AnalysisEngine, RebindKeepsTheSolverAndPivotsAfresh) {
+  // A parameter rebind keeps the solver's buffers (warm() holds) but drops
+  // its pivot order: the next run searches pivots once, as a fresh solver
+  // does, and agrees bit for bit with a fresh engine; cool() sheds it all.
+  const auto build = [](double r) {
+    auto ckt = std::make_unique<Circuit>();
+    const int in = ckt->add_node("in", Nature::electrical);
+    ckt->add<VSource>("V1", in, Circuit::kGround, 1.0);
+    int prev = in;
+    for (int i = 0; i < 8; ++i) {
+      const int node = ckt->add_node(tag("n", i), Nature::electrical);
+      ckt->add<Resistor>(tag("R", i), prev, node, r);
+      prev = node;
+    }
+    ckt->add<Resistor>("Rend", prev, Circuit::kGround, r);
+    return ckt;
+  };
+  DcOptions opts;
+  opts.newton.sparse_threshold = 0;  // sparse: the pivot order is real state
+  auto ckt = build(1e3);
+  AnalysisEngine engine(*ckt);
+  ASSERT_TRUE(engine.run_dc(opts).converged);
+
+  ASSERT_TRUE(ckt->find_device("R3")->set_param("r", 5e3));
+  engine.rebind();
+  EXPECT_TRUE(engine.warm());
+  const DcResult changed = engine.run_dc(opts);
+  ASSERT_TRUE(changed.converged);
+  EXPECT_EQ(changed.symbolic_factorizations, 1);
+
+  auto fresh_ckt = build(1e3);
+  ASSERT_TRUE(fresh_ckt->find_device("R3")->set_param("r", 5e3));
+  const DcResult fresh = AnalysisEngine(*fresh_ckt).run_dc(opts);
+  ASSERT_TRUE(fresh.converged);
+  EXPECT_EQ(changed.x, fresh.x);
+
+  engine.cool();
+  EXPECT_FALSE(engine.warm());
+  const DcResult rewarmed = engine.run_dc(opts);
+  ASSERT_TRUE(rewarmed.converged);
+  EXPECT_EQ(rewarmed.x, fresh.x);
+}
+
 TEST(AnalysisEngine, RebindRechecksParameterLint) {
   // A zero stiffness builds (L = 1/k = inf) but the parameter lint rejects
   // it. Set through set_param on a warm engine, the next run must reject it

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,14 @@ class RescueTest : public ::testing::Test {
   void SetUp() override { fault::disarm_all(); }
   void TearDown() override { fault::disarm_all(); }
 };
+
+/// "prefix<i>" without the const char* + temporary-string operator+ overload
+/// (GCC 12's -Wrestrict false-positives on that exact pattern at -O3).
+std::string tag(const char* prefix, int i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
 
 /// 10 V across two 1 k resistors: plain Newton converges in a couple of
 /// iterations, so any non-convergence here is injected, never numerical.
@@ -287,10 +296,10 @@ TEST_F(RescueTest, InjectedSparseSingularityReportsSingularMatrix) {
   Circuit ckt;
   std::vector<int> nodes;
   for (int i = 0; i < 16; ++i)
-    nodes.push_back(ckt.add_node("n" + std::to_string(i), Nature::electrical));
+    nodes.push_back(ckt.add_node(tag("n", i), Nature::electrical));
   ckt.add<VSource>("V1", nodes[0], Circuit::kGround, 1.0);
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i)
-    ckt.add<Resistor>("R" + std::to_string(i), nodes[i], nodes[i + 1], 100.0);
+    ckt.add<Resistor>(tag("R", static_cast<int>(i)), nodes[i], nodes[i + 1], 100.0);
   ckt.add<Resistor>("Rend", nodes.back(), Circuit::kGround, 100.0);
   DcOptions opts;
   opts.newton.sparse_threshold = 0;  // sparse
