@@ -7,10 +7,11 @@ namespace usys {
 
 namespace {
 
-/// Spin budget before a barrier wait falls back to a condvar sleep. Tuned
-/// for the assembler's cadence: consecutive Newton-iteration assembles
-/// arrive within microseconds, so a short spin keeps workers out of the
-/// scheduler; anything longer just burns a core while the solver factors.
+/// Spin budget (yield rounds) before a barrier wait falls back to a condvar
+/// sleep. A freshly started worker usually sees run()'s generation within
+/// it, and the caller's finish barrier usually sees the last tasks end
+/// within it; a longer wait sleeps. The value is not tuned to any
+/// measurement.
 constexpr int kSpinRounds = 2048;
 
 }  // namespace

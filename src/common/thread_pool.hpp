@@ -1,10 +1,11 @@
-// Small persistent thread pool behind the batch sweep runner
-// (spice/sweep.hpp).
+// Small fork-join thread pool behind the batch sweep runner
+// (spice/sweep.hpp). SweepRunner::run builds one pool per call, sized to
+// the points it has to run, and fans those points out over it in a single
+// run(); the workers are joined when the call returns.
 //
 // Design constraints, in order:
-//   * cheap steady-state dispatch — a fan-out must not spawn threads or
-//     allocate, and the start/finish barriers spin briefly (workers stay
-//     hot across back-to-back batches) before falling back to condvar
+//   * cheap dispatch — run() spawns no threads and allocates nothing, and
+//     the start/finish barriers spin briefly before falling back to condvar
 //     sleeps;
 //   * caller participation — the constructing thread works too, so a
 //     "1-thread pool" degrades to a plain loop with zero synchronization;

@@ -224,13 +224,106 @@ class Compiler {
 
 BytecodeProgram compile(const ElaboratedModel& model, const std::vector<int>& nodes,
                         const std::vector<int>& branch_of_pair,
-                        const std::vector<int>& seed_unknowns) {
+                        const std::vector<int>& seed_unknowns, bool slice) {
   BytecodeProgram p;
   p.entity_name = model.entity_name;
   p.seed_unknowns = seed_unknowns;
   p.n_seeds = static_cast<int>(seed_unknowns.size());
   Compiler(model, nodes, branch_of_pair, p).compile_all();
+  if (slice) p.commit_code = commit_slice(p.commit_code, p.n_regs);
   return p;
+}
+
+InsnShape insn_shape(const Insn& in, bool commit) noexcept {
+  InsnShape sh;
+  const auto read = [&sh](std::int32_t r) { sh.reads[sh.n_reads++] = r; };
+  switch (in.op) {
+    case Op::kconst:
+    case Op::read_across:
+    case Op::read_branch:
+      sh.def = in.dst;
+      break;
+    case Op::copy:
+    case Op::neg:
+    case Op::sin:
+    case Op::cos:
+    case Op::tan:
+    case Op::exp:
+    case Op::log:
+    case Op::sqrt:
+    case Op::abs:
+      sh.def = in.dst;
+      read(in.a);
+      break;
+    case Op::add:
+    case Op::sub:
+    case Op::mul:
+    case Op::div:
+    case Op::pow:
+    case Op::min:
+    case Op::max:
+      sh.def = in.dst;
+      read(in.a);
+      read(in.b);
+      break;
+    case Op::limit:
+      sh.def = in.dst;
+      read(in.a);
+      read(in.b);
+      read(in.c);
+      break;
+    case Op::ddt:
+    case Op::integ:
+      sh.def = in.dst;
+      read(in.a);
+      sh.side_effect = commit;  // the commit pass updates the site state
+      break;
+    case Op::stamp_flow:
+    case Op::stamp_effort:
+      read(in.dst);  // the stamped value
+      sh.side_effect = true;
+      break;
+    case Op::assert_check:
+      read(in.a);
+      sh.side_effect = true;
+      break;
+  }
+  return sh;
+}
+
+std::vector<char> live_insns(const std::vector<InsnShape>& shapes, int n_regs) {
+  std::vector<char> live_reg(static_cast<std::size_t>(std::max(n_regs, 0)), 0);
+  std::vector<char> live(shapes.size(), 1);
+  for (std::size_t i = shapes.size(); i-- > 0;) {
+    const InsnShape& sh = shapes[i];
+    if (sh.def >= 0) {
+      if (!live_reg[static_cast<std::size_t>(sh.def)] && !sh.side_effect) {
+        live[i] = 0;
+        continue;  // a dead instruction's operands generate no demand
+      }
+      live_reg[static_cast<std::size_t>(sh.def)] = 0;
+    }
+    for (int k = 0; k < sh.n_reads; ++k) live_reg[static_cast<std::size_t>(sh.reads[k])] = 1;
+  }
+  return live;
+}
+
+std::vector<Insn> commit_slice(const std::vector<Insn>& code, int n_regs) {
+  std::vector<Insn> kept;
+  std::vector<InsnShape> shapes;
+  kept.reserve(code.size());
+  shapes.reserve(code.size());
+  for (const Insn& in : code) {
+    if (in.op == Op::stamp_flow || in.op == Op::stamp_effort) continue;
+    kept.push_back(in);
+    shapes.push_back(insn_shape(in, /*commit=*/true));
+  }
+  const std::vector<char> live = live_insns(shapes, n_regs);
+  std::vector<Insn> slice;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    if (live[i]) slice.push_back(kept[i]);
+  }
+  return slice;
 }
 
 void BytecodeVm::reset(const BytecodeProgram* prog) {

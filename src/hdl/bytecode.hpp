@@ -17,8 +17,12 @@
 //     (values + a dense regs x seeds gradient block) — no recursion, no
 //     allocation, no name lookups on the hot path. One VM serves all four
 //     interpreter passes (dc, dc_ddt, transient, commit). Passes whose
-//     gradients nobody reads (the commit pass, and value-only stamps such as
-//     the transient's q-harvest) run a value-only instantiation.
+//     gradients nobody reads (the commit pass, and any stamp pass whose
+//     context keeps no Jacobian) run a value-only instantiation.
+//   * The commit pass runs a slice: compile() cuts commit_code down to the
+//     instructions that feed a ddt/integ state update or an ASSERT check
+//     (commit_slice), so an accepted step commits its integrator states
+//     without re-evaluating the model's contributions.
 //   * Capture mode redirects stamp gradients into a seeds x seeds scratch
 //     block instead of the MNA sink, which is what the jq extraction needs:
 //     every stamp row and every gradient column of a device is one of its
@@ -98,8 +102,9 @@ struct Insn {
 
 /// A compiled, instance-bound model: three linear programs sharing one
 /// register file layout. `dc_code` serves the dc and dc_ddt passes,
-/// `tran_code` the transient pass, `commit_code` the commit pass (same
-/// statements as tran_code plus the ASSERT checks, stamps skipped).
+/// `tran_code` the transient pass, `commit_code` the commit pass: the
+/// transient statements plus the ASSERT checks, cut to their commit slice
+/// (no stamps, only what reaches a ddt, integ or assert_check).
 struct BytecodeProgram {
   std::string entity_name;
 
@@ -130,11 +135,38 @@ struct BytecodeProgram {
 /// Flattens `model` for one instance. `nodes` maps pin index -> circuit node,
 /// `branch_of_pair` maps effort-pair index -> branch unknown, and
 /// `seed_unknowns` lists the instance's AD seed slots (interpreter bind()
-/// order). Throws ElabError on malformed programs (which elaboration should
-/// have rejected — this is the backstop for the old silent-zero paths).
+/// order). `slice` false keeps the full commit stream (stamps included),
+/// which the tests run against the slice. Throws ElabError on malformed
+/// programs (which elaboration should have rejected — this is the backstop
+/// for the old silent-zero paths).
 BytecodeProgram compile(const ElaboratedModel& model, const std::vector<int>& nodes,
                         const std::vector<int>& branch_of_pair,
-                        const std::vector<int>& seed_unknowns);
+                        const std::vector<int>& seed_unknowns, bool slice = true);
+
+/// One instruction's def/use shape: the registers it reads, the register it
+/// defines (-1: none), and whether it acts beyond its destination (stamps,
+/// ASSERT records and, in the commit pass, ddt/integ state updates).
+/// Operands are reported as they stand; verify_program bounds-checks them.
+struct InsnShape {
+  std::int32_t reads[3] = {-1, -1, -1};
+  int n_reads = 0;
+  std::int32_t def = -1;
+  bool side_effect = false;
+};
+InsnShape insn_shape(const Insn& in, bool commit) noexcept;
+
+/// Backward liveness over one straight-line stream: false marks an
+/// instruction that defines a register no later instruction reads and has
+/// no side effect. Nothing is live after the stream, since every pass
+/// restarts the frame registers from frame_init. Every register in `shapes`
+/// must lie in [0, n_regs).
+std::vector<char> live_insns(const std::vector<InsnShape>& shapes, int n_regs);
+
+/// The part of a commit stream the commit pass needs: the stamps go (commit
+/// never stamps), then every instruction whose result cannot reach a ddt,
+/// integ or assert_check. Site states and ASSERT firings are those of the
+/// full stream, bit for bit.
+std::vector<Insn> commit_slice(const std::vector<Insn>& code, int n_regs);
 
 /// Executes a BytecodeProgram. Stateless between runs apart from the
 /// persistent register storage (reinitialized from frame_init each run).

@@ -76,6 +76,9 @@ class HdlDevice final : public spice::Device {
   void bind(spice::Binder& binder) override;
   void evaluate(spice::EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  /// ddt() and integ() are integrated inside the device (per-site state),
+  /// so no executor stamps q.
+  bool stores_charge() const noexcept override { return false; }
   void start_transient(const DVector& x_dc) override;
   void accept(const spice::AcceptCtx& ctx) override;
   /// Default topology plus the bytecode verifier's warnings (hdl-* rules).

@@ -103,16 +103,6 @@ class Verifier {
   bool unknown_ok(int u) const { return u >= -1 && u < nu_; }
   bool seed_ok(int s) const { return s >= -1 && s < p_.n_seeds; }
 
-  // One instruction's static shape: which operands are register reads, which
-  // register (if any) it defines, and whether it has effects beyond its
-  // destination (stamps, assert records, state commits).
-  struct Shape {
-    int reads[3] = {-1, -1, -1};
-    int n_reads = 0;
-    int def = -1;
-    bool side_effect = false;
-  };
-
   void check_stream(const char* stream, const std::vector<Insn>& code) {
     const std::string sname = stream;
     const bool commit = sname == "commit";
@@ -125,7 +115,8 @@ class Verifier {
     for (int r = 0; r < std::min(p_.n_frame, n_regs); ++r) defined[static_cast<std::size_t>(r)] = 1;
     // mask[r*S + s]: seed s may reach r's gradient (structural, may-analysis).
     std::vector<char> mask(static_cast<std::size_t>(n_regs) * static_cast<std::size_t>(n_seeds), 0);
-    std::vector<Shape> shapes(code.size());
+    // The def/use table (insn_shape), cut to in-bounds registers.
+    std::vector<InsnShape> shapes(code.size());
 
     const auto mrow = [&](int r) { return mask.begin() + static_cast<std::ptrdiff_t>(r) * n_seeds; };
     const auto mask_empty = [&](int r) {
@@ -135,7 +126,8 @@ class Verifier {
     for (std::size_t i = 0; i < code.size(); ++i) {
       const Insn& in = code[i];
       const int ii = static_cast<int>(i);
-      Shape& sh = shapes[i];
+      InsnShape& sh = shapes[i];
+      sh = insn_shape(in, commit);
       bool bounds_ok = true;
       const auto bad = [&](std::string msg) {
         add(VerifySeverity::error, "hdl-operand-bounds",
@@ -146,18 +138,10 @@ class Verifier {
       const auto need_reg = [&](int r, const char* what) {
         if (!reg_ok(r)) bad(str_format("%s register %d outside [0, %d)", what, r, p_.n_regs));
       };
-      const auto read_reg = [&](int r, const char* what) {
-        need_reg(r, what);
-        if (reg_ok(r) && sh.n_reads < 3) sh.reads[sh.n_reads++] = r;
-      };
-      const auto def_reg = [&](int r) {
-        need_reg(r, "destination");
-        if (reg_ok(r)) sh.def = r;
-      };
 
       switch (in.op) {
         case Op::kconst:
-          def_reg(in.dst);
+          need_reg(in.dst, "destination");
           if (in.a < 0 || in.a >= static_cast<int>(p_.constants.size()))
             bad(str_format("constant index %d outside [0, %zu)", in.a, p_.constants.size()));
           break;
@@ -170,8 +154,8 @@ class Verifier {
         case Op::log:
         case Op::sqrt:
         case Op::abs:
-          def_reg(in.dst);
-          read_reg(in.a, "source");
+          need_reg(in.dst, "destination");
+          need_reg(in.a, "source");
           break;
         case Op::add:
         case Op::sub:
@@ -180,18 +164,18 @@ class Verifier {
         case Op::pow:
         case Op::min:
         case Op::max:
-          def_reg(in.dst);
-          read_reg(in.a, "lhs");
-          read_reg(in.b, "rhs");
+          need_reg(in.dst, "destination");
+          need_reg(in.a, "lhs");
+          need_reg(in.b, "rhs");
           break;
         case Op::limit:
-          def_reg(in.dst);
-          read_reg(in.a, "value");
-          read_reg(in.b, "lower");
-          read_reg(in.c, "upper");
+          need_reg(in.dst, "destination");
+          need_reg(in.a, "value");
+          need_reg(in.b, "lower");
+          need_reg(in.c, "upper");
           break;
         case Op::read_across:
-          def_reg(in.dst);
+          need_reg(in.dst, "destination");
           if (!unknown_ok(in.a) || !unknown_ok(in.c))
             bad(str_format("unknown indices (%d, %d) outside [-1, %d)", in.a, in.c, nu_));
           if (!seed_ok(in.b) || !seed_ok(in.d))
@@ -204,7 +188,7 @@ class Verifier {
                 sname, ii);
           break;
         case Op::read_branch:
-          def_reg(in.dst);
+          need_reg(in.dst, "destination");
           if (in.a < 0 || in.a >= nu_)
             bad(str_format("branch unknown %d outside [0, %d)", in.a, nu_));
           if (in.b < 0 || in.b >= p_.n_seeds)
@@ -213,17 +197,16 @@ class Verifier {
           break;
         case Op::ddt:
         case Op::integ: {
-          def_reg(in.dst);
-          read_reg(in.a, "operand");
+          need_reg(in.dst, "destination");
+          need_reg(in.a, "operand");
           const int limit = in.op == Op::ddt ? p_.ddt_sites : p_.integ_sites;
           if (in.b < 0 || in.b >= limit)
             bad(str_format("%s site %d outside [0, %d)", in.op == Op::ddt ? "ddt" : "integ",
                            in.b, limit));
-          sh.side_effect = commit;  // commit pass updates the site state
           break;
         }
         case Op::stamp_flow:
-          read_reg(in.dst, "value");
+          need_reg(in.dst, "value");
           if (!unknown_ok(in.a) || !unknown_ok(in.c))
             bad(str_format("stamp rows (%d, %d) outside [-1, %d)", in.a, in.c, nu_));
           if (!seed_ok(in.b) || !seed_ok(in.d))
@@ -235,27 +218,30 @@ class Verifier {
                            "execution would index out of bounds",
                            stream, ii, in.b < 0 ? in.a : in.c),
                 sname, ii);
-          sh.side_effect = true;
           break;
         case Op::stamp_effort:
-          read_reg(in.dst, "value");
+          need_reg(in.dst, "value");
           if (in.a < 0 || in.a >= nu_)
             bad(str_format("effort branch row %d outside [0, %d)", in.a, nu_));
           if (in.b < 0 || in.b >= p_.n_seeds)
             bad(str_format("effort seed slot %d outside [0, %d)", in.b, p_.n_seeds));
           if (in.c != 1 && in.c != -1) bad(str_format("effort sign %d is not +/-1", in.c));
-          sh.side_effect = true;
           break;
         case Op::assert_check:
-          read_reg(in.a, "condition");
+          need_reg(in.a, "condition");
           if (in.b < 0 || in.b >= static_cast<int>(p_.assert_lines.size()))
             bad(str_format("assert site %d outside [0, %zu)", in.b, p_.assert_lines.size()));
-          sh.side_effect = true;
           break;
         default:
           bad(str_format("unknown opcode %d", static_cast<int>(in.op)));
           break;
       }
+      int kept = 0;
+      for (int k = 0; k < sh.n_reads; ++k) {
+        if (reg_ok(sh.reads[k])) sh.reads[kept++] = sh.reads[k];
+      }
+      sh.n_reads = kept;
+      if (!reg_ok(sh.def)) sh.def = -1;
 
       // Def-before-use over the flat stream: the VM never clears temporary
       // registers between runs, so a read before the first write observes a
@@ -320,21 +306,15 @@ class Verifier {
 
     // Dead-code detection: backward liveness over the straight-line stream.
     // An instruction that only defines a register nothing later consumes is
-    // unreachable work (the flat-IR analog of unreachable code).
-    std::vector<char> live(static_cast<std::size_t>(n_regs), 0);
+    // unreachable work (the flat-IR analog of unreachable code). Reported
+    // last instruction first.
+    const std::vector<char> live = live_insns(shapes, n_regs);
     for (std::size_t ri = code.size(); ri-- > 0;) {
-      const Shape& sh = shapes[ri];
-      const bool defines = sh.def >= 0;
-      const bool def_live = defines && live[static_cast<std::size_t>(sh.def)] != 0;
-      if (defines && !def_live && !sh.side_effect) {
-        add(VerifySeverity::warning, "hdl-dead-code",
-            str_format("%s[%zu] op %d: result in r%d is never used", stream, ri,
-                       static_cast<int>(code[ri].op), sh.def),
-            sname, static_cast<int>(ri));
-        continue;  // a dead instruction's operands generate no demand
-      }
-      if (defines) live[static_cast<std::size_t>(sh.def)] = 0;
-      for (int k = 0; k < sh.n_reads; ++k) live[static_cast<std::size_t>(sh.reads[k])] = 1;
+      if (live[ri]) continue;
+      add(VerifySeverity::warning, "hdl-dead-code",
+          str_format("%s[%zu] op %d: result in r%d is never used", stream, ri,
+                     static_cast<int>(code[ri].op), shapes[ri].def),
+          sname, static_cast<int>(ri));
     }
   }
 

@@ -89,6 +89,13 @@ class Device {
   /// hard error at assembly time, naming the device.
   virtual void stamp_footprint(std::vector<int>& out) const = 0;
 
+  /// True when evaluate() may stamp q, the stored quantity (charge, flux,
+  /// momentum). The transient's charge harvest after each accepted step
+  /// evaluates only these devices (NewtonSolver::harvest_charge), so a
+  /// device that returns false must never call EvalCtx::q_add. Default:
+  /// stores charge.
+  virtual bool stores_charge() const noexcept { return true; }
+
   /// Complex AC excitation (small-signal sources). Row indexing matches the
   /// real unknown vector. Default: no AC contribution.
   virtual void ac_rhs(ZVector& rhs) const { (void)rhs; }

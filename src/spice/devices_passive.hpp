@@ -21,6 +21,7 @@ class Resistor : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
   void lint(LintSink& sink) const override;
   double resistance() const noexcept { return r_; }
   /// The one value rule the constructor and set_param share: a resistance

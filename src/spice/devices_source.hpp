@@ -22,6 +22,7 @@ class VSource : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
   void lint(LintSink& sink) const override;
   void ac_rhs(ZVector& rhs) const override;
   void breakpoints(std::vector<double>& out) const override;
@@ -56,6 +57,7 @@ class ISource : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
   void lint(LintSink& sink) const override;
   void ac_rhs(ZVector& rhs) const override;
   void breakpoints(std::vector<double>& out) const override;

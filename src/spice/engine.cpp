@@ -345,12 +345,12 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
   };
 
   // Harvest q at the DC point so the first step's history is consistent
-  // (value-only stamp: the Jacobians are not needed between steps).
-  DVector f(n), q(n);
+  // (charge-only pass: f and the Jacobians are not needed between steps).
+  DVector q(n);
   {
     EvalCtx ctx;
     ctx.mode = AnalysisMode::dc;
-    solver.stamp_values(ctx, x, f, q);
+    solver.harvest_charge(ctx, x, q);
   }
   DVector q_prev = q;
   DVector q_prev2 = q;  // q at t_{n-1}, for gear2
@@ -496,7 +496,7 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
 
     // Commit: harvest q(x_new), update integrator history, device states.
     // The histories rotate by swapping buffers, never by copying them.
-    solver.stamp_values(ctx, x_new, f, q);
+    solver.harvest_charge(ctx, x_new, q);
     for (std::size_t i = 0; i < n; ++i) qdot[i] = sc.a0 * q[i] + hist[i];
     std::swap(q_prev2, q_prev);
     std::swap(q_prev, q);

@@ -17,6 +17,9 @@ NewtonSolver::NewtonSolver(Circuit& circuit, NewtonOptions opts)
   q_.resize(n);
   resid_.resize(n);
   dx_.resize(n);
+  for (const auto& dev : circuit_.devices()) {
+    if (dev->stores_charge()) charged_.push_back(dev.get());
+  }
 
   if (static_cast<int>(n) >= opts_.sparse_threshold) {
     const MnaPattern& pattern = circuit_.mna_pattern();
@@ -76,23 +79,18 @@ void NewtonSolver::stamp_dense(const EvalCtx& ctx_proto, const DVector& x, DVect
   }
 }
 
-void NewtonSolver::stamp_values(EvalCtx ctx_proto, const DVector& x, DVector& f,
-                                DVector& q) {
-  const std::size_t n = x.size();
-  f.assign(n, 0.0);
-  q.assign(n, 0.0);
+void NewtonSolver::harvest_charge(EvalCtx ctx_proto, const DVector& x, DVector& q) {
+  q.assign(x.size(), 0.0);
   EvalCtx ctx = ctx_proto;
   ctx.x = &x;
-  ctx.f = &f;
+  // f_ only catches the discarded flow stamps: every Newton pass zeroes it
+  // before it stamps, so nothing here is ever read.
+  ctx.f = &f_;
   ctx.q = &q;
   ctx.jf = nullptr;  // Jacobian stamps are discarded (see EvalCtx::jf_add)
   ctx.jq = nullptr;
   ctx.sparse = nullptr;
-  for (const auto& dev : circuit_.devices()) dev->evaluate(ctx);
-  if (opts_.gmin > 0.0) {
-    const auto nodes = static_cast<std::size_t>(circuit_.node_count());
-    for (std::size_t i = 0; i < nodes; ++i) f[i] += opts_.gmin * x[i];
-  }
+  for (Device* dev : charged_) dev->evaluate(ctx);
 }
 
 void NewtonSolver::assemble_sparse(EvalCtx ctx_proto, const DVector& x, DVector& f,

@@ -86,9 +86,11 @@ class NewtonSolver {
   void stamp(EvalCtx ctx_proto, const DVector& x, DVector& f, DVector& q, DMatrix& jf,
              DMatrix& jq);
 
-  /// Evaluates f and q only; all Jacobian stamps are discarded. This is the
-  /// cheap q-harvest the transient uses between steps — no n x n storage.
-  void stamp_values(EvalCtx ctx_proto, const DVector& x, DVector& f, DVector& q);
+  /// Evaluates q alone at x: the transient's charge harvest at the DC point
+  /// and after each accepted step. Only the devices that store charge
+  /// (Device::stores_charge) run, their f and Jacobian stamps are discarded,
+  /// and q is bit-identical to the q of a full stamp.
+  void harvest_charge(EvalCtx ctx_proto, const DVector& x, DVector& q);
 
   /// True when this solver assembles and factors sparsely.
   bool sparse_active() const noexcept { return assembler_ != nullptr; }
@@ -156,6 +158,7 @@ class NewtonSolver {
 
   Circuit& circuit_;
   NewtonOptions opts_;
+  std::vector<Device*> charged_;  ///< devices that store charge, circuit order
   // Scratch, reused across iterations to avoid reallocations.
   DVector f_, q_, resid_, dx_;
   DMatrix jf_, jq_, jacobian_;          // dense backend only

@@ -88,7 +88,7 @@ struct EvalCtx {
   }
 
   /// True when this pass keeps any Jacobian stamp. False on value-only
-  /// passes (NewtonSolver::stamp_values), where devices may skip computing
+  /// passes (NewtonSolver::harvest_charge), where devices may skip computing
   /// derivatives altogether.
   bool wants_jacobian() const noexcept {
     return sparse != nullptr || jf != nullptr || jq != nullptr;

@@ -5,6 +5,7 @@
 // limit gradient (active-branch) selection and the ASSERT-on-commit path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -558,9 +559,10 @@ TEST(BytecodeValueOnly, BitMatchesGradientRunOnEveryOpcode) {
   }
 }
 
-/// Through the device: the solver's value-only stamp equals the f and q of
-/// the full stamp bit for bit, so the transient's q-harvest is unchanged.
-TEST(BytecodeValueOnly, StampValuesMatchesFullStamp) {
+/// Through the solver: the transient's charge harvest, which skips every
+/// device that stores no charge (the HDL device, the resistor and the
+/// source here), yields the q of the full stamp bit for bit.
+TEST(BytecodeValueOnly, ChargeHarvestMatchesFullStamp) {
   for (const auto& mc : regression_models()) {
     auto ckt = build_system(mc, HdlExecMode::bytecode, nullptr);
     ckt->bind_all();
@@ -575,16 +577,17 @@ TEST(BytecodeValueOnly, StampValuesMatchesFullStamp) {
       ctx.mode = mode;
       ctx.integ_c0 = mode == spice::AnalysisMode::dc ? 0.0 : 1e-5;
       ctx.integ_c1 = mode == spice::AnalysisMode::dc ? 0.0 : 1e-5;
-      DVector f1, q1, f2, q2;
+      DVector f1, q1, q2;
       DMatrix jf, jq;
       solver.stamp(ctx, x, f1, q1, jf, jq);
-      solver.stamp_values(ctx, x, f2, q2);
+      solver.harvest_charge(ctx, x, q2);
       const std::string what = mc.label + " mode " + std::to_string(static_cast<int>(mode));
-      expect_same_bits(f2, f1, what + " f");
       expect_same_bits(q2, q1, what + " q");
     }
   }
 }
+
+bool is_stamp(const Insn& in) { return in.op == Op::stamp_flow || in.op == Op::stamp_effort; }
 
 /// The compiled program carries fully resolved metadata: no string parsing
 /// or seed scans remain for the VM to do at run time.
@@ -605,8 +608,19 @@ TEST(Bytecode, ProgramShape) {
   EXPECT_EQ(p.n_seeds, 2);  // drive node + vel node (grounded pins unseeded)
   EXPECT_FALSE(p.dc_code.empty());
   EXPECT_FALSE(p.tran_code.empty());
-  // commit code = transient statements + ASSERT checks (none in Listing 1).
-  EXPECT_EQ(p.commit_code.size(), p.tran_code.size());
+  // commit code = the commit slice of the transient statements: no stamp,
+  // and each ddt/integ site of tran_code exactly once. On Listing 1 that
+  // is the two port reads V and S, integ(S) and ddt(V).
+  for (const Insn& in : p.commit_code) EXPECT_FALSE(is_stamp(in));
+  for (const Op op : {Op::ddt, Op::integ}) {
+    for (const Insn& t : p.tran_code) {
+      if (t.op != op) continue;
+      const auto uses = std::count_if(p.commit_code.begin(), p.commit_code.end(),
+                                      [&](const Insn& c) { return c.op == op && c.b == t.b; });
+      EXPECT_EQ(uses, 1) << "site " << t.b;
+    }
+  }
+  EXPECT_EQ(p.commit_code.size(), 4u);
   EXPECT_GE(p.n_regs, p.n_frame);
   for (const Insn& in : p.tran_code) {
     if (in.op == Op::stamp_flow) {
@@ -614,6 +628,91 @@ TEST(Bytecode, ProgramShape) {
       EXPECT_TRUE(in.a == drive || in.a == vel || in.a == -1);
     }
   }
+}
+
+/// Runs the commit pass of `prog` from the given site states and returns
+/// the committed states and the fired ASSERTs.
+struct CommitRun {
+  std::vector<DdtSiteState> ddt;
+  std::vector<IntegSiteState> integ;
+  std::vector<std::pair<int, double>> fired;
+};
+CommitRun run_commit(const BytecodeProgram& prog, const DVector& x, double c0, double c1,
+                     std::vector<DdtSiteState> ddt, std::vector<IntegSiteState> integ) {
+  CommitRun r{std::move(ddt), std::move(integ), {}};
+  BytecodeVm::RunIo io;
+  io.x = &x;
+  io.pass = HdlPass::commit;
+  io.c0 = c0;
+  io.c1 = c1;
+  io.ddt = &r.ddt;
+  io.integ = &r.integ;
+  io.fired_asserts = &r.fired;
+  BytecodeVm vm(&prog);
+  vm.run(io);
+  return r;
+}
+
+/// The sliced commit stream commits the same ddt/integ site states and fires
+/// the same ASSERTs as the full stream, bit for bit, on every regression
+/// model plus the collapse model, from site states on both sides of the
+/// ASSERT guards and with the step and start_transient coefficients.
+TEST(BytecodeCommitSlice, MatchesTheFullStreamOnEveryModel) {
+  auto models = regression_models();
+  models.push_back({"collapse", kCollapseModel, "ecollapse",
+                    {{"A", 1e-4}, {"d", 0.15e-3}, {"er", 1.0}}});
+  std::size_t fired = 0;
+  for (const auto& mc : models) {
+    auto ckt = build_system(mc, HdlExecMode::bytecode, nullptr);
+    ckt->bind_all();
+    auto* dev = dynamic_cast<HdlDevice*>(ckt->find_device("XT"));
+    ASSERT_NE(dev, nullptr) << mc.label;
+    const BytecodeProgram& sliced = dev->program();
+    std::vector<int> branches;
+    for (const auto& pl : sliced.pairs) branches.push_back(pl.br);
+    const BytecodeProgram full =
+        compile(dev->model(), {ckt->node("coil"), Circuit::kGround, ckt->node("vel"),
+                               Circuit::kGround},
+                branches, sliced.seed_unknowns, /*slice=*/false);
+    ASSERT_TRUE(std::any_of(full.commit_code.begin(), full.commit_code.end(), is_stamp))
+        << mc.label;
+    ASSERT_EQ(full.n_regs, sliced.n_regs) << mc.label;
+    EXPECT_LT(sliced.commit_code.size(), full.commit_code.size()) << mc.label;
+    EXPECT_TRUE(std::none_of(sliced.commit_code.begin(), sliced.commit_code.end(), is_stamp))
+        << mc.label;
+
+    const std::size_t n = static_cast<std::size_t>(ckt->unknown_count());
+    const double d = mc.generics.count("d") ? mc.generics.at("d") : 1e-3;
+    for (const double s_prev : {0.2 * d, -0.5 * d, -2.0 * d}) {
+      for (const auto& [c0, c1] : {std::pair{2.5e-6, 2.5e-6}, std::pair{0.0, 1.0}}) {
+        DVector x(n);
+        for (std::size_t i = 0; i < n; ++i) x[i] = 0.7 - 0.23 * static_cast<double>(i);
+        std::vector<DdtSiteState> ddt(static_cast<std::size_t>(full.ddt_sites));
+        std::vector<IntegSiteState> integ(static_cast<std::size_t>(full.integ_sites));
+        for (std::size_t i = 0; i < ddt.size(); ++i) ddt[i] = {0.31 + 0.1 * i, -4.5e3};
+        for (auto& s : integ) s = {0.0, s_prev, 1.7e-3};
+        const std::string what = mc.label + " s_prev=" + std::to_string(s_prev) +
+                                 " c1=" + std::to_string(c1);
+        const CommitRun a = run_commit(full, x, c0, c1, ddt, integ);
+        const CommitRun b = run_commit(sliced, x, c0, c1, ddt, integ);
+        for (std::size_t i = 0; i < a.ddt.size(); ++i) {
+          EXPECT_TRUE(same_bits(b.ddt[i].u_prev, a.ddt[i].u_prev)) << what << " ddt " << i;
+          EXPECT_TRUE(same_bits(b.ddt[i].udot_prev, a.ddt[i].udot_prev)) << what << " ddt " << i;
+        }
+        for (std::size_t i = 0; i < a.integ.size(); ++i) {
+          EXPECT_TRUE(same_bits(b.integ[i].s_prev, a.integ[i].s_prev)) << what << " integ " << i;
+          EXPECT_TRUE(same_bits(b.integ[i].e_prev, a.integ[i].e_prev)) << what << " integ " << i;
+        }
+        ASSERT_EQ(b.fired.size(), a.fired.size()) << what;
+        for (std::size_t i = 0; i < a.fired.size(); ++i) {
+          EXPECT_EQ(b.fired[i].first, a.fired[i].first) << what;
+          EXPECT_TRUE(same_bits(b.fired[i].second, a.fired[i].second)) << what;
+        }
+        fired += a.fired.size();
+      }
+    }
+  }
+  EXPECT_GT(fired, 0u);  // the guards were crossed, so the ASSERT path ran
 }
 
 }  // namespace

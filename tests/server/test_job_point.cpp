@@ -4,7 +4,8 @@
 // byte what separate .op-only, .ac-only and .tran-only jobs report (Listing 1
 // HDL transducer, its native twin, a sparse transducer array), that a
 // transient in between ends the reuse, and — through a counting device —
-// which stamp passes a job runs on both matrix backends.
+// which stamp passes a job runs on both matrix backends, the transient's
+// charge harvest included.
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -187,19 +188,24 @@ TEST(JobPoint, ArrayCircuitTakesTheSparseBackend) {
 
 // --- stamp passes, counted ---------------------------------------------------
 
-/// A shunt conductance + capacitance on one node that counts the stamp
-/// passes it sees, split by what the pass asks for.
+/// A shunt conductance + capacitance on one node (a bare conductance when
+/// `charged` is false) that counts the stamp passes it sees, split by what
+/// the pass asks for.
 class PassCounter : public spice::Device {
  public:
-  PassCounter(std::string name, int node) : Device(std::move(name)), node_(node) {}
+  PassCounter(std::string name, int node, bool charged = true)
+      : Device(std::move(name)), node_(node), charged_(charged) {}
   void bind(spice::Binder&) override {}
   void stamp_footprint(std::vector<int>& out) const override { out.push_back(node_); }
+  bool stores_charge() const noexcept override { return charged_; }
   void evaluate(spice::EvalCtx& ctx) override {
     const double v = ctx.v(node_);
     ctx.f_add(node_, 1e-3 * v);
     ctx.jf_add(node_, node_, 1e-3);
-    ctx.q_add(node_, 1e-9 * v);
-    ctx.jq_add(node_, node_, 1e-9);
+    if (charged_) {
+      ctx.q_add(node_, 1e-9 * v);
+      ctx.jq_add(node_, node_, 1e-9);
+    }
     if (!ctx.wants_jacobian()) {
       ++value_only;
     } else if (ctx.mode == spice::AnalysisMode::transient) {
@@ -215,8 +221,13 @@ class PassCounter : public spice::Device {
   int tran_no_jq = 0;
   int value_only = 0;
 
+  /// Every pass that carried a Jacobian: the Newton iterations and the AC
+  /// linearizations.
+  int jacobian_passes() const noexcept { return dc_no_jq + dc_jq + tran_jq + tran_no_jq; }
+
  private:
   int node_;
+  bool charged_;
 };
 
 /// "prefix<i>" without the const char* + temporary-string operator+ overload
@@ -287,6 +298,32 @@ TEST(JobPoint, DcNewtonNeverAsksForJqOnEitherBackend) {
     EXPECT_EQ(n.dc_jq, 1);
     EXPECT_GT(n.tran_jq, 0);
     EXPECT_EQ(n.tran_no_jq, 0);
+  }
+}
+
+TEST(JobPoint, TransientHarvestsChargeOnlyFromDevicesThatStoreIt) {
+  for (const int threshold : {0, INT_MAX}) {
+    SCOPED_TRACE(threshold == 0 ? "sparse" : "dense");
+    Probe probe;
+    PassCounter& charged = *probe.counter;
+    PassCounter& chargeless = probe.circuit->add<PassCounter>(
+        "XG", probe.circuit->node("out"), /*charged=*/false);
+    spice::AnalysisEngine engine(*probe.circuit);
+    spice::TranOptions tran;
+    tran.tstop = 1e-5;
+    tran.newton.sparse_threshold = threshold;
+    tran.dc.newton.sparse_threshold = threshold;
+    const spice::TranResult tr = engine.run_tran(tran);
+    ASSERT_TRUE(tr.ok) << tr.error;
+    const int accepted = static_cast<int>(tr.time.size()) - 1;  // time[0] is the DC point
+    ASSERT_GT(accepted, 0);
+    // Newton iterations (the operating point's included) evaluate both.
+    EXPECT_EQ(chargeless.jacobian_passes(), tr.total_newton_iters);
+    EXPECT_EQ(charged.jacobian_passes(), tr.total_newton_iters);
+    // The charge harvest: once at the DC point and once per accepted step,
+    // and never for the device that stores no charge.
+    EXPECT_EQ(chargeless.value_only, 0);
+    EXPECT_EQ(charged.value_only, accepted + 1);
   }
 }
 

@@ -2,7 +2,8 @@
 // (to tight relative tolerance) between the dense and the sparse
 // pattern-cached MNA paths, on linear ladders, an RLC tank, the
 // electromagnetic relay pull-in circuit, an interpreted HDL model, and a
-// "device zoo" holding every in-tree Device subclass. Also pins the
+// "device zoo" holding every in-tree Device subclass. Also pins that the
+// zoo's chargeless devices never stamp q, the
 // "symbolic factorization at most once per analysis" guarantee via the
 // solver stats, and that a stamp outside a device's own footprint is an
 // error naming that device.
@@ -19,7 +20,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
+#include <typeinfo>
 
 #include "api/api.hpp"
 #include "core/linearized.hpp"
@@ -442,6 +445,59 @@ TEST(SparseVsDense, TranDeviceZoo) {
 
 TEST(SparseVsDense, AcDeviceZoo) {
   expect_ac_parity(device_zoo);
+}
+
+/// Every zoo device that declares it stores no charge leaves q untouched in
+/// dc and transient mode, on passes with and without Jacobians and under
+/// both HDL executors. The sentinel is -0.0: any q_add, even of +0.0, flips
+/// its bits, so a q stamp added without flipping Device::stores_charge
+/// fails here.
+TEST(SparseVsDense, ChargelessZooDevicesLeaveQUntouched) {
+  for (const hdl::HdlExecMode exec : {hdl::HdlExecMode::bytecode, hdl::HdlExecMode::ast}) {
+    auto ckt = device_zoo();
+    ckt->bind_all();
+    const std::size_t n = static_cast<std::size_t>(ckt->unknown_count());
+    DVector x(n);
+    for (std::size_t i = 0; i < n; ++i) x[i] = 0.3 + 0.01 * static_cast<double>(i % 7);
+    for (const auto& dev : ckt->devices()) {
+      if (auto* hdl_dev = dynamic_cast<hdl::HdlDevice*>(dev.get())) hdl_dev->set_exec_mode(exec);
+      dev->start_transient(x);
+    }
+    std::set<std::string> kinds;
+    for (const auto& dev : ckt->devices()) {
+      const Device& d = *dev;
+      if (d.stores_charge()) continue;
+      kinds.insert(typeid(d).name());
+      for (const AnalysisMode mode : {AnalysisMode::dc, AnalysisMode::transient}) {
+        for (const bool jacobian : {true, false}) {
+          DVector f(n, 0.0);
+          DVector q(n, -0.0);
+          DMatrix jf(n, n), jq(n, n);
+          EvalCtx ctx;
+          ctx.mode = mode;
+          ctx.time = mode == AnalysisMode::dc ? 0.0 : 2e-4;
+          ctx.integ_c0 = mode == AnalysisMode::dc ? 0.0 : 1e-6;
+          ctx.integ_c1 = ctx.integ_c0;
+          ctx.x = &x;
+          ctx.f = &f;
+          ctx.q = &q;
+          if (jacobian) {
+            ctx.jf = &jf;
+            ctx.jq = &jq;
+          }
+          dev->evaluate(ctx);
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(std::signbit(q[i]) && q[i] == 0.0)
+                << dev->name() << " mode " << static_cast<int>(mode) << " jacobian "
+                << jacobian << " q[" << i << "] = " << q[i];
+          }
+        }
+      }
+    }
+    // Resistor, Damper, VSource, ISource and the HDL device.
+    EXPECT_EQ(kinds.size(), 5u);
+    EXPECT_TRUE(kinds.count(typeid(hdl::HdlDevice).name()));
+  }
 }
 
 /// A resistor whose footprint leaves out its second pin: its (b, b) and
