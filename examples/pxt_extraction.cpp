@@ -32,8 +32,7 @@ int main() {
   setup.ny = 10;
   const ExtractionSample probe = extract_point(setup, 0.0, 10.0);
   std::cout << "FE solve at V=10 V, x=0: C = " << fmt_sci(probe.capacitance, 5)
-            << " F, F = " << fmt_sci(probe.force_mst, 5) << " N (CG iters "
-            << probe.cg_iterations << ")\n";
+            << " F, F = " << fmt_sci(probe.force_mst, 5) << " N\n";
   std::cout << "analytic:               C = " << fmt_sci(analytic_capacitance(setup, 0.0), 5)
             << " F, F = " << fmt_sci(analytic_force(setup, 0.0, 10.0), 5) << " N\n\n";
 

@@ -7,6 +7,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/fnv1a.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "core/netlist_ext.hpp"
@@ -18,16 +19,11 @@ namespace usys::api {
 // ---------------------------------------------------------------------------
 
 std::string content_hash(const std::string& netlist_text, const std::string& hdl_mode) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  std::uint64_t h = kFnv1aKeyOffset;
   const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
     // Field separator outside the byte alphabet of either input, so
     // ("ab","c") and ("a","bc") hash differently.
-    h ^= 0x100;
-    h *= 1099511628211ull;
+    h = fnv1a_step(fnv1a(s, h), 0x100);
   };
   mix(netlist_text);
   mix(hdl_mode);
@@ -274,14 +270,16 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
       request.analyses.empty() ? impl_->net.analyses : request.analyses;
   if (cards.empty()) cards.push_back({});  // default .op
 
-  // The job's operating point: an .op card's converged solve, handed to the
-  // later .ac/.tran cards whose dc options match it, so a job solves each
-  // point once. A transient moves device state (start_transient/accept), so
-  // it ends the reuse; nothing outlives the job.
-  std::optional<spice::DcResult> point;
+  // The job's operating point: the index in result.analyses of an .op
+  // card's converged outcome, handed to the later .ac/.tran cards whose dc
+  // options match it, so a job solves each point once. A transient moves
+  // device state (start_transient/accept), so it ends the reuse; nothing
+  // outlives the job.
+  std::optional<std::size_t> point;
   spice::DcOptions point_opts;
-  const auto reusable = [&](const spice::DcOptions& dc) -> const spice::DcResult* {
-    return point && same_operating_point(point_opts, dc) ? &*point : nullptr;
+  const auto reusable = [&](const spice::DcOptions& dc) -> const spice::OpResult* {
+    return point && same_operating_point(point_opts, dc) ? &result.analyses[*point].op
+                                                         : nullptr;
   };
 
   result.ok = true;
@@ -292,12 +290,11 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
       case spice::AnalysisCard::Kind::op: {
         spice::DcOptions dc;
         apply_newton(dc.newton);
-        spice::DcResult solved = impl_->engine->run_dc(dc);
-        outcome.op = spice::op_result(solved);
+        outcome.op = impl_->engine->run_op(dc);
         outcome.ok = outcome.op.converged;
         result.symbolic_factorizations += outcome.op.symbolic_factorizations;
-        if (solved.converged) {
-          point = std::move(solved);
+        if (outcome.ok) {
+          point = result.analyses.size();
           point_opts = dc;
         }
         break;
@@ -650,10 +647,6 @@ SweepRun run_sweep(const SweepPlan& plan, int threads,
 
 spice::OpResult operating_point(spice::Circuit& circuit, const spice::DcOptions& opts) {
   return spice::AnalysisEngine(circuit).run_op(opts);
-}
-
-spice::DcResult solve_dc(spice::Circuit& circuit, const spice::DcOptions& opts) {
-  return spice::AnalysisEngine(circuit).run_dc(opts);
 }
 
 spice::TranResult transient(spice::Circuit& circuit, const spice::TranOptions& opts) {

@@ -279,7 +279,6 @@ SweepRun run_sweep(const SweepPlan& plan, int threads,
 // order, per-analysis statistics). Prefer a held Session (or
 // spice::AnalysisEngine) for repeated runs.
 spice::OpResult operating_point(spice::Circuit& circuit, const spice::DcOptions& opts = {});
-spice::DcResult solve_dc(spice::Circuit& circuit, const spice::DcOptions& opts = {});
 spice::TranResult transient(spice::Circuit& circuit, const spice::TranOptions& opts);
 spice::AcResult ac_sweep(spice::Circuit& circuit, const spice::AcOptions& opts);
 

@@ -1,8 +1,9 @@
 // Small dense linear-algebra kernel used by the MNA solver and fitting code.
 //
-// Circuits in this library are small (tens of unknowns), so a dense
-// row-major matrix with LU + partial pivoting is the right tool; the FEM
-// module has its own sparse CSR path. Complex variants back the AC analysis.
+// Circuits below NewtonOptions::sparse_threshold unknowns are small enough
+// that a dense row-major matrix with LU + partial pivoting is the right
+// tool; larger circuits and the FEM fields use common/sparse_lu.hpp.
+// Complex variants back the AC analysis.
 #pragma once
 
 #include <complex>

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/fnv1a.hpp"
+
 namespace usys {
 
 std::uint64_t rng_mix64(std::uint64_t x) noexcept {
@@ -13,14 +15,7 @@ std::uint64_t rng_mix64(std::uint64_t x) noexcept {
   return x;
 }
 
-std::uint64_t rng_hash_name(std::string_view name) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;  // FNV prime
-  }
-  return h;
-}
+std::uint64_t rng_hash_name(std::string_view name) noexcept { return fnv1a(name); }
 
 std::uint64_t rng_draw_u64(std::uint64_t seed, std::uint64_t counter,
                            std::uint64_t key) noexcept {

@@ -17,9 +17,10 @@
 //     GATHER over the transposed factors, accumulated in a fixed
 //     (ascending column) order.
 //
-// The FEM module's CsrMatrix + CG (fem/sparse.hpp) covers the SPD case;
-// this solver covers the unsymmetric MNA systems of the circuit solver.
-// Real and complex instantiations back DC/transient and AC respectively.
+// It is the repository's one sparse solver: the unsymmetric MNA systems of
+// the circuit solver (real for DC/transient, complex for AC) and the FEM
+// electrostatic stiffness systems (fem/electrostatics.cpp, one analyze +
+// factor + solve per field) both go through it.
 #pragma once
 
 #include <complex>

@@ -40,6 +40,7 @@ class TransducerBase : public Device {
   void start_transient(const DVector& x_dc) override;
   void accept(const AcceptCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return true; }
 
   /// Initial plate displacement (default 0 = rest position).
   void set_initial_displacement(double x0) noexcept { xstate_.set_initial(x0); }

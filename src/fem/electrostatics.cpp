@@ -1,8 +1,10 @@
 #include "fem/electrostatics.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
+
+#include "common/sparse_lu.hpp"
 
 namespace usys::fem {
 namespace {
@@ -22,35 +24,40 @@ ElectrostaticSolution solve_electrostatics(const ElectrostaticProblem& problem) 
   const Mesh& mesh = *problem.mesh;
   const int n = mesh.node_count();
 
-  // Dirichlet values per node (NaN = free).
-  std::vector<double> fixed(static_cast<std::size_t>(n),
-                            std::numeric_limits<double>::quiet_NaN());
+  // Electrode nodes take their Dirichlet potential; the free nodes are
+  // numbered 0..n_free-1 as the unknowns of K (-1 = electrode).
+  ElectrostaticSolution sol;
+  sol.phi.assign(static_cast<std::size_t>(n), 0.0);
+  std::vector<int> unknown(static_cast<std::size_t>(n), -1);
+  int n_free = 0;
   int n_bottom = 0;
   int n_top = 0;
   for (int i = 0; i < n; ++i) {
     switch (mesh.tags()[static_cast<std::size_t>(i)]) {
       case BoundaryTag::bottom:
-        fixed[static_cast<std::size_t>(i)] = problem.v_bottom;
+        sol.phi[static_cast<std::size_t>(i)] = problem.v_bottom;
         ++n_bottom;
         break;
       case BoundaryTag::top:
-        fixed[static_cast<std::size_t>(i)] = problem.v_top;
+        sol.phi[static_cast<std::size_t>(i)] = problem.v_top;
         ++n_top;
         break;
       default:
+        unknown[static_cast<std::size_t>(i)] = n_free++;
         break;
     }
   }
   if (n_bottom == 0 || n_top == 0)
     throw std::invalid_argument("solve_electrostatics: both electrodes need nodes");
 
-  // Assemble K and the Dirichlet-corrected RHS.
-  std::vector<int> rows, cols;
-  std::vector<double> vals;
-  rows.reserve(static_cast<std::size_t>(mesh.element_count()) * 9);
-  cols.reserve(rows.capacity());
-  vals.reserve(rows.capacity());
-  std::vector<double> rhs(static_cast<std::size_t>(n), 0.0);
+  // Assemble K over the free nodes; the electrode potentials move to the RHS.
+  struct Entry {
+    int row, col;
+    double val;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(static_cast<std::size_t>(mesh.element_count()) * 9);
+  std::vector<double> rhs(static_cast<std::size_t>(n_free), 0.0);
 
   for (int e = 0; e < mesh.element_count(); ++e) {
     const Triangle& t = mesh.triangles()[static_cast<std::size_t>(e)];
@@ -64,45 +71,49 @@ ElectrostaticSolution solve_electrostatics(const ElectrostaticProblem& problem) 
     const double c[3] = {p2.x - p1.x, p0.x - p2.x, p1.x - p0.x};
     const double scale = eps / (2.0 * twoa);
     for (int i = 0; i < 3; ++i) {
-      const int gi = t.n[i];
-      const bool gi_fixed = !std::isnan(fixed[static_cast<std::size_t>(gi)]);
+      const int ui = unknown[static_cast<std::size_t>(t.n[i])];
+      if (ui < 0) continue;
       for (int j = 0; j < 3; ++j) {
-        const int gj = t.n[j];
         const double kij = scale * (b[i] * b[j] + c[i] * c[j]);
-        const bool gj_fixed = !std::isnan(fixed[static_cast<std::size_t>(gj)]);
-        if (gi_fixed) continue;  // row replaced by identity below
-        if (gj_fixed) {
-          rhs[static_cast<std::size_t>(gi)] -= kij * fixed[static_cast<std::size_t>(gj)];
+        const int uj = unknown[static_cast<std::size_t>(t.n[j])];
+        if (uj < 0) {
+          rhs[static_cast<std::size_t>(ui)] -= kij * sol.phi[static_cast<std::size_t>(t.n[j])];
         } else {
-          rows.push_back(gi);
-          cols.push_back(gj);
-          vals.push_back(kij);
+          entries.push_back({ui, uj, kij});
         }
       }
     }
   }
-  // Identity rows for fixed nodes.
-  for (int i = 0; i < n; ++i) {
-    if (!std::isnan(fixed[static_cast<std::size_t>(i)])) {
-      rows.push_back(i);
-      cols.push_back(i);
-      vals.push_back(1.0);
-      rhs[static_cast<std::size_t>(i)] = fixed[static_cast<std::size_t>(i)];
-    }
-  }
 
-  const CsrMatrix k = CsrMatrix::from_triplets(n, rows, cols, vals);
-  ElectrostaticSolution sol;
-  sol.phi.assign(static_cast<std::size_t>(n), 0.0);
-  // Warm start from the linear interpolation between electrode potentials
-  // (exact for the fringe-free plate, so CG converges in a few iterations).
-  for (int i = 0; i < n; ++i) {
-    if (!std::isnan(fixed[static_cast<std::size_t>(i)]))
-      sol.phi[static_cast<std::size_t>(i)] = fixed[static_cast<std::size_t>(i)];
+  // CSR with sorted, unique columns per row, as SparseLu::analyze requires.
+  // The stable sort sums duplicates in assembly order.
+  std::stable_sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  std::vector<int> row_ptr(static_cast<std::size_t>(n_free) + 1, 0);
+  std::vector<int> col_idx;
+  std::vector<double> vals;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const Entry& en = entries[k];
+    if (k > 0 && en.row == entries[k - 1].row && en.col == entries[k - 1].col) {
+      vals.back() += en.val;
+      continue;
+    }
+    col_idx.push_back(en.col);
+    vals.push_back(en.val);
+    ++row_ptr[static_cast<std::size_t>(en.row) + 1];
   }
-  const CgResult cg = cg_solve(k, rhs, sol.phi);
-  sol.converged = cg.converged;
-  sol.cg_iterations = cg.iterations;
+  for (int i = 0; i < n_free; ++i)
+    row_ptr[static_cast<std::size_t>(i) + 1] += row_ptr[static_cast<std::size_t>(i)];
+
+  DSparseLu lu;
+  lu.analyze(n_free, row_ptr, col_idx);
+  lu.factor(vals);
+  lu.solve(rhs);  // rhs now holds the free-node potentials
+  for (int i = 0; i < n; ++i) {
+    const int u = unknown[static_cast<std::size_t>(i)];
+    if (u >= 0) sol.phi[static_cast<std::size_t>(i)] = rhs[static_cast<std::size_t>(u)];
+  }
 
   // Element fields: E = -grad(phi), constant per P1 element.
   sol.ex.assign(static_cast<std::size_t>(mesh.element_count()), 0.0);

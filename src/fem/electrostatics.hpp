@@ -12,7 +12,6 @@
 #include <functional>
 
 #include "fem/mesh.hpp"
-#include "fem/sparse.hpp"
 
 namespace usys::fem {
 
@@ -29,8 +28,6 @@ struct ElectrostaticProblem {
 /// A solved field.
 struct ElectrostaticSolution {
   std::vector<double> phi;   ///< nodal potentials
-  bool converged = false;
-  int cg_iterations = 0;
 
   /// Piecewise-constant element field (Ex, Ey) of element e.
   // (filled by solve_electrostatics)
@@ -38,8 +35,12 @@ struct ElectrostaticSolution {
   std::vector<double> ey;
 };
 
-/// Assembles and solves the Dirichlet problem. Throws std::invalid_argument
-/// on malformed problems (missing mesh, empty electrodes).
+/// Assembles the stiffness matrix K over the free (non-electrode) nodes,
+/// with the electrode potentials moved to the right-hand side, and solves it
+/// directly with SparseLu: phi is the exact discrete solution, with no
+/// iteration count and no tolerance. Throws std::invalid_argument
+/// on malformed problems (missing mesh, empty electrodes, degenerate
+/// elements) and SparseLu's SingularMatrixError when K is singular.
 ElectrostaticSolution solve_electrostatics(const ElectrostaticProblem& problem);
 
 /// Field energy per unit depth: W' = 1/2 integral(eps |E|^2) dA  [J/m].

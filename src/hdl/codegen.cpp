@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/fault_inject.hpp"
+#include "common/fnv1a.hpp"
 #include "common/log.hpp"
 
 namespace usys::hdl::codegen {
@@ -523,20 +524,10 @@ std::string generate_source(const BytecodeProgram& p) { return Emitter(p).run();
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* b = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= b[i];
-    h *= kFnvPrime;
-  }
-}
-void fnv_i64(std::uint64_t& h, std::int64_t v) { fnv_bytes(h, &v, sizeof v); }
+void fnv_i64(std::uint64_t& h, std::int64_t v) { h = fnv1a_bytes(&v, sizeof v, h); }
 void fnv_str(std::uint64_t& h, const std::string& s) {
   fnv_i64(h, static_cast<std::int64_t>(s.size()));
-  fnv_bytes(h, s.data(), s.size());
+  h = fnv1a(s, h);
 }
 
 }  // namespace
@@ -567,7 +558,7 @@ std::uint64_t shape_hash(const BytecodeProgram& p) {
   // Mirrors the inputs of Emitter exactly — extend this whenever emission
   // starts reading a new program field (shape_hash equality must keep
   // implying generate_source equality).
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aKeyOffset;
   fnv_str(h, std::string(kVersionTag));
   fnv_str(h, p.entity_name);
   fnv_i64(h, p.n_seeds);
@@ -577,7 +568,7 @@ std::uint64_t shape_hash(const BytecodeProgram& p) {
   fnv_i64(h, p.integ_sites);
   fnv_i64(h, static_cast<std::int64_t>(p.assert_lines.size()));
   fnv_i64(h, static_cast<std::int64_t>(p.constants.size()));
-  fnv_bytes(h, p.constants.data(), p.constants.size() * sizeof(double));
+  h = fnv1a_bytes(p.constants.data(), p.constants.size() * sizeof(double), h);
   for (const std::vector<Insn>* seg : {&p.dc_code, &p.tran_code, &p.commit_code}) {
     fnv_i64(h, static_cast<std::int64_t>(seg->size()));
     for (const Insn& raw : *seg) {
@@ -594,9 +585,7 @@ std::uint64_t shape_hash(const BytecodeProgram& p) {
 }
 
 std::uint64_t source_hash(const std::string& source) {
-  std::uint64_t h = kFnvOffset;
-  fnv_bytes(h, source.data(), source.size());
-  return h;
+  return fnv1a(source, kFnv1aKeyOffset);
 }
 
 const CompiledModel* acquire(const BytecodeProgram& p) {

@@ -41,7 +41,6 @@ ExtractionSample extract_point(const ExtractionSetup& setup, double displacement
 
   Built b = build(setup, gap, voltage);
   const fem::ElectrostaticSolution sol = fem::solve_electrostatics(b.problem);
-  s.cg_iterations = sol.cg_iterations;
   s.energy = fem::field_energy(b.problem, sol) * setup.depth;
   s.capacitance = fem::capacitance_per_depth(b.problem, sol) * setup.depth;
   // Force on the moving (top) plate; per-depth quantity scaled to 3D.

@@ -36,7 +36,6 @@ struct ExtractionSample {
   double force_mst = 0.0;     ///< Maxwell-stress force on the moving plate [N]
   double force_vw = 0.0;      ///< virtual-work force [N]
   double energy = 0.0;        ///< field energy [J]
-  int cg_iterations = 0;
 };
 
 /// Full static sweep result.

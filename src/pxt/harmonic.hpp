@@ -59,6 +59,7 @@ class TransferFunctionDevice final : public spice::Device {
   void bind(spice::Binder& binder) override;
   void evaluate(spice::EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return true; }
 
  private:
   int in_p_, in_n_, out_p_, out_n_;

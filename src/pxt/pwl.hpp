@@ -48,6 +48,7 @@ class PwlTransducer final : public spice::Device {
   void bind(spice::Binder& binder) override;
   void evaluate(spice::EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return true; }
   void start_transient(const DVector& x_dc) override;
   void accept(const spice::AcceptCtx& ctx) override;
 
@@ -104,6 +105,7 @@ class PwlForceTransducer final : public spice::Device {
   void bind(spice::Binder& binder) override;
   void evaluate(spice::EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return true; }
   void start_transient(const DVector& x_dc) override;
   void accept(const spice::AcceptCtx& ctx) override;
 

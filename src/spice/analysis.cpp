@@ -13,19 +13,6 @@ namespace usys::spice {
 // Result accessors
 // ---------------------------------------------------------------------------
 
-OpResult op_result(const DcResult& dc) {
-  OpResult out;
-  out.converged = dc.converged;
-  out.x = dc.x;
-  out.newton_iterations = dc.total_newton_iters;
-  out.used_sparse = dc.used_sparse;
-  out.symbolic_factorizations = dc.symbolic_factorizations;
-  out.used_gmin_stepping = dc.used_gmin_stepping;
-  out.used_source_stepping = dc.used_source_stepping;
-  out.failure = dc.failure;
-  return out;
-}
-
 std::vector<double> TranResult::signal(int unknown) const {
   std::vector<double> out;
   out.reserve(x.size());

@@ -31,15 +31,14 @@ struct OpResult {
   int symbolic_factorizations = 0;  ///< see NewtonResult
   bool used_gmin_stepping = false;    ///< rescue ladder: gmin continuation won
   bool used_source_stepping = false;  ///< rescue ladder: source ramp won
-  /// Structured failure when converged is false; ok() otherwise.
+  /// Structured failure when converged is false (kind carries the LAST
+  /// stage's verdict; rescue_attempts counts the ladder strategies tried:
+  /// gmin stepping and source stepping each count one). ok() when converged.
   FailureInfo failure;
 
   /// Effort at a node id (ground reads 0).
   double at(int node) const { return node < 0 ? 0.0 : x.at(static_cast<std::size_t>(node)); }
 };
-
-/// A DC solve repackaged as the analysis-level result.
-OpResult op_result(const DcResult& dc);
 
 // ---------------------------------------------------------------------------
 // Transient
@@ -66,7 +65,7 @@ struct TranOptions {
   /// newton.timeout_ms / newton.cancel budget the WHOLE transient including
   /// the initial operating point (the dc options' own budget fields are
   /// ignored inside run_tran).
-  NewtonOptions newton{.max_iters = 50, .reltol = 1e-6, .gmin = 1e-12, .damping_limit = 0.0};
+  NewtonOptions newton{.max_iters = 50, .reltol = 1e-6, .gmin = 1e-12};
   DcOptions dc;             ///< options for the initial operating point
 };
 

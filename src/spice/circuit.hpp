@@ -92,9 +92,10 @@ class Device {
   /// True when evaluate() may stamp q, the stored quantity (charge, flux,
   /// momentum). The transient's charge harvest after each accepted step
   /// evaluates only these devices (NewtonSolver::harvest_charge), so a
-  /// device that returns false must never call EvalCtx::q_add. Default:
-  /// stores charge.
-  virtual bool stores_charge() const noexcept { return true; }
+  /// device that returns false must never call EvalCtx::q_add. Every device
+  /// must declare it: a default of true would harvest every chargeless
+  /// device, and a default of false would drop a new device's charge.
+  virtual bool stores_charge() const noexcept = 0;
 
   /// Complex AC excitation (small-signal sources). Row indexing matches the
   /// real unknown vector. Default: no AC contribution.

@@ -19,6 +19,7 @@ class Vcvs : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
   void lint(LintSink& sink) const override;
   int branch() const noexcept { return br_; }
 
@@ -36,6 +37,7 @@ class Vccs : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
   void lint(LintSink& sink) const override;
   double gm() const noexcept { return gm_; }
 
@@ -53,6 +55,7 @@ class Cccs : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
   void lint(LintSink& sink) const override;
 
  private:
@@ -71,6 +74,7 @@ class Ccvs : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
   void lint(LintSink& sink) const override;
 
  private:
@@ -90,6 +94,7 @@ class IdealTransformer : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
   void lint(LintSink& sink) const override;
 
  private:
@@ -107,6 +112,7 @@ class Gyrator : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
 
  private:
   int a_, b_, c_, d_;
@@ -123,6 +129,7 @@ class StateIntegrator : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return true; }
 
  private:
   int out_, in_;

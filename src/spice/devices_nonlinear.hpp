@@ -26,6 +26,7 @@ class JouleHeater : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
 
  private:
   int a_, b_, t_;
@@ -44,6 +45,7 @@ class Diode : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return false; }
 
   double i_sat() const noexcept { return is_; }
 

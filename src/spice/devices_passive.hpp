@@ -58,6 +58,7 @@ class Capacitor : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return true; }
   void lint(LintSink& sink) const override;
   double capacitance() const noexcept { return c_; }
   /// Shared by the constructor and set_param (see Resistor::valid).
@@ -91,6 +92,7 @@ class Inductor : public Device {
   void bind(Binder& binder) override;
   void evaluate(EvalCtx& ctx) override;
   void stamp_footprint(std::vector<int>& out) const override;
+  bool stores_charge() const noexcept override { return true; }
   void lint(LintSink& sink) const override;
   double inductance() const noexcept { return l_; }
   /// Shared by the constructor and set_param (see Resistor::valid).

@@ -115,13 +115,13 @@ void AnalysisEngine::enter_regime(NewtonSolver& solver, FactorRegime regime) {
 // DC
 // ---------------------------------------------------------------------------
 
-DcResult AnalysisEngine::run_dc(const DcOptions& opts) {
+OpResult AnalysisEngine::run_op(const DcOptions& opts) {
   const Deadline dl = Deadline::after_ms(opts.newton.timeout_ms, opts.newton.cancel);
-  return run_dc_under(opts, dl);
+  return run_op_under(opts, dl);
 }
 
-DcResult AnalysisEngine::run_dc_under(const DcOptions& opts, const Deadline& dl) {
-  DcResult out;
+OpResult AnalysisEngine::run_op_under(const DcOptions& opts, const Deadline& dl) {
+  OpResult out;
   out.x.assign(static_cast<std::size_t>(circuit_.unknown_count()), 0.0);
 
   if (params_stale_) recheck_parameters();
@@ -159,7 +159,7 @@ DcResult AnalysisEngine::run_dc_under(const DcOptions& opts, const Deadline& dl)
   {
     DVector x = out.x;
     const NewtonResult r = solver.solve(ctx, 0.0, {}, x);
-    out.total_newton_iters += r.iterations;
+    out.newton_iterations += r.iterations;
     if (r.converged) {
       out.converged = true;
       out.x = std::move(x);
@@ -182,7 +182,7 @@ DcResult AnalysisEngine::run_dc_under(const DcOptions& opts, const Deadline& dl)
     for (double gmin = 1e-2; gmin >= gmin_floor; gmin /= 10.0) {
       solver.set_gmin(gmin);
       const NewtonResult r = solver.solve(ctx, 0.0, {}, x);
-      out.total_newton_iters += r.iterations;
+      out.newton_iterations += r.iterations;
       if (!r.converged) {
         ok = false;
         last_kind = r.failure;
@@ -209,7 +209,7 @@ DcResult AnalysisEngine::run_dc_under(const DcOptions& opts, const Deadline& dl)
       EvalCtx sctx = ctx;
       sctx.source_scale = scale;
       const NewtonResult r = solver.solve(sctx, 0.0, {}, x);
-      out.total_newton_iters += r.iterations;
+      out.newton_iterations += r.iterations;
       if (!r.converged) {
         ok = false;
         last_kind = r.failure;
@@ -231,12 +231,10 @@ DcResult AnalysisEngine::run_dc_under(const DcOptions& opts, const Deadline& dl)
                            : std::string("no convergence (last stage: ") + last_stage + ")";
   out.failure = make_failure(last_kind, "dc", detail,
                              std::numeric_limits<double>::quiet_NaN(),
-                             out.total_newton_iters, rescue_attempts);
+                             out.newton_iterations, rescue_attempts);
   log_warn("solve_dc: " + out.failure.to_string());
   return out;
 }
-
-OpResult AnalysisEngine::run_op(const DcOptions& opts) { return op_result(run_dc(opts)); }
 
 // ---------------------------------------------------------------------------
 // Transient
@@ -278,7 +276,7 @@ StepCoeffs coeffs(IntegMethod m, double h, double h_prev) {
 
 }  // namespace
 
-TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op) {
+TranResult AnalysisEngine::run_tran(const TranOptions& opts, const OpResult* op) {
   TranResult out;
   const std::size_t n = static_cast<std::size_t>(circuit_.unknown_count());
 
@@ -291,9 +289,9 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
   const Deadline dl = Deadline::after_ms(opts.newton.timeout_ms, opts.newton.cancel);
 
   // --- Initial operating point --------------------------------------------
-  DcResult solved;
-  if (op == nullptr) solved = run_dc_under(budgetless(opts.dc), dl);
-  const DcResult& dc = op != nullptr ? *op : solved;
+  OpResult solved;
+  if (op == nullptr) solved = run_op_under(budgetless(opts.dc), dl);
+  const OpResult& dc = op != nullptr ? *op : solved;
   // Only a point this card solved itself is this card's work.
   out.symbolic_factorizations = solved.symbolic_factorizations;
   out.used_gmin_stepping = dc.used_gmin_stepping;
@@ -307,7 +305,7 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
     log_warn(out.error);
     return out;
   }
-  out.total_newton_iters += dc.total_newton_iters;
+  out.total_newton_iters += dc.newton_iterations;
 
   DVector x = dc.x;
   for (const auto& dev : circuit_.devices()) dev->start_transient(x);
@@ -566,7 +564,7 @@ TranResult AnalysisEngine::run_tran(const TranOptions& opts, const DcResult* op)
 // AC
 // ---------------------------------------------------------------------------
 
-AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
+AcResult AnalysisEngine::run_ac(const AcOptions& opts, const OpResult* op) {
   if (!(opts.frequency_count() <= kMaxAcPoints))
     throw std::invalid_argument(str_format("ac sweep exceeds the cap of %d frequencies",
                                            kMaxAcPoints));
@@ -581,9 +579,9 @@ AcResult AnalysisEngine::run_ac(const AcOptions& opts, const DcResult* op) {
     log_warn(out.error);
   };
 
-  DcResult solved;
-  if (op == nullptr) solved = run_dc_under(budgetless(opts.dc), dl);
-  const DcResult& dc = op != nullptr ? *op : solved;
+  OpResult solved;
+  if (op == nullptr) solved = run_op_under(budgetless(opts.dc), dl);
+  const OpResult& dc = op != nullptr ? *op : solved;
   // Only a point this card solved itself is this card's work.
   out.symbolic_factorizations = solved.symbolic_factorizations;
   if (!dc.converged) {

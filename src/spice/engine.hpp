@@ -14,7 +14,7 @@
 //     rebuilt per analysis;
 //   * the integrator machinery of the transient loop.
 //
-// The one-shot api::operating_point / transient / ac_sweep / solve_dc
+// The one-shot api::operating_point / transient / ac_sweep
 // (api/api.hpp) construct a fresh engine per call; batch workloads
 // (spice/sweep.hpp, usim --sweep) and the simulation server hold one
 // engine per circuit and run many analyses against it.
@@ -52,20 +52,18 @@ class AnalysisEngine {
   Circuit& circuit() noexcept { return circuit_; }
 
   /// DC operating point (plain Newton, then gmin / source stepping).
-  DcResult run_dc(const DcOptions& opts = {});
-  /// run_dc repackaged as the analysis-level result.
   OpResult run_op(const DcOptions& opts = {});
   /// Adaptive transient from an operating point: `op` when given, else one
-  /// solved here under opts.dc. A given `op` must be a converged run_dc
+  /// solved here under opts.dc. A given `op` must be a converged run_op
   /// result of this circuit, solved under options equal to opts.dc apart
   /// from the budget fields and with no transient run since — the engine
   /// keeps no cache and cannot check; api::Session::run passes one only
   /// within a job. The result's iteration count and rescue flags are `op`'s,
   /// exactly as a fresh solve reports them.
-  TranResult run_tran(const TranOptions& opts, const DcResult* op = nullptr);
+  TranResult run_tran(const TranOptions& opts, const OpResult* op = nullptr);
   /// Small-signal sweep linearized at an operating point: `op` when given
   /// (same contract as run_tran), else one solved here under opts.dc.
-  AcResult run_ac(const AcOptions& opts, const DcResult* op = nullptr);
+  AcResult run_ac(const AcOptions& opts, const OpResult* op = nullptr);
 
   /// Re-arms the engine after external device-parameter changes: drops the
   /// solver's recorded pivot order, so the next run restamps and pivots
@@ -99,10 +97,10 @@ class AnalysisEngine {
   /// re-tuned in place otherwise.
   NewtonSolver& solver_for(const NewtonOptions& opts);
 
-  /// run_dc under a caller-owned deadline, so run_tran / run_ac can make one
+  /// run_op under a caller-owned deadline, so run_tran / run_ac can make one
   /// budget cover their initial operating point AND their own stepping (the
   /// dc options' own timeout fields are zeroed by those callers).
-  DcResult run_dc_under(const DcOptions& opts, const Deadline& dl);
+  OpResult run_op_under(const DcOptions& opts, const Deadline& dl);
 
   /// Which numerical regime the shared solver's recorded pivot order came
   /// from. Crossing regimes (DC <-> transient) drops the pivot order so

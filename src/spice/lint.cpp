@@ -160,6 +160,9 @@ namespace {
 
 using usys::UnionFind;  // common/union_find.hpp
 
+/// Node/device names listed per aggregate finding; the rest become "+K more".
+constexpr std::size_t kMaxNames = 6;
+
 /// Deterministic probe iterate: pseudo-random, bounded away from the special
 /// values 0 and 1 so products/differences don't cancel structurally present
 /// entries by luck. Two phases give two independent probes.
@@ -197,15 +200,15 @@ class LintDriver {
     rep_.diags.push_back({sev, rule, std::move(entity), line, std::move(message)});
   }
 
-  /// Joins up to opts_.max_names entity names, "+K more" for the rest.
+  /// Joins up to kMaxNames entity names, "+K more" for the rest.
   std::string name_list(const std::vector<std::string>& names) const {
     std::string out;
-    const std::size_t cap = static_cast<std::size_t>(std::max(opts_.max_names, 1));
-    for (std::size_t i = 0; i < names.size() && i < cap; ++i) {
+    for (std::size_t i = 0; i < names.size() && i < kMaxNames; ++i) {
       if (i > 0) out += ", ";
       out += names[i];
     }
-    if (names.size() > cap) out += str_format(" (+%zu more)", names.size() - cap);
+    if (names.size() > kMaxNames)
+      out += str_format(" (+%zu more)", names.size() - kMaxNames);
     return out;
   }
 

@@ -77,7 +77,6 @@ struct LintOptions {
   bool matching = true;      ///< probed-pattern structural singularity
   bool parameters = true;    ///< device parameter sanity
   bool hdl = true;           ///< re-surface HDL bytecode verifier findings
-  int max_names = 6;         ///< node/device names listed per aggregate finding
 };
 
 /// How a device couples its pins, as seen by the connectivity analyses.

@@ -195,18 +195,6 @@ NewtonResult NewtonSolver::solve(EvalCtx ctx_proto, double a0, const DVector& hi
       return result;
     }
 
-    // Optional step limiting (helps strongly nonlinear gap-closing regions).
-    if (opts_.damping_limit > 0.0) {
-      double scale = 1.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double mag = std::abs(dx_[i]);
-        if (mag > opts_.damping_limit) scale = std::min(scale, opts_.damping_limit / mag);
-      }
-      if (scale < 1.0) {
-        for (auto& d : dx_) d *= scale;
-      }
-    }
-
     double max_weighted = 0.0;
     bool finite = true;
     for (std::size_t i = 0; i < n; ++i) {

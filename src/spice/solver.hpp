@@ -4,8 +4,8 @@
 // caller chooses a0/hist (a0 = 0, hist = 0 recovers DC, where J = Jf and no
 // stamp pass asks devices for Jq). Robustness aids:
 // diagonal gmin on node rows, per-unknown weighted convergence (reltol +
-// nature-dependent abstol), step limiting, and — for hard DC points —
-// gmin stepping and source stepping continuation.
+// nature-dependent abstol), and — for hard DC points — gmin stepping and
+// source stepping continuation.
 //
 // Two matrix backends share the stamp contract; the unknown count alone
 // picks one (n >= NewtonOptions::sparse_threshold selects sparse):
@@ -32,7 +32,6 @@ struct NewtonOptions {
   int max_iters = 100;
   double reltol = 1e-6;
   double gmin = 1e-12;        ///< always-on diagonal conductance on node rows
-  double damping_limit = 0.0; ///< max |dx| per iteration per unknown; 0 = off
   /// Backend crossover (unknown count): sparse when n >= sparse_threshold,
   /// dense below. Measured with
   /// `bench_solver_scaling --benchmark_filter='/(8|12|20)$'` on both bench
@@ -42,7 +41,7 @@ struct NewtonOptions {
   /// band. Re-measure per platform when tuning.
   int sparse_threshold = 12;
   /// Wall-clock budget for the WHOLE analysis this options object drives
-  /// (run_dc including its rescue ladder; run_tran including its initial
+  /// (run_op including its rescue ladder; run_tran including its initial
   /// operating point; run_ac including its sweep). 0 = unlimited. On expiry
   /// the analysis stops at the next poll — Newton iteration boundary,
   /// transient step boundary, or sparse factor/solve dispatch — and reports
@@ -130,8 +129,8 @@ class NewtonSolver {
     lu_.set_deadline(deadline);
   }
 
-  /// Re-tunes the iteration controls (max_iters, reltol, gmin,
-  /// damping_limit) without touching the allocated backend, so one solver —
+  /// Re-tunes the iteration controls (max_iters, reltol, gmin, and the
+  /// budget fields) without touching the allocated backend, so one solver —
   /// and its compiled pattern and symbolic factorization — can serve
   /// several analyses with different convergence settings. The caller must
   /// keep the backend-selection field (sparse_threshold) unchanged;
@@ -140,7 +139,6 @@ class NewtonSolver {
     opts_.max_iters = opts.max_iters;
     opts_.reltol = opts.reltol;
     opts_.gmin = opts.gmin;
-    opts_.damping_limit = opts.damping_limit;
     opts_.timeout_ms = opts.timeout_ms;
     opts_.cancel = opts.cancel;
   }
@@ -175,20 +173,6 @@ struct DcOptions {
   bool allow_source_stepping = true;
 
   bool operator==(const DcOptions&) const = default;
-};
-
-struct DcResult {
-  bool converged = false;
-  DVector x;
-  int total_newton_iters = 0;
-  bool used_gmin_stepping = false;
-  bool used_source_stepping = false;
-  bool used_sparse = false;
-  int symbolic_factorizations = 0;  ///< see NewtonResult
-  /// Structured failure when converged is false (kind carries the LAST
-  /// stage's verdict; rescue_attempts counts the ladder strategies tried:
-  /// gmin stepping and source stepping each count one). ok() when converged.
-  FailureInfo failure;
 };
 
 }  // namespace usys::spice

@@ -27,6 +27,7 @@ TEST(Rng, NameHashIsStable) {
   // FNV-1a over the bytes: pin two values so an accidental hash change
   // (which would silently re-draw every netlist parameter) breaks loudly.
   EXPECT_EQ(rng_hash_name(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(rng_hash_name("gap"), 0xd4f05718fab6a2efull);
   EXPECT_EQ(rng_hash_name("gap"), rng_hash_name("gap"));
   EXPECT_NE(rng_hash_name("gap"), rng_hash_name("vdrive"));
 }

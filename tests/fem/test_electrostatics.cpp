@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "fem/electrostatics.hpp"
@@ -39,7 +41,6 @@ Setup plate(double width, double gap, int nx, int ny, double v) {
 TEST(Electrostatics, UniformFieldBetweenPlates) {
   auto s = plate(1e-3, 1e-4, 4, 8, 10.0);
   const auto sol = solve_electrostatics(s.problem);
-  ASSERT_TRUE(sol.converged);
   const double e_expected = 10.0 / 1e-4;
   for (int e = 0; e < s.mesh.element_count(); ++e) {
     EXPECT_NEAR(sol.ex[static_cast<std::size_t>(e)], 0.0, e_expected * 1e-9);
@@ -50,7 +51,6 @@ TEST(Electrostatics, UniformFieldBetweenPlates) {
 TEST(Electrostatics, PotentialLinearAcrossGap) {
   auto s = plate(1e-3, 2e-4, 3, 10, 8.0);
   const auto sol = solve_electrostatics(s.problem);
-  ASSERT_TRUE(sol.converged);
   for (int i = 0; i < s.mesh.node_count(); ++i) {
     const double y = s.mesh.points()[static_cast<std::size_t>(i)].y;
     EXPECT_NEAR(sol.phi[static_cast<std::size_t>(i)], 8.0 * (1.0 - y / 2e-4), 1e-8);
@@ -119,11 +119,61 @@ TEST(Electrostatics, FringeFieldIncreasesCapacitance) {
   p.mesh = &mesh;
   p.v_bottom = 10.0;
   const auto sol = solve_electrostatics(p);
-  ASSERT_TRUE(sol.converged);
   const double c_fringe = capacitance_per_depth(p, sol);
   const double c_ideal = kEps0Paper * spec.width / spec.gap;
   EXPECT_GT(c_fringe, c_ideal * 1.001);
   EXPECT_LT(c_fringe, c_ideal * 1.5);
+}
+
+TEST(Electrostatics, FringeSolutionZeroesEveryFreeRowResidual) {
+  // The discrete equations hold at every free node: |(K phi)_i| / (K_ii V)
+  // at round-off. K is reassembled here from the P1 element formula, so the
+  // check does not reuse the solver's own matrix. Each row is measured on
+  // its own: a norm over all rows is dominated by the electrode nodes' 10 V
+  // and hides a free-row residual of 1e-2.
+  PlateMeshSpec spec;
+  spec.width = 1e-3;
+  spec.gap = 2e-4;
+  spec.nx = 10;
+  spec.ny = 10;
+  spec.side_margin = 4e-4;
+  spec.margin_cells = 4;
+  Mesh mesh = make_plate_mesh(spec);
+  ElectrostaticProblem p;
+  p.mesh = &mesh;
+  p.v_bottom = 10.0;
+  const auto sol = solve_electrostatics(p);
+
+  const std::size_t n = static_cast<std::size_t>(mesh.node_count());
+  std::vector<double> k_phi(n, 0.0);
+  std::vector<double> k_diag(n, 0.0);
+  for (int e = 0; e < mesh.element_count(); ++e) {
+    const Triangle& t = mesh.triangles()[static_cast<std::size_t>(e)];
+    const Point& p0 = mesh.points()[static_cast<std::size_t>(t.n[0])];
+    const Point& p1 = mesh.points()[static_cast<std::size_t>(t.n[1])];
+    const Point& p2 = mesh.points()[static_cast<std::size_t>(t.n[2])];
+    const double b[3] = {p1.y - p2.y, p2.y - p0.y, p0.y - p1.y};
+    const double c[3] = {p2.x - p1.x, p0.x - p2.x, p1.x - p0.x};
+    const double scale = p.eps0 / (2.0 * mesh.twice_area(e));
+    for (int i = 0; i < 3; ++i) {
+      const std::size_t gi = static_cast<std::size_t>(t.n[i]);
+      for (int j = 0; j < 3; ++j) {
+        const double kij = scale * (b[i] * b[j] + c[i] * c[j]);
+        k_phi[gi] += kij * sol.phi[static_cast<std::size_t>(t.n[j])];
+        if (i == j) k_diag[gi] += kij;
+      }
+    }
+  }
+  double worst = 0.0;
+  int free_nodes = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const BoundaryTag tag = mesh.tags()[i];
+    if (tag == BoundaryTag::top || tag == BoundaryTag::bottom) continue;
+    ++free_nodes;
+    worst = std::max(worst, std::abs(k_phi[i]) / (k_diag[i] * p.v_bottom));
+  }
+  EXPECT_GT(free_nodes, 0);
+  EXPECT_LE(worst, 1e-12);
 }
 
 TEST(Electrostatics, DielectricScalesCapacitance) {

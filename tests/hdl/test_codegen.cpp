@@ -437,6 +437,22 @@ END ARCHITECTURE g;
 /// The emitted source depends only on the model *shape*: instances on
 /// different nodes (and with different generic values) share one translation
 /// unit, so an array compiles exactly once.
+/// The cache keys are pinned: a changed hash would orphan every cached
+/// object. A deliberate change to the emitted program (or kVersionTag)
+/// moves shape_hash and must update this value.
+TEST(CodegenCache, HashesArePinned) {
+  Circuit ckt;
+  const int a = ckt.add_node("a", Nature::electrical);
+  const int va = ckt.add_node("va", Nature::mechanical_translation);
+  ckt.add_device(instantiate("X1", stdlib::paper_listing1(), "eletran",
+                             {{"A", 1e-4}, {"d", 0.15e-3}, {"er", 1.0}},
+                             {a, Circuit::kGround, va, Circuit::kGround},
+                             HdlExecMode::bytecode));
+  ckt.bind_all();
+  EXPECT_EQ(codegen::shape_hash(hdl_of(ckt, "X1")->program()), 0x17d42365c81a923bull);
+  EXPECT_EQ(codegen::source_hash("eletran"), 0xab6eef7bbf15a4b0ull);
+}
+
 TEST(CodegenCache, InstancesShareOneCompilation) {
   if (!have_compiler()) GTEST_SKIP() << "no host compiler";
   CodegenEnv env("share");

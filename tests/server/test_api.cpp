@@ -60,6 +60,8 @@ TEST(ContentHash, StableAndCollisionResistant) {
   EXPECT_NE(h, content_hash(kRcNetlist, "ast"));     // hdl mode is identity
   // The field separator keeps (netlist, mode) unambiguous.
   EXPECT_NE(content_hash("ab", ""), content_hash("a", "b"));
+  // Pinned: the hash names server cache entries, so it must not move.
+  EXPECT_EQ(content_hash("V1 in 0 1\nR1 in 0 1k\n.op\n.end\n", "ast"), "b8ee4effd6758e22");
 }
 
 TEST(ParseOverride, AcceptsSpiceNumberSyntax) {

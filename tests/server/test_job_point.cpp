@@ -335,6 +335,7 @@ TEST(JobPoint, SparseDcPassStillChecksTheFootprintOfDiscardedJq) {
     StrayJq(int a, int b) : Device("XSTRAY"), a_(a), b_(b) {}
     void bind(spice::Binder&) override {}
     void stamp_footprint(std::vector<int>& out) const override { out.push_back(a_); }
+    bool stores_charge() const noexcept override { return false; }
     void evaluate(spice::EvalCtx& ctx) override {
       ctx.f_add(a_, 1e-3 * ctx.v(a_));
       ctx.jf_add(a_, a_, 1e-3);
@@ -351,7 +352,7 @@ TEST(JobPoint, SparseDcPassStillChecksTheFootprintOfDiscardedJq) {
   spice::DcOptions dc;
   dc.newton.sparse_threshold = 0;
   try {
-    engine.run_dc(dc);
+    engine.run_op(dc);
     FAIL() << "the stray stamp went unnoticed";
   } catch (const spice::CircuitError& e) {
     EXPECT_NE(std::string(e.what()).find("XSTRAY"), std::string::npos) << e.what();

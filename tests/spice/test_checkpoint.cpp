@@ -595,7 +595,7 @@ TEST_F(CheckpointTest, InjectedPointFailureIsJournaledAndResumedExactly) {
     DcOptions dc;
     dc.allow_gmin_stepping = false;
     dc.allow_source_stepping = false;
-    const DcResult res = api::solve_dc(ckt, dc);
+    const OpResult res = api::operating_point(ckt, dc);
     SweepOutcome o;
     o.ok = res.converged;
     o.failure = res.failure;

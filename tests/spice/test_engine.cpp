@@ -177,12 +177,12 @@ TEST(AnalysisEngine, ReportsPerRunSymbolicFactorizations) {
   AnalysisEngine engine(*ckt);
   DcOptions opts;
   opts.newton.sparse_threshold = 0;  // sparse
-  const DcResult first = engine.run_dc(opts);
+  const OpResult first = engine.run_op(opts);
   ASSERT_TRUE(first.converged);
   EXPECT_TRUE(first.used_sparse);
   EXPECT_EQ(first.symbolic_factorizations, 1);
   // A warm engine replays the recorded pivot order: 0 NEW symbolic runs.
-  const DcResult second = engine.run_dc(opts);
+  const OpResult second = engine.run_op(opts);
   ASSERT_TRUE(second.converged);
   EXPECT_EQ(second.symbolic_factorizations, 0);
   EXPECT_LT(rel_diff(first.x, second.x), 1e-15);
@@ -232,24 +232,24 @@ TEST(AnalysisEngine, RebindKeepsTheSolverAndPivotsAfresh) {
   opts.newton.sparse_threshold = 0;  // sparse: the pivot order is real state
   auto ckt = build(1e3);
   AnalysisEngine engine(*ckt);
-  ASSERT_TRUE(engine.run_dc(opts).converged);
+  ASSERT_TRUE(engine.run_op(opts).converged);
 
   ASSERT_TRUE(ckt->find_device("R3")->set_param("r", 5e3));
   engine.rebind();
   EXPECT_TRUE(engine.warm());
-  const DcResult changed = engine.run_dc(opts);
+  const OpResult changed = engine.run_op(opts);
   ASSERT_TRUE(changed.converged);
   EXPECT_EQ(changed.symbolic_factorizations, 1);
 
   auto fresh_ckt = build(1e3);
   ASSERT_TRUE(fresh_ckt->find_device("R3")->set_param("r", 5e3));
-  const DcResult fresh = AnalysisEngine(*fresh_ckt).run_dc(opts);
+  const OpResult fresh = AnalysisEngine(*fresh_ckt).run_op(opts);
   ASSERT_TRUE(fresh.converged);
   EXPECT_EQ(changed.x, fresh.x);
 
   engine.cool();
   EXPECT_FALSE(engine.warm());
-  const DcResult rewarmed = engine.run_dc(opts);
+  const OpResult rewarmed = engine.run_op(opts);
   ASSERT_TRUE(rewarmed.converged);
   EXPECT_EQ(rewarmed.x, fresh.x);
 }

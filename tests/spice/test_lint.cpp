@@ -158,7 +158,7 @@ TEST(LintPreflight, ErrorsRejectWithStructuredFailure) {
   Netlist net = parser.parse(corpus("bad_param.cir"));
   AnalysisEngine engine(*net.circuit);
   EXPECT_TRUE(engine.preflight().has_errors());
-  const DcResult dc = engine.run_dc();
+  const OpResult dc = engine.run_op();
   EXPECT_FALSE(dc.converged);
   EXPECT_EQ(dc.failure.kind, FailureKind::lint_rejected);
   EXPECT_NE(dc.failure.detail.find("param-zero"), std::string::npos);
@@ -177,7 +177,7 @@ TEST(LintPreflight, WarningsNeverBlockAnalysis) {
   Netlist net = parser.parse(corpus("float_node.cir"));
   AnalysisEngine engine(*net.circuit);
   EXPECT_FALSE(engine.preflight().has_errors());
-  const DcResult dc = engine.run_dc();
+  const OpResult dc = engine.run_op();
   EXPECT_TRUE(dc.converged);
 }
 

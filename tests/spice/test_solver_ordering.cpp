@@ -148,8 +148,8 @@ void expect_independent_engines_identical(
   AnalysisEngine eng_a(*ckt_a);
   AnalysisEngine eng_b(*ckt_b);
 
-  const DcResult dc_a = eng_a.run_dc(dc);
-  const DcResult dc_b = eng_b.run_dc(dc);
+  const OpResult dc_a = eng_a.run_op(dc);
+  const OpResult dc_b = eng_b.run_op(dc);
   ASSERT_TRUE(dc_a.converged);
   ASSERT_TRUE(dc_b.converged);
   EXPECT_TRUE(dc_a.used_sparse);

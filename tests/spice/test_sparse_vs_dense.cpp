@@ -293,9 +293,9 @@ void expect_dc_parity(const CircuitBuilder& build) {
   sparse.newton = tight_newton(kForceSparse);
 
   auto ckt_d = build();
-  const DcResult rd = api::solve_dc(*ckt_d, dense);
+  const OpResult rd = api::operating_point(*ckt_d, dense);
   auto ckt_s = build();
-  const DcResult rs = api::solve_dc(*ckt_s, sparse);
+  const OpResult rs = api::operating_point(*ckt_s, sparse);
 
   ASSERT_TRUE(rd.converged);
   ASSERT_TRUE(rs.converged);
@@ -422,14 +422,14 @@ TEST(SparseVsDense, AutoSelectCrossesOverOnSize) {
   {
     auto small = rlc_tank();
     DcOptions opts;  // default sparse_threshold
-    const DcResult r = api::solve_dc(*small, opts);
+    const OpResult r = api::operating_point(*small, opts);
     ASSERT_TRUE(r.converged);
     EXPECT_FALSE(r.used_sparse);
   }
   {
     auto big = rc_ladder(100);
     DcOptions opts;
-    const DcResult r = api::solve_dc(*big, opts);
+    const OpResult r = api::operating_point(*big, opts);
     ASSERT_TRUE(r.converged);
     EXPECT_TRUE(r.used_sparse);
   }
@@ -494,9 +494,14 @@ TEST(SparseVsDense, ChargelessZooDevicesLeaveQUntouched) {
         }
       }
     }
-    // Resistor, Damper, VSource, ISource and the HDL device.
-    EXPECT_EQ(kinds.size(), 5u);
-    EXPECT_TRUE(kinds.count(typeid(hdl::HdlDevice).name()));
+    // Resistor, Damper, VSource, ISource, the HDL device, the four
+    // controlled sources, the ideal transformer, the gyrator, the diode and
+    // the Joule heater.
+    EXPECT_EQ(kinds.size(), 13u);
+    for (const std::type_info* t :
+         {&typeid(hdl::HdlDevice), &typeid(Vcvs), &typeid(Vccs), &typeid(Cccs), &typeid(Ccvs),
+          &typeid(IdealTransformer), &typeid(Gyrator), &typeid(Diode), &typeid(JouleHeater)})
+      EXPECT_TRUE(kinds.count(t->name())) << t->name();
   }
 }
 
