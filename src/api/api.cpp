@@ -356,11 +356,17 @@ namespace {
 
 /// Per-node metrics stay readable on small circuits; array-scale circuits
 /// (over 16 nodes — think TRANSARRAY) get min/max/mean aggregates instead.
+bool per_node_metrics(const spice::Circuit& ckt) { return ckt.node_count() <= 16; }
+
+/// The metric columns node_metrics adds for one analysis.
+std::size_t node_metric_columns(const spice::Circuit& ckt) {
+  return per_node_metrics(ckt) ? static_cast<std::size_t>(ckt.node_count()) : 3;
+}
+
 void node_metrics(spice::SweepOutcome& out, const spice::Circuit& ckt,
                   const std::string& prefix,
                   const std::function<double(int)>& value_of) {
-  constexpr int kMaxPerNodeColumns = 16;
-  if (ckt.node_count() <= kMaxPerNodeColumns) {
+  if (per_node_metrics(ckt)) {
     for (int i = 0; i < ckt.node_count(); ++i)
       out.metrics.emplace_back(prefix + ":" + ckt.node_name(i), value_of(i));
     return;
@@ -388,8 +394,13 @@ spice::SweepOutcome distill(Session& session, const JobResult& result) {
     return out;
   }
   spice::Circuit& ckt = session.circuit();
-  std::vector<spice::AnalysisCard> cards = session.cards();
-  if (cards.empty()) cards.push_back({});  // the facade's default .op
+  // Only a .tran outcome reads its card; with no cards the facade ran its
+  // default .op, which reads none.
+  const std::vector<spice::AnalysisCard>& cards = session.cards();
+  std::size_t columns = 0;
+  for (const AnalysisOutcome& oc : result.analyses)
+    columns += node_metric_columns(ckt) + (oc.kind == spice::AnalysisCard::Kind::tran ? 1 : 0);
+  out.metrics.reserve(columns);
   for (std::size_t a = 0; a < result.analyses.size(); ++a) {
     const AnalysisOutcome& oc = result.analyses[a];
     switch (oc.kind) {
@@ -433,16 +444,19 @@ std::vector<spice::AnalysisCard> point_cards(const std::vector<spice::AnalysisCa
 }
 
 /// A worker thread's warm template: the session the last value-only
-/// template built, plus where its placeholders landed. One per thread, so a
-/// sweep holds at most one extra Session per worker.
+/// template built, plus the job a point runs on it. One per thread, and
+/// sweep workers live as long as the process (common/thread_pool.hpp), so
+/// a process holds at most one extra Session per sweep worker.
 struct WarmTemplate {
   std::string text;                ///< the template netlist, compared per point
   std::string hdl_mode;
   std::vector<std::string> names;  ///< the point's parameter names, in order
   bool classified = false;         ///< a template parse has succeeded
   std::unique_ptr<Session> session;  ///< null: the template is structural
-  std::vector<spice::PlaceholderSite> sites;
-  std::vector<spice::AnalysisCard> cards;  ///< point_cards(session->cards())
+  /// point_cards(session->cards()) and one override per placeholder site,
+  /// named once: a point writes only the options and the values.
+  JobRequest request;
+  std::vector<std::size_t> value_index;  ///< override i reads point.params[value_index[i]]
 };
 
 thread_local WarmTemplate t_warm;
@@ -495,18 +509,22 @@ std::optional<spice::SweepOutcome> run_warm(const std::string& text,
         break;
       }
     }
-    if (session) w.cards = point_cards(session->cards());
+    if (session) {
+      w.request.analyses = point_cards(session->cards());
+      for (auto& site : sites) {
+        const auto name = std::find(w.names.begin(), w.names.end(), site.name);
+        w.value_index.push_back(static_cast<std::size_t>(name - w.names.begin()));
+        w.request.overrides.push_back({std::move(site.device), std::move(site.param), 0.0});
+      }
+    }
     w.session = std::move(session);
-    w.sites = std::move(sites);
   }
   if (!w.session) return std::nullopt;
 
-  JobRequest jr;
+  JobRequest& jr = w.request;
   jr.options = options;
-  jr.analyses = w.cards;
-  jr.overrides.reserve(w.sites.size());
-  for (const auto& site : w.sites)
-    jr.overrides.push_back({site.device, site.param, point.value(site.name)});
+  for (std::size_t i = 0; i < jr.overrides.size(); ++i)
+    jr.overrides[i].value = point.params[w.value_index[i]].second;
   JobResult result;
   try {
     result = w.session->run(jr);

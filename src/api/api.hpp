@@ -211,8 +211,9 @@ std::string substitute_params(std::string text, const spice::SweepPoint& point);
 /// set_param refuses it, or the parameter lint rejects it, so its outcome —
 /// metrics, error text, failure kind, or exception — is bit-identical to
 /// the text path's. The cache holds one template Session per thread (the
-/// memory bound: one extra circuit per sweep worker); a point that throws
-/// discards it. Exceptions propagate; run this under SweepRunner, whose
+/// memory bound: one extra circuit per sweep worker, for the life of the
+/// process, whose SweepRunner workers outlive each batch); a point that
+/// throws discards it. Exceptions propagate; run this under SweepRunner, whose
 /// isolation boundary converts them to per-point failures.
 spice::SweepOutcome run_sweep_point(const std::string& text,
                                     const spice::SweepPoint& point,

@@ -225,27 +225,31 @@ std::vector<SweepPoint> mc_grid(const std::vector<SweepAxis>& axes,
     base.emplace_back();                  // no axes at all: one empty point
   }
 
+  std::vector<std::uint64_t> name_hash(dists.size());
+  for (std::size_t d = 0; d < dists.size(); ++d) name_hash[d] = rng_hash_name(dists[d].name);
+
   const int samples = std::max(1, mc.samples);
   std::vector<SweepPoint> grid;
   grid.reserve(base.size() * static_cast<std::size_t>(samples));
   for (const auto& b : base) {
     for (int m = 0; m < samples; ++m) {
       const auto index = static_cast<std::uint64_t>(grid.size());
-      SweepPoint point = b;
-      for (const auto& dist : dists) {
+      SweepPoint point;
+      point.params.reserve(b.params.size() + dists.size());
+      point.params = b.params;
+      for (std::size_t d = 0; d < dists.size(); ++d) {
+        const ParamDist& dist = dists[d];
         switch (dist.kind) {
           case ParamDist::Kind::constant:
             point.params.emplace_back(dist.name, dist.a);
             break;
           case ParamDist::Kind::normal:
             point.params.emplace_back(
-                dist.name, rng_normal(mc.seed, index, rng_hash_name(dist.name),
-                                      dist.a, dist.b));
+                dist.name, rng_normal(mc.seed, index, name_hash[d], dist.a, dist.b));
             break;
           case ParamDist::Kind::uniform:
             point.params.emplace_back(
-                dist.name, rng_uniform(mc.seed, index, rng_hash_name(dist.name),
-                                       dist.a, dist.b));
+                dist.name, rng_uniform(mc.seed, index, name_hash[d], dist.a, dist.b));
             break;
           case ParamDist::Kind::corner:
             break;  // already a grid axis
@@ -364,26 +368,29 @@ std::vector<SweepOutcome> SweepRunner::run(const std::vector<SweepPoint>& grid,
   if (!opts.checkpoint_path.empty())
     writer = std::make_unique<CheckpointWriter>(opts.checkpoint_path);
 
-  if (!todo.empty()) {
-    ThreadPool pool(std::min<int>(threads_, static_cast<int>(todo.size())));
-    pool.run(static_cast<int>(todo.size()), [&](int i) {
-      const std::size_t k = todo[static_cast<std::size_t>(i)];
-      SweepOutcome out = run_isolated(job, grid[k], 0);
-      out.attempts = 1;
-      for (int attempt = 1; !out.ok && attempt <= opts.retries; ++attempt) {
-        SweepOutcome retry = run_isolated(job, grid[k], attempt);
-        retry.attempts = attempt + 1;
-        out = std::move(retry);
-      }
-      if (writer) {
-        // Journal the FINAL verdict only (retries are one point's attempts,
-        // not separate records); serialize appends — completion order is
-        // nondeterministic, the per-index records make that harmless.
-        std::lock_guard<std::mutex> lock(writer_mu);
-        writer->append(static_cast<long>(k), grid[k], out);
-      }
-      results[k] = std::move(out);
-    });
+  const auto ntodo = static_cast<int>(todo.size());
+  const std::function<void(int)> run_point = [&](int i) {
+    const std::size_t k = todo[static_cast<std::size_t>(i)];
+    SweepOutcome out = run_isolated(job, grid[k], 0);
+    out.attempts = 1;
+    for (int attempt = 1; !out.ok && attempt <= opts.retries; ++attempt) {
+      SweepOutcome retry = run_isolated(job, grid[k], attempt);
+      retry.attempts = attempt + 1;
+      out = std::move(retry);
+    }
+    if (writer) {
+      // Journal the FINAL verdict only (retries are one point's attempts,
+      // not separate records); serialize appends — completion order is
+      // nondeterministic, the per-index records make that harmless.
+      std::lock_guard<std::mutex> lock(writer_mu);
+      writer->append(static_cast<long>(k), grid[k], out);
+    }
+    results[k] = std::move(out);
+  };
+  if (threads_ > 1) {
+    ThreadPool::shared().run(ntodo, run_point, threads_);
+  } else {
+    for (int i = 0; i < ntodo; ++i) run_point(i);  // width 1 never touches the pool
   }
   return results;
 }

@@ -5,10 +5,13 @@
 // worker-local state (no sharing between workers), so the result vector is
 // deterministic: results[i] always corresponds to grid[i], whatever the
 // execution interleaving. Backs `usim --sweep` and bench_array_scaling.
-// api::run_sweep_point, the job every front end uses, keeps one warm
-// Session per worker thread for a value-only template and runs each point
-// as parameter overrides on it, with outcomes bit-identical to building
-// the point's circuit afresh (api/api.hpp).
+// The workers are the process-lifetime ThreadPool::shared()
+// (common/thread_pool.hpp): they park between batches instead of exiting,
+// so worker-local state outlives a batch. api::run_sweep_point, the job
+// every front end uses, keeps one warm Session per worker thread for a
+// value-only template and runs each point as parameter overrides on it,
+// with outcomes bit-identical to building the point's circuit afresh
+// (api/api.hpp); a later batch on the same template starts warm.
 //
 // Fault tolerance (SweepOptions): a failed point records a structured
 // FailureInfo and never takes the batch down; failed points can be retried
@@ -184,13 +187,16 @@ class SweepRunner {
   using RetryJob = std::function<SweepOutcome(const SweepPoint&, int attempt)>;
 
   /// threads: 0 = auto (hardware concurrency), otherwise exactly that many
-  /// workers (including the calling thread).
+  /// workers (including the calling thread). 1 runs every point on the
+  /// calling thread and never touches the shared pool.
   explicit SweepRunner(int threads = 0);
 
   int thread_count() const noexcept { return threads_; }
 
   /// Runs `job` for every point of `grid` across the pool. results[i] is
-  /// grid[i]'s outcome.
+  /// grid[i]'s outcome. Safe to call from several threads at once (the
+  /// batches take turns on the pool) and from inside a job (the inner
+  /// batch runs inline on that job's thread).
   std::vector<SweepOutcome> run(const std::vector<SweepPoint>& grid, const Job& job) const;
 
   /// Fault-tolerant run: retry escalation, checkpoint journal, resume, and

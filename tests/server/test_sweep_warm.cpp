@@ -3,7 +3,8 @@
 // every point's SweepOutcome (metrics, error text, failure kind) must be
 // bit-identical to the text path — substitute_params, then a fresh parse
 // and Session. Covers the Listing 1 HDL Monte Carlo netlist under all three
-// HDL executors, the docs/sweeps.md divider, drawn values the device
+// HDL executors, batches that reuse or swap the templates workers kept
+// from earlier batches, the docs/sweeps.md divider, drawn values the device
 // constructors or the parameter lint reject (the warm point must fall back
 // and fail exactly like the cold one), and structural templates that must
 // never go warm.
@@ -131,6 +132,28 @@ TEST(SweepWarm, WorkerCountDoesNotChangeOutcomes) {
   const auto pooled = run_warm(kHdlMc, grid, "bytecode", 4);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) expect_same(pooled[i], serial[i], i);
+}
+
+TEST(SweepWarm, TemplatesCarriedAcrossBatchesMatchCold) {
+  // Sweep workers outlive a batch, and so do their warm templates: a second
+  // batch on the same template starts on sessions an earlier batch left,
+  // and an A, B, A sequence swaps each worker's template twice. Neither may
+  // leak state into a point.
+  for (const char* mode : {"bytecode", "codegen"}) {
+    SCOPED_TRACE(mode);
+    const auto batch = [mode](const std::string& text,
+                              const std::vector<spice::SweepPoint>& grid) {
+      const auto warm = run_warm(text, grid, mode, 4);
+      const auto cold = run_cold(text, grid, mode);
+      ASSERT_EQ(warm.size(), cold.size());
+      for (std::size_t i = 0; i < warm.size(); ++i) expect_same(warm[i], cold[i], i);
+    };
+    const auto a = mc(kHdlMc, 48, 21);
+    batch(kHdlMc, a);
+    batch(kHdlMc, mc(kHdlMc, 48, 22));
+    batch(kDivider, mc(kDivider, 48, 23));
+    batch(kHdlMc, a);
+  }
 }
 
 TEST(SweepWarm, NegativeDrawFallsBackAndFailsLikeCold) {

@@ -1,12 +1,18 @@
 // AnalysisEngine coverage: DC/TRAN/AC parity between one engine reused
 // across analyses and the fresh-engine-per-call api:: free functions at
 // 1e-12 on the relay pull-in and interpreted-HDL circuits; rebind() after
-// device-parameter changes; and the SweepRunner batch path.
+// device-parameter changes; and the SweepRunner batch path, including its
+// process-lifetime worker pool.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "api/api.hpp"
 #include "core/netlist_ext.hpp"
@@ -355,6 +361,103 @@ TEST(SweepRunner, JobExceptionFailsOnlyThatPoint) {
   EXPECT_EQ(results[2].error, "boom at k=2");
   EXPECT_TRUE(results[3].ok);
   EXPECT_DOUBLE_EQ(results[3].metrics[0].second, 9.0);
+}
+
+// --- the shared worker pool behind SweepRunner ------------------------------
+
+/// Points this thread has run over its lifetime: a fresh thread reads 0.
+thread_local int t_points_run = 0;
+
+struct PoolRun {
+  std::set<std::thread::id> ids;  ///< threads that ran a point
+  int fresh = 0;                  ///< points run by a thread that had run none before
+};
+
+/// Runs `points` points `threads` wide and records which threads ran them.
+/// With `gather`, every point waits (up to 10 s) until `threads` points are
+/// in flight at once, so each of the `threads` workers runs exactly one.
+PoolRun pool_run(int threads, int points, bool gather) {
+  const auto grid = sweep_grid({SweepAxis::linspace("i", 0.0, points - 1.0, points)});
+  PoolRun run;
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  const auto results = SweepRunner(threads).run(grid, [&](const SweepPoint& p) {
+    std::unique_lock<std::mutex> lock(mu);
+    run.ids.insert(std::this_thread::get_id());
+    if (t_points_run++ == 0) ++run.fresh;
+    if (gather) {
+      ++arrived;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return arrived >= threads; });
+    }
+    SweepOutcome out;
+    out.ok = true;
+    out.metrics.emplace_back("i", p.value("i"));
+    return out;
+  });
+  for (std::size_t i = 0; i < results.size(); ++i)
+    EXPECT_EQ(results[i].metrics.at(0).second, static_cast<double>(i));
+  return run;
+}
+
+TEST(SweepRunner, WorkersOutliveTheBatch) {
+  const PoolRun first = pool_run(4, 4, true);
+  const PoolRun second = pool_run(4, 4, true);
+  EXPECT_EQ(first.ids.size(), 4u);
+  EXPECT_EQ(second.ids, first.ids);
+  EXPECT_EQ(second.fresh, 0);  // every thread kept its thread_locals
+}
+
+TEST(SweepRunner, NarrowCallUsesOnlyItsWidth) {
+  const PoolRun wide = pool_run(4, 4, true);  // the pool is at least 4 wide now
+  const PoolRun narrow = pool_run(2, 64, false);
+  EXPECT_LE(narrow.ids.size(), 2u);
+  for (const auto& id : narrow.ids) EXPECT_EQ(wide.ids.count(id), 1u);
+}
+
+TEST(SweepRunner, RunInsideAJobCompletesInline) {
+  const auto outer = sweep_grid({SweepAxis::linspace("a", 0.0, 3.0, 4)});
+  const auto inner = sweep_grid({SweepAxis::linspace("b", 0.0, 15.0, 16)});
+  const auto results = SweepRunner(4).run(outer, [&](const SweepPoint& p) {
+    const auto nested = SweepRunner(4).run(inner, [&](const SweepPoint& q) {
+      SweepOutcome out;
+      out.ok = true;
+      out.metrics.emplace_back("ab", 100.0 * p.value("a") + q.value("b"));
+      return out;
+    });
+    SweepOutcome out;
+    out.ok = nested.size() == inner.size();
+    for (std::size_t i = 0; i < nested.size(); ++i)
+      out.ok = out.ok && nested[i].metrics.at(0).second == 100.0 * p.value("a") + i;
+    return out;
+  });
+  ASSERT_EQ(results.size(), outer.size());
+  for (const auto& r : results) EXPECT_TRUE(r.ok);
+}
+
+TEST(SweepRunner, ConcurrentCallersGetTheirOwnOrderedResults) {
+  const auto run_from = [](double base, std::vector<SweepOutcome>& results) {
+    const auto grid = sweep_grid({SweepAxis::linspace("v", base, base + 199.0, 200)});
+    results = SweepRunner(4).run(grid, [](const SweepPoint& p) {
+      SweepOutcome out;
+      out.ok = true;
+      out.metrics.emplace_back("v2", p.value("v") * 2.0);
+      return out;
+    });
+  };
+  std::vector<SweepOutcome> a;
+  std::vector<SweepOutcome> b;
+  std::thread ta(run_from, 0.0, std::ref(a));
+  std::thread tb(run_from, 1000.0, std::ref(b));
+  ta.join();
+  tb.join();
+  ASSERT_EQ(a.size(), 200u);
+  ASSERT_EQ(b.size(), 200u);
+  for (std::size_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(a[i].metrics.at(0).second, 2.0 * static_cast<double>(i));
+    EXPECT_EQ(b[i].metrics.at(0).second, 2.0 * (1000.0 + static_cast<double>(i)));
+  }
 }
 
 }  // namespace
