@@ -135,7 +135,6 @@ struct Session::Impl {
   /// submission reports parsed/bound = true and a warm one reports false.
   bool first_job_parsed = false;
   bool first_job_bound = false;
-  long jobs = 0;
 };
 
 spice::Netlist parse_netlist(const std::string& text, const std::string& hdl_mode,
@@ -178,7 +177,6 @@ const std::vector<spice::AnalysisCard>& Session::cards() const noexcept {
   return impl_->net.analyses;
 }
 bool Session::warm() const noexcept { return impl_->engine->warm(); }
-long Session::jobs_run() const noexcept { return impl_->jobs; }
 
 namespace {
 
@@ -274,12 +272,15 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
   // card's converged outcome, handed to the later .ac/.tran cards whose dc
   // options match it, so a job solves each point once. A transient moves
   // device state (start_transient/accept), so it ends the reuse; nothing
-  // outlives the job.
-  std::optional<std::size_t> point;
+  // outlives the job. kNoPoint means none: a plain index, since GCC 12
+  // cannot follow an optional's engaged flag into the lambda.
+  constexpr std::size_t kNoPoint = SIZE_MAX;
+  std::size_t point = kNoPoint;
   spice::DcOptions point_opts;
   const auto reusable = [&](const spice::DcOptions& dc) -> const spice::OpResult* {
-    return point && same_operating_point(point_opts, dc) ? &result.analyses[*point].op
-                                                         : nullptr;
+    return point != kNoPoint && same_operating_point(point_opts, dc)
+               ? &result.analyses[point].op
+               : nullptr;
   };
 
   result.ok = true;
@@ -305,7 +306,7 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
         apply_newton(card.tran.newton);
         apply_newton(card.tran.dc.newton);
         outcome.tran = impl_->engine->run_tran(card.tran, reusable(card.tran.dc));
-        point.reset();
+        point = kNoPoint;
         outcome.ok = outcome.tran.ok;
         result.symbolic_factorizations += outcome.tran.symbolic_factorizations;
         break;
@@ -330,7 +331,6 @@ JobResult Session::run(const JobRequest& request, const AnalysisCallback& on_ana
     }
   }
 
-  ++impl_->jobs;
   return result;
 }
 

@@ -171,8 +171,6 @@ class Session {
 
   /// Whether the engine currently holds warm solver state.
   bool warm() const noexcept;
-  /// Jobs run() has completed on this session (server stats).
-  long jobs_run() const noexcept;
 
  private:
   struct Impl;

@@ -22,7 +22,6 @@ const char* level_tag(LogLevel level) {
 }  // namespace
 
 void set_log_level(LogLevel level) noexcept { g_level.store(level); }
-LogLevel log_level() noexcept { return g_level.load(); }
 
 void log_message(LogLevel level, const std::string& msg) {
   if (level < g_level.load()) return;
@@ -30,8 +29,6 @@ void log_message(LogLevel level, const std::string& msg) {
 }
 
 void log_debug(const std::string& msg) { log_message(LogLevel::debug, msg); }
-void log_info(const std::string& msg) { log_message(LogLevel::info, msg); }
 void log_warn(const std::string& msg) { log_message(LogLevel::warn, msg); }
-void log_error(const std::string& msg) { log_message(LogLevel::error, msg); }
 
 }  // namespace usys

@@ -128,30 +128,4 @@ DVector least_squares(const DMatrix& a, const DVector& b, double damping) {
   return atb;
 }
 
-double norm2(const DVector& v) {
-  double s = 0.0;
-  for (double x : v) s += x * x;
-  return std::sqrt(s);
-}
-
-double norm_inf(const DVector& v) {
-  double s = 0.0;
-  for (double x : v) s = std::max(s, std::abs(x));
-  return s;
-}
-
-DVector subtract(const DVector& a, const DVector& b) {
-  assert(a.size() == b.size());
-  DVector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-double dot(const DVector& a, const DVector& b) {
-  assert(a.size() == b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
 }  // namespace usys

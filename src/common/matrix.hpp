@@ -75,16 +75,4 @@ void lu_solve(ZMatrix& a, ZVector& b);
 /// Tikhonov damping (used by the rational-fit code where A is tall).
 DVector least_squares(const DMatrix& a, const DVector& b, double damping = 0.0);
 
-/// Euclidean norm.
-double norm2(const DVector& v);
-
-/// Infinity norm.
-double norm_inf(const DVector& v);
-
-/// c = a - b (sizes must match).
-DVector subtract(const DVector& a, const DVector& b);
-
-/// Dot product.
-double dot(const DVector& a, const DVector& b);
-
 }  // namespace usys

@@ -156,23 +156,6 @@ void UnixConn::close() {
 // UnixListener
 // ---------------------------------------------------------------------------
 
-UnixListener::UnixListener(UnixListener&& other) noexcept
-    : fd_(other.fd_), path_(std::move(other.path_)) {
-  other.fd_ = -1;
-  other.path_.clear();
-}
-
-UnixListener& UnixListener::operator=(UnixListener&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    path_ = std::move(other.path_);
-    other.fd_ = -1;
-    other.path_.clear();
-  }
-  return *this;
-}
-
 bool UnixListener::listen_on(const std::string& path, std::string* error) {
   close();
   sockaddr_un addr;

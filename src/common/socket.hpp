@@ -71,15 +71,13 @@ class UnixConn {
   std::string rbuf_;  // bytes received past the last returned line
 };
 
-/// A bound, listening Unix-domain socket. Move-only; closing unlinks the
-/// filesystem path it created.
+/// A bound, listening Unix-domain socket. Neither copyable nor movable;
+/// closing unlinks the filesystem path it created.
 class UnixListener {
  public:
   UnixListener() = default;
   ~UnixListener() { close(); }
 
-  UnixListener(UnixListener&& other) noexcept;
-  UnixListener& operator=(UnixListener&& other) noexcept;
   UnixListener(const UnixListener&) = delete;
   UnixListener& operator=(const UnixListener&) = delete;
 

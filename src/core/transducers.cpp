@@ -68,10 +68,6 @@ void TransducerBase::stamp_mech_force(EvalCtx& ctx, double f_plate, double df_dv
 // (a) transverse electrostatic
 // ---------------------------------------------------------------------------
 
-double TransverseElectrostatic::effective_gap(double x) const {
-  return std::max(geom_.gap + x, kGapFloorFraction * geom_.gap);
-}
-
 void TransverseElectrostatic::evaluate(EvalCtx& ctx) {
   const double volt = ctx.v(a_) - ctx.v(b_);
   const double x = disp(ctx);
@@ -117,10 +113,6 @@ void TransverseElectrostatic::evaluate(EvalCtx& ctx) {
 // (b) parallel electrostatic
 // ---------------------------------------------------------------------------
 
-double ParallelElectrostatic::effective_overlap(double x) const {
-  return std::max(geom_.length - x, kGapFloorFraction * geom_.length);
-}
-
 void ParallelElectrostatic::evaluate(EvalCtx& ctx) {
   const double volt = ctx.v(a_) - ctx.v(b_);
   const double x = disp(ctx);
@@ -164,10 +156,6 @@ void ParallelElectrostatic::evaluate(EvalCtx& ctx) {
 // ---------------------------------------------------------------------------
 // (c) electromagnetic (variable reluctance)
 // ---------------------------------------------------------------------------
-
-double ElectromagneticTransducer::effective_gap(double x) const {
-  return std::max(geom_.gap + x, kGapFloorFraction * geom_.gap);
-}
 
 void ElectromagneticTransducer::bind(Binder& binder) {
   TransducerBase::bind(binder);

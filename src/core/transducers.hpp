@@ -76,9 +76,6 @@ class TransverseElectrostatic final : public TransducerBase {
  public:
   using TransducerBase::TransducerBase;
   void evaluate(EvalCtx& ctx) override;
-
-  /// Effective (collision-clamped) gap at displacement x.
-  double effective_gap(double x) const;
 };
 
 /// (b) Parallel (sliding-plate) electrostatic:
@@ -87,9 +84,6 @@ class ParallelElectrostatic final : public TransducerBase {
  public:
   using TransducerBase::TransducerBase;
   void evaluate(EvalCtx& ctx) override;
-
-  /// Effective overlap (clamped at a small positive floor).
-  double effective_overlap(double x) const;
 };
 
 /// (c) Electromagnetic (variable reluctance):
@@ -104,7 +98,6 @@ class ElectromagneticTransducer final : public TransducerBase {
   void stamp_footprint(std::vector<int>& out) const override;
 
   int branch() const noexcept { return br_; }
-  double effective_gap(double x) const;
 
  private:
   int br_ = -1;

@@ -24,15 +24,6 @@ bool parse_exec_mode(const std::string& text, HdlExecMode& out) {
   return true;
 }
 
-const char* to_string(HdlExecMode mode) noexcept {
-  switch (mode) {
-    case HdlExecMode::ast: return "ast";
-    case HdlExecMode::bytecode: return "bytecode";
-    case HdlExecMode::codegen: return "codegen";
-  }
-  return "?";
-}
-
 struct HdlDevice::Frame {
   std::vector<Dual> slots;
   spice::EvalCtx* ctx = nullptr;   ///< null during commit (no stamping)

@@ -64,7 +64,6 @@ enum class HdlExecMode {
 /// Parses "ast" / "bytecode" / "codegen" (case-sensitive); false on anything
 /// else. Shared by the netlist `.options hdl=` card and `usim --hdl-mode=`.
 bool parse_exec_mode(const std::string& text, HdlExecMode& out);
-const char* to_string(HdlExecMode mode) noexcept;
 
 class HdlDevice final : public spice::Device {
  public:

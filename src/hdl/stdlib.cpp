@@ -148,9 +148,4 @@ END ARCHITECTURE energy;
 )";
 }
 
-std::string all_models() {
-  return paper_listing1() + transverse_energy() + parallel_electrostatic() +
-         electromagnetic() + electrodynamic();
-}
-
 }  // namespace usys::hdl::stdlib

@@ -36,7 +36,4 @@ std::string electromagnetic();
 /// Electrodynamic voice-coil transducer, entity `edynamic`; generics N, r, B.
 std::string electrodynamic();
 
-/// All models concatenated (convenient for parser round-trip tests).
-std::string all_models();
-
 }  // namespace usys::hdl::stdlib

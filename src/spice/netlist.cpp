@@ -697,8 +697,17 @@ std::vector<MeasureSpec> parse_measures(const std::string& text) {
                          ".measure needs <label> <metric> min=<v> and/or max=<v>");
     MeasureSpec spec;
     spec.label = toks[1];
-    spec.metric = toks[2];
-    for (std::size_t i = 3; i < toks.size(); ++i) {
+    // The metric runs up to the first key=value token; an AC metric's name
+    // holds a space ("ac dB(fstop):<node>"), so its tokens are rejoined.
+    std::size_t i = 2;
+    for (; i < toks.size() && toks[i].find('=') == std::string::npos; ++i) {
+      if (!spec.metric.empty()) spec.metric += ' ';
+      spec.metric += toks[i];
+    }
+    if (spec.metric.empty() || i == toks.size())
+      throw NetlistError(lineno,
+                         ".measure needs <label> <metric> min=<v> and/or max=<v>");
+    for (; i < toks.size(); ++i) {
       const auto eq = toks[i].find('=');
       if (eq == std::string::npos)
         throw NetlistError(lineno, ".measure bounds must be min=<v> or max=<v>");

@@ -34,6 +34,22 @@ bool measures_pass(
   return true;
 }
 
+namespace {
+
+/// Quantile of ascending `sorted` with linear interpolation between closest
+/// ranks (numpy's default, type 7): q in [0,1]. 0 with no samples.
+double quantile_of_sorted(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  if (q <= 0.0) return sorted.front();
+  if (q >= 1.0) return sorted.back();
+  const double h = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(h);
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  return sorted[lo] + (h - static_cast<double>(lo)) * (sorted[lo + 1] - sorted[lo]);
+}
+
+}  // namespace
+
 void MetricStats::add(double v) {
   if (std::isfinite(v)) samples_.push_back(v);
 }
@@ -63,19 +79,6 @@ double MetricStats::max_value() const {
   return *std::max_element(samples_.begin(), samples_.end());
 }
 
-double MetricStats::quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  if (q <= 0.0) return sorted.front();
-  if (q >= 1.0) return sorted.back();
-  const double h = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(h);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  const double frac = h - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
-
 MetricSummary MetricStats::summary(const std::string& name,
                                    const std::vector<double>& qs) const {
   MetricSummary s;
@@ -88,25 +91,7 @@ MetricSummary MetricStats::summary(const std::string& name,
   // One sort shared by all quantile levels.
   std::vector<double> sorted = samples_;
   std::sort(sorted.begin(), sorted.end());
-  for (double q : qs) {
-    QuantilePoint p;
-    p.q = q;
-    if (sorted.empty()) {
-      p.value = 0.0;
-    } else if (q <= 0.0) {
-      p.value = sorted.front();
-    } else if (q >= 1.0) {
-      p.value = sorted.back();
-    } else {
-      const double h = q * static_cast<double>(sorted.size() - 1);
-      const auto lo = static_cast<std::size_t>(h);
-      p.value = (lo + 1 >= sorted.size())
-                    ? sorted.back()
-                    : sorted[lo] + (h - static_cast<double>(lo)) *
-                                       (sorted[lo + 1] - sorted[lo]);
-    }
-    s.quantiles.push_back(p);
-  }
+  for (double q : qs) s.quantiles.push_back({q, quantile_of_sorted(sorted, q)});
   return s;
 }
 

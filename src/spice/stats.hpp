@@ -86,10 +86,6 @@ class MetricStats {
   double min_value() const;
   double max_value() const;
 
-  /// Sorted-exact quantile with linear interpolation between closest ranks
-  /// (numpy's default, type 7): q in [0,1]. 0 with no samples.
-  double quantile(double q) const;
-
   MetricSummary summary(const std::string& name,
                         const std::vector<double>& qs) const;
 

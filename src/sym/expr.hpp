@@ -141,10 +141,6 @@ std::string to_text(const Expr& e);
 /// paper's Listing 1 style).
 std::string to_hdl(const Expr& e);
 
-/// LaTeX rendering (\frac for quotients, ^{...} powers, \cdot products) —
-/// for documentation generated from derived models.
-std::string to_latex(const Expr& e);
-
 /// Number of nodes (for complexity assertions in tests/benches).
 std::size_t node_count(const Expr& e);
 

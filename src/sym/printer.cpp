@@ -100,77 +100,4 @@ std::string render(const Expr& e, bool hdl) {
 std::string to_text(const Expr& e) { return render(e, /*hdl=*/false); }
 std::string to_hdl(const Expr& e) { return render(e, /*hdl=*/true); }
 
-namespace {
-
-std::string latex(const Expr& e, int parent_prec) {
-  const int prec = precedence(e.kind());
-  std::string out;
-  switch (e.kind()) {
-    case Kind::constant: {
-      const double v = e.value();
-      if (v == static_cast<long long>(v) && std::abs(v) < 1e15) {
-        out = str_format("%lld", static_cast<long long>(v));
-      } else {
-        // Scientific -> m \times 10^{e}.
-        const std::string s = str_format("%g", v);
-        const auto epos = s.find('e');
-        if (epos == std::string::npos) {
-          out = s;
-        } else {
-          // %g writes the exponent as a sign and at least two digits.
-          const std::string_view digits = std::string_view(s).substr(epos + 2);
-          out = s.substr(0, epos) + " \\times 10^{" + (s[epos + 1] == '-' ? "-" : "") +
-                std::to_string(parse_bounded(digits, 0, 9999).value_or(0)) + "}";
-        }
-      }
-      break;
-    }
-    case Kind::variable: {
-      // Greek-ify the common physics parameter names.
-      const std::string& n = e.name();
-      if (n == "e0") out = "\\varepsilon_0";
-      else if (n == "er") out = "\\varepsilon_r";
-      else if (n == "mu0") out = "\\mu_0";
-      else if (n == "lambda") out = "\\lambda";
-      else if (n == "alpha") out = "\\alpha";
-      else out = n;
-      break;
-    }
-    case Kind::add:
-      out = latex(e.args()[0], 1) + " + " + latex(e.args()[1], 1);
-      break;
-    case Kind::sub:
-      out = latex(e.args()[0], 1) + " - " + latex(e.args()[1], 2);
-      break;
-    case Kind::mul:
-      out = latex(e.args()[0], 2) + " \\, " + latex(e.args()[1], 2);
-      break;
-    case Kind::div:
-      // \frac absorbs all precedence concerns.
-      return "\\frac{" + latex(e.args()[0], 0) + "}{" + latex(e.args()[1], 0) + "}";
-    case Kind::neg:
-      // See render(): char-literal + string here trips GCC 12's -Wrestrict
-      // false positive (PR105651) under -O2.
-      out = latex(e.args()[0], 3);
-      out.insert(out.begin(), '-');
-      break;
-    case Kind::pow:
-      out = latex(e.args()[0], 5) + "^{" + latex(e.args()[1], 0) + "}";
-      break;
-    case Kind::sin: return "\\sin\\left(" + latex(e.args()[0], 0) + "\\right)";
-    case Kind::cos: return "\\cos\\left(" + latex(e.args()[0], 0) + "\\right)";
-    case Kind::tan: return "\\tan\\left(" + latex(e.args()[0], 0) + "\\right)";
-    case Kind::exp: return "e^{" + latex(e.args()[0], 0) + "}";
-    case Kind::log: return "\\ln\\left(" + latex(e.args()[0], 0) + "\\right)";
-    case Kind::sqrt: return "\\sqrt{" + latex(e.args()[0], 0) + "}";
-    case Kind::abs: return "\\left|" + latex(e.args()[0], 0) + "\\right|";
-  }
-  if (prec < parent_prec) return "\\left(" + out + "\\right)";
-  return out;
-}
-
-}  // namespace
-
-std::string to_latex(const Expr& e) { return latex(e, 0); }
-
 }  // namespace usys::sym

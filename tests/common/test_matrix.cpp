@@ -206,16 +206,6 @@ TEST(Matrix, LeastSquaresOverdeterminedNoise) {
   EXPECT_NEAR(c[0], 2.0, 1e-12);
 }
 
-TEST(Matrix, Norms) {
-  const DVector v = {3.0, -4.0};
-  EXPECT_DOUBLE_EQ(norm2(v), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf(v), 4.0);
-  EXPECT_DOUBLE_EQ(dot(v, v), 25.0);
-  const DVector d = subtract(v, {1.0, -1.0});
-  EXPECT_DOUBLE_EQ(d[0], 2.0);
-  EXPECT_DOUBLE_EQ(d[1], -3.0);
-}
-
 TEST(Matrix, FillAndResize) {
   DMatrix m(2, 3, 1.0);
   EXPECT_DOUBLE_EQ(m(1, 2), 1.0);

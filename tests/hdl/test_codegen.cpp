@@ -426,7 +426,7 @@ END ARCHITECTURE g;
     ASSERT_TRUE(res.ok) << res.error;
     auto* dev = hdl_of(ckt);
     ASSERT_NE(dev, nullptr);
-    EXPECT_EQ(dev->assert_violations(), 1) << "mode " << to_string(mode);
+    EXPECT_EQ(dev->assert_violations(), 1) << "mode " << static_cast<int>(mode);
     finals.push_back(res.sample(30e-3, disp));
   }
   expect_close(finals[1], finals[0], "collapse displacement");

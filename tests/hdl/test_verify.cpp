@@ -163,21 +163,23 @@ TEST(Verify, StdlibModelsVerifyCleanAtBind) {
   // Every stdlib transducer's compiled program must pass with zero findings
   // (not just zero errors) — the models are the reference corpus.
   struct Case {
+    std::string source;
     const char* entity;
     std::map<std::string, double> generics;
   };
   const Case cases[] = {
-      {"eletran", {{"A", 1e-8}, {"d", 2e-6}, {"er", 1.0}}},
-      {"etransverse", {{"A", 1e-8}, {"d", 2e-6}, {"er", 1.0}}},
-      {"eparallel", {{"h", 1e-6}, {"l", 1e-5}, {"d", 2e-6}, {"er", 1.0}}},
-      {"emagnetic", {{"A", 1e-8}, {"d", 2e-6}, {"N", 100.0}}},
-      {"edynamic", {{"N", 100.0}, {"r", 0.01}, {"B", 0.5}}},
+      {stdlib::paper_listing1(), "eletran", {{"A", 1e-8}, {"d", 2e-6}, {"er", 1.0}}},
+      {stdlib::transverse_energy(), "etransverse", {{"A", 1e-8}, {"d", 2e-6}, {"er", 1.0}}},
+      {stdlib::parallel_electrostatic(), "eparallel",
+       {{"h", 1e-6}, {"l", 1e-5}, {"d", 2e-6}, {"er", 1.0}}},
+      {stdlib::electromagnetic(), "emagnetic", {{"A", 1e-8}, {"d", 2e-6}, {"N", 100.0}}},
+      {stdlib::electrodynamic(), "edynamic", {{"N", 100.0}, {"r", 0.01}, {"B", 0.5}}},
   };
   for (const auto& c : cases) {
     spice::Circuit ckt;
     const int e = ckt.add_node("e", Nature::electrical);
     const int m = ckt.add_node("m", Nature::mechanical_translation);
-    ckt.add_device(instantiate("X1", stdlib::all_models(), c.entity, c.generics,
+    ckt.add_device(instantiate("X1", c.source, c.entity, c.generics,
                                {e, spice::Circuit::kGround, m, spice::Circuit::kGround}));
     ckt.bind_all();
     const auto* dev = dynamic_cast<const HdlDevice*>(ckt.devices()[0].get());

@@ -1,5 +1,5 @@
-// PWL macromodels: interpolation, the table-driven transducer device, the
-// polynomial fit, and generated-HDL round trips.
+// PWL macromodels: interpolation, the polynomial fit, and generated-HDL
+// round trips.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,9 +22,6 @@ TEST(Pwl, InterpolationAndClamping) {
   EXPECT_DOUBLE_EQ(f(1.5), 5.0);
   EXPECT_DOUBLE_EQ(f(-1.0), 0.0);
   EXPECT_DOUBLE_EQ(f(5.0), 0.0);
-  EXPECT_DOUBLE_EQ(f.slope(0.5), 10.0);
-  EXPECT_DOUBLE_EQ(f.slope(1.5), -10.0);
-  EXPECT_DOUBLE_EQ(f.slope(5.0), 0.0);
 }
 
 TEST(Pwl, RejectsBadInput) {
@@ -45,7 +42,6 @@ TEST(Pwl, PolyfitRecoversPolynomial) {
   EXPECT_NEAR(c[0], 2.0, 1e-9);
   EXPECT_NEAR(c[1], -3.0, 1e-9);
   EXPECT_NEAR(c[2], 0.5, 1e-9);
-  EXPECT_NEAR(polyval(c, 0.3), 2.0 - 0.9 + 0.045, 1e-9);
 }
 
 TEST(Pwl, PolyfitValidation) {
@@ -84,34 +80,6 @@ TEST(Pwl, CapacitanceModelTracksAnalytic) {
                 analytic_capacitance(table.setup, x) * 2e-3)
         << x;
   }
-}
-
-TEST(Pwl, TransducerDeviceReproducesStaticDeflection) {
-  // The PWL device in the Fig. 3 system must land within the table's
-  // resolution of the analytic static deflection.
-  const auto table = analytic_table();
-  spice::Circuit ckt;
-  const int drive = ckt.add_node("drive", Nature::electrical);
-  const int vel = ckt.add_node("vel", Nature::mechanical_translation);
-  const int disp = ckt.add_node("disp", Nature::mechanical_translation);
-  ckt.add<spice::VSource>(
-      "V1", drive, spice::Circuit::kGround,
-      std::make_unique<spice::PwlWave>(std::vector<std::pair<double, double>>{
-          {0.0, 0.0}, {5e-3, 10.0}, {1.0, 10.0}}));
-  ckt.add<PwlTransducer>("XT", drive, spice::Circuit::kGround, vel,
-                         spice::Circuit::kGround, capacitance_model(table));
-  ckt.add<spice::Mass>("M1", vel, 1e-4);
-  ckt.add<spice::Spring>("K1", vel, spice::Circuit::kGround, 200.0);
-  ckt.add<spice::Damper>("D1", vel, spice::Circuit::kGround, 40e-3);
-  ckt.add<spice::StateIntegrator>("XD", disp, vel);
-
-  spice::TranOptions opts;
-  opts.tstop = 80e-3;
-  const auto res = api::transient(ckt, opts);
-  ASSERT_TRUE(res.ok) << res.error;
-  core::ResonatorParams p;
-  const double x_expected = core::static_displacement_transverse(p, 10.0);
-  EXPECT_NEAR(res.sample(80e-3, disp), x_expected, std::abs(x_expected) * 0.05);
 }
 
 TEST(Pwl, GeneratedHdlSimulates) {

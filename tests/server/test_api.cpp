@@ -109,7 +109,6 @@ TEST(Session, FirstRunPaysParseBindThenWarmRunsAreFree) {
   // Same analysis regime on a warm engine: the compiled pattern and the
   // symbolic factorization are reused wholesale.
   EXPECT_EQ(warm.symbolic_factorizations, 0);
-  EXPECT_EQ(session.jobs_run(), 2);
 
   // Warm reruns are bit-identical to the cold run, not merely close.
   expect_identical_tran(cold.analyses[1].tran, warm.analyses[1].tran);

@@ -30,7 +30,6 @@
 #include "hdl/interpreter.hpp"
 #include "hdl/stdlib.hpp"
 #include "pxt/harmonic.hpp"
-#include "pxt/pwl.hpp"
 #include "spice/analysis.hpp"
 #include "spice/devices_controlled.hpp"
 #include "spice/devices_nonlinear.hpp"
@@ -153,8 +152,8 @@ void add_resonator(Circuit& ckt, const std::string& tag, int vel, double m, doub
 /// Every in-tree Device subclass in one circuit, all hanging off one pulsed
 /// drive with an AC magnitude: passives and sources, the four controlled
 /// sources, transformer, gyrator and state integrator, diode and Joule
-/// heater, both PWL macromodels and the transfer-function device, the four
-/// native transducers and the linearized one, and an HDL device.
+/// heater, the transfer-function device, the four native transducers and
+/// the linearized one, and an HDL device.
 std::unique_ptr<Circuit> device_zoo() {
   auto ckt = std::make_unique<Circuit>();
   auto& c = *ckt;
@@ -216,21 +215,7 @@ std::unique_ptr<Circuit> device_zoo() {
   c.add<Resistor>("RTH", temp, gnd, 40.0, Nature::thermal);
   c.add<Capacitor>("CTH", temp, gnd, 1e-4, Nature::thermal);
 
-  // Macromodels: PWL C(x), PWL C(x) + F(x, V), fitted transfer function.
-  const std::vector<double> xs = {-5e-5, 0.0, 5e-5};
-  const pxt::Pwl1 cap(xs, {8.85e-12, 5.9e-12, 4.43e-12});
-  const int v_pwl = mech("v_pwl");
-  c.add<pxt::PwlTransducer>("XPWL", in, gnd, v_pwl, gnd, cap);
-  add_resonator(c, "pwl", v_pwl, 1e-4, 200.0, 40e-3);
-  c.add<StateIntegrator>("XDPWL", node("x_pwl", Nature::mechanical_translation), v_pwl);
-  std::vector<double> forces;
-  for (const double x : xs) {
-    for (const double v : {0.0, 5.0, 10.0}) forces.push_back(-2e-8 * v * v * (1.0 + 1e3 * x));
-  }
-  const int v_pwlf = mech("v_pwlf");
-  c.add<pxt::PwlForceTransducer>("XPWLF", in, gnd, v_pwlf, gnd, cap,
-                                 pxt::Pwl2(xs, {0.0, 5.0, 10.0}, forces));
-  add_resonator(c, "pwlf", v_pwlf, 1e-4, 200.0, 40e-3);
+  // Macromodel: fitted transfer function.
   pxt::RationalFit fit;
   fit.num = {2.0};
   fit.den = {1.0, 0.5, 0.1};

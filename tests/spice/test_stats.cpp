@@ -45,6 +45,11 @@ class StatsFileTest : public ::testing::Test {
 // MetricStats: exact small-set goldens
 // ---------------------------------------------------------------------------
 
+/// One quantile level, read the way stats files read it: through summary().
+double quantile(const MetricStats& s, double q) {
+  return s.summary("m", {q}).quantiles.front().value;
+}
+
 TEST(MetricStats, ExactMomentsOnFourSamples) {
   MetricStats s;
   for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
@@ -59,11 +64,11 @@ TEST(MetricStats, Type7QuantilesOnFourSamples) {
   // numpy default (type 7): h = (n-1)q, linear interpolation.
   MetricStats s;
   for (double v : {4.0, 1.0, 3.0, 2.0}) s.add(v);  // unsorted on purpose
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.25), 1.75);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 2.5);
-  EXPECT_DOUBLE_EQ(s.quantile(0.75), 3.25);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 4.0);
+  EXPECT_DOUBLE_EQ(quantile(s, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(quantile(s, 0.25), 1.75);
+  EXPECT_DOUBLE_EQ(quantile(s, 0.5), 2.5);
+  EXPECT_DOUBLE_EQ(quantile(s, 0.75), 3.25);
+  EXPECT_DOUBLE_EQ(quantile(s, 1.0), 4.0);
 }
 
 TEST(MetricStats, DegenerateCases) {
@@ -72,7 +77,7 @@ TEST(MetricStats, DegenerateCases) {
   EXPECT_EQ(one.count(), 1);
   EXPECT_DOUBLE_EQ(one.mean(), 7.5);
   EXPECT_DOUBLE_EQ(one.stddev(), 0.0);  // n < 2
-  EXPECT_DOUBLE_EQ(one.quantile(0.5), 7.5);
+  EXPECT_DOUBLE_EQ(quantile(one, 0.5), 7.5);
   EXPECT_DOUBLE_EQ(one.min_value(), 7.5);
   EXPECT_DOUBLE_EQ(one.max_value(), 7.5);
 
@@ -80,11 +85,11 @@ TEST(MetricStats, DegenerateCases) {
   for (int i = 0; i < 100; ++i) flat.add(-3.25);
   EXPECT_DOUBLE_EQ(flat.mean(), -3.25);
   EXPECT_DOUBLE_EQ(flat.stddev(), 0.0);
-  EXPECT_DOUBLE_EQ(flat.quantile(0.99), -3.25);
+  EXPECT_DOUBLE_EQ(quantile(flat, 0.99), -3.25);
 
   MetricStats empty;
   EXPECT_EQ(empty.count(), 0);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(quantile(empty, 0.5), 0.0);
 }
 
 TEST(MetricStats, NonFiniteSamplesAreIgnored) {
@@ -111,9 +116,9 @@ TEST(MetricStats, UniformGoldensAtN10k) {
   const double width = hi - lo;
   EXPECT_NEAR(s.mean(), (lo + hi) / 2.0, 0.05 * width);
   EXPECT_NEAR(s.stddev(), width / std::sqrt(12.0), 0.05 * width);
-  EXPECT_NEAR(s.quantile(0.5), 1.0, 0.05 * width);
-  EXPECT_NEAR(s.quantile(0.05), lo + 0.05 * width, 0.05 * width);
-  EXPECT_NEAR(s.quantile(0.95), lo + 0.95 * width, 0.05 * width);
+  EXPECT_NEAR(quantile(s, 0.5), 1.0, 0.05 * width);
+  EXPECT_NEAR(quantile(s, 0.05), lo + 0.05 * width, 0.05 * width);
+  EXPECT_NEAR(quantile(s, 0.95), lo + 0.95 * width, 0.05 * width);
   EXPECT_GE(s.min_value(), lo);
   EXPECT_LT(s.max_value(), hi);
 }
@@ -128,10 +133,10 @@ TEST(MetricStats, NormalGoldensAtN10k) {
   EXPECT_NEAR(s.mean(), mu, 0.1 * sigma);
   EXPECT_NEAR(s.stddev(), sigma, 0.05 * sigma);
   // Quantiles against the analytic z-scores.
-  EXPECT_NEAR(s.quantile(0.5), mu, 0.1 * sigma);
-  EXPECT_NEAR(s.quantile(0.05), mu - 1.6449 * sigma, 0.15 * sigma);
-  EXPECT_NEAR(s.quantile(0.95), mu + 1.6449 * sigma, 0.15 * sigma);
-  EXPECT_NEAR(s.quantile(0.99), mu + 2.3263 * sigma, 0.25 * sigma);
+  EXPECT_NEAR(quantile(s, 0.5), mu, 0.1 * sigma);
+  EXPECT_NEAR(quantile(s, 0.05), mu - 1.6449 * sigma, 0.15 * sigma);
+  EXPECT_NEAR(quantile(s, 0.95), mu + 1.6449 * sigma, 0.15 * sigma);
+  EXPECT_NEAR(quantile(s, 0.99), mu + 2.3263 * sigma, 0.25 * sigma);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Monte Carlo sweep fabric (spice/sweep.hpp mc_grid + friends): dist-spec
-// parsing, the .param/.measure netlist pre-passes, grid composition
+// parsing, the .param/.measure netlist pre-passes (an AC .measure through a
+// whole sweep and its stats file included), grid composition
 // (axes x corners x MC draws), and the determinism guarantees — grids and
 // SweepRunner results bit-identical across thread counts, shard splits, and
 // checkpoint resume — plus the shard-unique result-file naming fix.
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hpp"
 #include "common/rng.hpp"
 #include "spice/netlist.hpp"
 #include "spice/stats.hpp"
@@ -145,6 +147,20 @@ TEST(NetlistPrepass, MalformedCardsThrow) {
   EXPECT_THROW(parse_param_dists(".param r dist=normal(1k,-2)\n"), NetlistError);
   EXPECT_THROW(parse_measures(".measure v op:out\n"), NetlistError);  // no bound
   EXPECT_THROW(parse_measures(".measure v op:out min=3 max=1\n"), NetlistError);
+}
+
+TEST(NetlistPrepass, MeasureMetricMayHoldSpaces) {
+  // AC metric names hold a space; the metric is every token before the
+  // first key=value, joined by one space.
+  const auto measures = parse_measures(".measure sens ac   dB(fstop):vel min=-144\n");
+  ASSERT_EQ(measures.size(), 1u);
+  EXPECT_EQ(measures[0].label, "sens");
+  EXPECT_EQ(measures[0].metric, "ac dB(fstop):vel");
+  EXPECT_TRUE(measures[0].has_lo);
+  EXPECT_FALSE(measures[0].has_hi);
+  EXPECT_DOUBLE_EQ(measures[0].lo, -144.0);
+  EXPECT_THROW(parse_measures(".measure sens min=-144\n"), NetlistError);  // no metric
+  EXPECT_THROW(parse_measures(".measure sens ac dB(fstop):vel\n"), NetlistError);
 }
 
 TEST(NetlistPrepass, ParseTreatsStatCardsAsInert) {
@@ -311,6 +327,65 @@ TEST(McRunner, CheckpointResumeIsBitIdenticalOnMcGrid) {
   // Every shard-1 point (half the 2-axis x 40-mc grid) came from the journal.
   EXPECT_EQ(restored, static_cast<int>(grid.size()) / 2);
   std::remove(ckpt.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// An AC .measure through a whole Monte Carlo sweep and its stats file
+// ---------------------------------------------------------------------------
+
+/// RC lowpass with a toleranced resistor; at 1 kHz |H| is about -16 dB, so
+/// a -16 dB floor splits the draws.
+constexpr const char* kAcMcNetlist =
+    "* RC lowpass, toleranced\n"
+    ".param r dist=normal(1k,100)\n"
+    ".measure sens ac dB(fstop):out min=-16\n"
+    "V1 in 0 0 AC 1\n"
+    "R1 in out {r}\n"
+    "C1 out 0 1u\n"
+    ".ac dec 2 10 1k\n"
+    ".end\n";
+
+api::SweepRun run_ac_mc() {
+  api::SweepPlan plan;
+  std::string error;
+  EXPECT_TRUE(api::plan_sweep({kAcMcNetlist, {}, 40, "7", ""}, plan, error)) << error;
+  return api::run_sweep(plan, 1, {}, {});
+}
+
+TEST(AcMeasure, YieldCountsTheAcBound) {
+  const api::SweepRun run = run_ac_mc();
+  ASSERT_EQ(run.stats.measures.size(), 1u);
+  EXPECT_EQ(run.stats.measures[0].metric, "ac dB(fstop):out");
+  long expected = 0;
+  for (const SweepOutcome& out : run.outcomes) {
+    ASSERT_TRUE(out.ok) << out.error;
+    for (const auto& [name, value] : out.metrics)
+      if (name == "ac dB(fstop):out" && value >= -16.0) ++expected;
+  }
+  const YieldSummary y = run.stats.yield();
+  EXPECT_EQ(y.n, 40);
+  EXPECT_EQ(y.pass, expected);
+  EXPECT_GT(expected, 0);  // the floor splits the draws
+  EXPECT_LT(expected, 40);
+  ASSERT_EQ(y.measure_failures.size(), 1u);
+  EXPECT_EQ(y.measure_failures[0].first, "sens");
+  EXPECT_EQ(y.measure_failures[0].second, 40 - expected);
+}
+
+TEST(AcMeasure, StatsFileRoundTripsThroughMerge) {
+  const api::SweepRun run = run_ac_mc();
+  const std::string path = ::testing::TempDir() + "usys_ac_measure_stats.jsonl";
+  std::string error;
+  ASSERT_TRUE(write_stats(path, run.stats, &error)) << error;
+  StatsRun loaded;
+  ASSERT_TRUE(load_stats(path, loaded, &error)) << error;
+  ASSERT_EQ(loaded.measures.size(), 1u);
+  EXPECT_EQ(loaded.measures[0].metric, "ac dB(fstop):out");
+  StatsRun merged;
+  ASSERT_TRUE(merge_stats({path}, merged, &error)) << error;
+  EXPECT_EQ(merged.to_jsonl(), run.stats.to_jsonl());
+  EXPECT_EQ(merged.yield().pass, run.stats.yield().pass);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
