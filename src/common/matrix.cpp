@@ -69,6 +69,13 @@ std::size_t pivot_row(const ZMatrix& a, std::size_t k) {
   return pivot;
 }
 
+bool finite(double v) { return std::isfinite(v); }
+bool finite(const std::complex<double>& z) {
+  return std::isfinite(z.real()) && std::isfinite(z.imag());
+}
+
+/// Skips every product whose matrix operand is an exact zero; the header
+/// comment of matrix.hpp says why that changes no bit.
 template <typename T>
 void lu_solve_impl(Matrix<T>& a, std::vector<T>& b) {
   const std::size_t n = a.rows();
@@ -88,15 +95,23 @@ void lu_solve_impl(Matrix<T>& a, std::vector<T>& b) {
       const T factor = a(r, k) * inv_pivot;
       if (factor == T{}) continue;
       a(r, k) = T{};
-      for (std::size_t c = k + 1; c < n; ++c) a(r, c) -= factor * a(k, c);
+      const bool full = !finite(factor);  // f*0 is NaN: keep every update
+      for (std::size_t c = k + 1; c < n; ++c) {
+        if (full || a(k, c) != T{}) a(r, c) -= factor * a(k, c);
+      }
       b[r] -= factor * b[k];
     }
   }
-  // Back substitution.
+  // Back substitution. After the first non-finite component, 0*x[c] is
+  // NaN, so every later row takes all its terms.
+  bool full = false;
   for (std::size_t i = n; i-- > 0;) {
     T sum = b[i];
-    for (std::size_t c = i + 1; c < n; ++c) sum -= a(i, c) * b[c];
+    for (std::size_t c = i + 1; c < n; ++c) {
+      if (full || a(i, c) != T{}) sum -= a(i, c) * b[c];
+    }
     b[i] = sum / a(i, i);
+    full = full || !finite(b[i]);
   }
 }
 

@@ -4,6 +4,29 @@
 // that a dense row-major matrix with LU + partial pivoting is the right
 // tool; larger circuits and the FEM fields use common/sparse_lu.hpp.
 // Complex variants back the AC analysis.
+//
+// lu_solve skips exact zeros and is bit-identical to the kernel that does
+// not. Elimination skips `a(r,c) -= f*a(k,c)` where the pivot-row entry
+// a(k,c) is exactly zero; back substitution skips `sum -= U(i,c)*x[c]`
+// where U(i,c) is exactly zero. Why that changes no bit: every matrix that
+// reaches the kernel is built by `+=` onto a +0.0 fill (stamp_dense, the
+// `jf + a0*jq` Newton combine, the AC `jf + jw*jq` combine, the normal
+// equations of least_squares). Under round-to-nearest `x+y` is -0 only when
+// both operands are -0, and `x-y` only when x is -0 and y is +0, so no
+// entry is -0, before or during elimination. For a finite f, f*(+-0) is
+// +-0, and `x - (+-0)` is x for every x that is not -0: the skipped update
+// was a no-op. Back substitution is the same argument on the right-hand
+// side, which stays free of -0 if it starts free of it. Two guards keep
+// infinities and NaNs exact: a non-finite factor takes its full row, and so
+// does every back-substitution row after the first non-finite solution
+// component, since 0*inf and 0*NaN are NaN. Pivot choice and the
+// SingularMatrixError row are untouched.
+//
+// One caller does pass -0 in: the Newton right-hand side dx = -resid is -0
+// wherever the residual is +0. Then only the sign of an exactly-zero dx
+// can differ from the full kernel's, and `x += dx` cannot see it, because
+// the iterate never holds -0 (DC starts from +0, and both transient
+// predictors keep +0).
 #pragma once
 
 #include <complex>

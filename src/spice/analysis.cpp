@@ -64,6 +64,11 @@ std::vector<double> AcOptions::frequencies() const {
   return freqs;
 }
 
+std::complex<double> AcResult::at(std::size_t k, int unknown) const {
+  if (unknown < 0) return 0.0;  // ground reads 0 at any frequency
+  return x.at(k).at(static_cast<std::size_t>(unknown));
+}
+
 double AcResult::magnitude_db(std::size_t k, int unknown) const {
   return 20.0 * std::log10(std::abs(at(k, unknown)));
 }

@@ -156,9 +156,13 @@ struct AcResult {
   /// real ones of an operating point the sweep solved itself.
   int symbolic_factorizations = 0;
 
-  std::complex<double> at(std::size_t k, int unknown) const {
-    return unknown < 0 ? std::complex<double>(0.0) : x[k][static_cast<std::size_t>(unknown)];
-  }
+  // Accessor contract (all three), the same as TranResult's: a negative
+  // `unknown` is the ground reference and reads 0; an `unknown` at or
+  // beyond the circuit's unknown count, or a frequency index k past the
+  // sweep, throws std::out_of_range.
+
+  /// Complex response of an unknown at the k-th frequency.
+  std::complex<double> at(std::size_t k, int unknown) const;
   /// |H| in dB at point k for unknown.
   double magnitude_db(std::size_t k, int unknown) const;
   /// Phase in degrees.

@@ -35,10 +35,18 @@ struct NewtonOptions {
   /// Backend crossover (unknown count): sparse when n >= sparse_threshold,
   /// dense below. Measured with
   /// `bench_solver_scaling --benchmark_filter='/(8|12|20)$'` on both bench
-  /// topologies: dense still wins at n=8 (lower constant factors), the two
-  /// backends break even around n~10-14, and sparse is ahead by ~1.6x at
-  /// n=20 — so the default sits at the middle of the measured break-even
-  /// band. Re-measure per platform when tuning.
+  /// topologies (GCC 12.2 Release, 4-vCPU x86 container, medians of 5
+  /// repetitions, two runs, ns per Newton iteration), with the dense LU
+  /// that skips exact zeros:
+  ///   rc_ladder       n=8: dense 350-368, sparse 525-566;
+  ///                   n=12: 590-820 vs 811-825; n=20: 1434-1525 vs 1320-1396;
+  ///   resonator_array n=8: 391-395 vs 444-561;
+  ///                   n=14: 842-848 vs 698-725; n=26: 2353-2827 vs 1292-1586.
+  /// Dense still wins at n=8, the backends break even around n~12-14, and
+  /// sparse leads at n=20-26 (1.1x on the ladder, 1.8x on the resonators),
+  /// so the default stays in the middle of the break-even band. Moving it
+  /// moves every circuit between the old and new value onto the other
+  /// backend's pivot order, which changes their bits.
   int sparse_threshold = 12;
   /// Wall-clock budget for the WHOLE analysis this options object drives
   /// (run_op including its rescue ladder; run_tran including its initial

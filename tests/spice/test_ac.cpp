@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <stdexcept>
 
 #include "api/api.hpp"
 #include "common/constants.hpp"
@@ -166,6 +168,42 @@ TEST(Ac, GridEndsOnTheCardsLastFrequency) {
   ASSERT_EQ(last.freq.size(), 1u);
   EXPECT_EQ(last.freq[0], full.freq.back());
   EXPECT_EQ(last.at(0, out), full.at(full.freq.size() - 1, out));
+}
+
+TEST(Ac, AccessorsThrowOutOfRangeAndReadGroundAsZero) {
+  // AcResult::at, magnitude_db and phase_deg share TranResult's contract:
+  // ground reads 0 at any frequency, an unknown or frequency index out of
+  // range throws instead of reading past the vectors.
+  Circuit ckt;
+  const int in = ckt.add_node("in", Nature::electrical);
+  const int out = ckt.add_node("out", Nature::electrical);
+  ckt.add<VSource>("V1", in, Circuit::kGround, std::make_unique<DcWave>(0.0),
+                   Nature::electrical, 1.0, 0.0);
+  ckt.add<Resistor>("R1", in, out, 1e3);
+  ckt.add<Capacitor>("C1", out, Circuit::kGround, 1e-6);
+  AcOptions opts;
+  opts.f_start = 10.0;
+  opts.f_stop = 1e3;
+  opts.points = 3;
+  const AcResult res = api::ac_sweep(ckt, opts);
+  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_FALSE(res.freq.empty());
+
+  EXPECT_EQ(res.at(0, Circuit::kGround), std::complex<double>(0.0));
+  EXPECT_EQ(res.at(res.freq.size(), Circuit::kGround), std::complex<double>(0.0));
+  EXPECT_EQ(res.magnitude_db(0, Circuit::kGround), -HUGE_VAL);
+
+  const int bogus = ckt.unknown_count();
+  EXPECT_THROW(res.at(0, bogus), std::out_of_range);
+  EXPECT_THROW(res.magnitude_db(0, bogus), std::out_of_range);
+  EXPECT_THROW(res.phase_deg(0, bogus), std::out_of_range);
+  EXPECT_THROW(res.at(res.freq.size(), out), std::out_of_range);
+  EXPECT_THROW(res.magnitude_db(res.freq.size(), out), std::out_of_range);
+  EXPECT_THROW(res.phase_deg(res.freq.size(), out), std::out_of_range);
+
+  // An empty result (failed run) has no frequency to read.
+  AcResult empty;
+  EXPECT_THROW(empty.at(0, 0), std::out_of_range);
 }
 
 }  // namespace
